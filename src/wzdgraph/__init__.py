@@ -30,12 +30,10 @@ from .numtheory import (
     euler_phi,
     exact_primes,
     factorize,
-    gcd,
     proper_divisors,
 )
 from .oracle import (
     ExactPolynomial,
-    SymmetricIntMatrix,
     VerificationReport,
     char_poly_exact,
     integrality_check,

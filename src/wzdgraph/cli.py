@@ -147,24 +147,27 @@ def cmd_spectrum(n: int, fmt: str) -> int:
 
 def cmd_graph(n: int, fmt: str, classes: bool) -> int:
     g = graphcore.build_structural_wzd(n)
-    part = graphcore.divisor_classes(n)
     if fmt == "text":
         note = " (no zero-divisors)" if g.vertex_count == 0 else ""
         print(f"WΓ(Z_{n}): {g.vertex_count} vertices, {g.edge_count} edges{note}")
-        if classes and not part.degenerate:
-            print("classes:")
-            for c in part.classes:
-                members = " ".join(str(x) for x in c.members)
-                print(f"  {c.divisor}: {_class_symbol(c)}  {{{members}}}")
+        if classes:
+            part = graphcore.divisor_classes(n)
+            if not part.degenerate:
+                print("classes:")
+                for c in part.classes:
+                    members = " ".join(str(x) for x in c.members)
+                    print(f"  {c.divisor}: {_class_symbol(c)}  {{{members}}}")
         return 0
     if fmt == "json":
-        payload = json.loads(graphcore.export_graph(g, "json"))
+        text = graphcore.export_graph(g, "json")
         if classes:
-            payload["classes"] = [
+            listing = [
                 {"divisor": c.divisor, "kind": c.kind.value, "members": list(c.members)}
-                for c in part.classes
+                for c in graphcore.divisor_classes(n).classes
             ]
-        print(json.dumps(payload))
+            # the export is one JSON object ending in "}\n": append one more key
+            text = f'{text[:-2]}, "classes": {json.dumps(listing)}}}\n'
+        sys.stdout.write(text)
         return 0
     if classes:
         print(f"--classes is not supported with --format {fmt}", file=sys.stderr)
@@ -271,11 +274,9 @@ def _component_from_json(entry: dict, index: int) -> spectra.SpectrumMultiset:
     kind = entry.get("kind")
     if kind not in ("complete", "empty"):
         if "edges" in entry and "order" in entry:
-            g = graphcore.Graph(
-                labels=tuple(range(entry["order"])),
-                edges=frozenset(
-                    (min(u, v), max(u, v)) for u, v in entry["edges"]
-                ),
+            g = graphcore.Graph.from_edges(
+                range(entry["order"]),
+                ((min(u, v), max(u, v)) for u, v in entry["edges"]),
             )
             eigs = oracle.symmetric_eigenvalues(oracle.laplacian_matrix(g))
             return spectra.SpectrumMultiset.floating((e, 1) for e in eigs)
@@ -302,30 +303,29 @@ def cmd_join(path: str, fmt: str, check: bool) -> int:
             payload = json.load(fh)
         host_spec = payload["host"]
         labels = tuple(host_spec["labels"])
-        weights = tuple(int(w) for w in host_spec["weights"])
         index = {u: i for i, u in enumerate(labels)}
         edges = set()
         for u, v in host_spec["edges"]:
             i, j = index[u], index[v]
             edges.add((i, j) if i < j else (j, i))
-        host = spectra.WeightedHostGraph(labels=labels, weights=weights,
-                                         edges=frozenset(edges))
+        host = spectra.WeightedHostGraph(
+            labels=labels, weights=tuple(host_spec["weights"]), edges=frozenset(edges)
+        )
         comp_specs = payload["components"]
         components = [
             _component_from_json(entry, i) for i, entry in enumerate(comp_specs)
         ]
-        result = spectra.join_spectrum(host, components)
+        result = spectra.join_spectrum(host, components, n=payload.get("n"))
     except (OSError, json.JSONDecodeError, KeyError, TypeError,
             DomainError, ContractViolation) as exc:
         print(f"bad join input: {exc}", file=sys.stderr)
         return 2
-    result.n = payload.get("n")
 
     check_ok = True
     if check:
         try:
             parts = [
-                (weights[i], _component_edges(entry, weights[i], i))
+                (host.weights[i], _component_edges(entry, host.weights[i], i))
                 for i, entry in enumerate(comp_specs)
             ]
         except DomainError as exc:

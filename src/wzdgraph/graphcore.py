@@ -15,10 +15,12 @@ verification checks.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from math import gcd as _gcd
+
+import numpy as np
 
 from .errors import DomainError
 from .numtheory import exact_primes, is_prime, proper_divisors
@@ -31,26 +33,48 @@ class Kind(Enum):
     EMPTY = "empty"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph with a deterministic vertex order.
 
     ``labels`` are the vertex names (residues mod n, ascending, when the graph
-    came from Z_n); ``edges`` hold index pairs (i, j) with i < j.  ``modulus``
-    is the n the graph was built from, or None for generic graphs.
+    came from Z_n); ``adjacency`` is the read-only k x k boolean adjacency
+    matrix, row and column i belonging to ``labels[i]``.  ``modulus`` is the n
+    the graph was built from, or None for generic graphs.  Compare graphs with
+    ``graphs_equal``.
     """
 
     labels: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
+    adjacency: np.ndarray
     modulus: int | None = None
 
     def __post_init__(self) -> None:
         k = len(self.labels)
         if len(set(self.labels)) != k:
             raise DomainError("duplicate vertex labels")
-        for i, j in self.edges:
+        adj = np.array(self.adjacency)
+        if adj.dtype != bool or adj.shape != (k, k):
+            raise DomainError(
+                f"need a {k} x {k} boolean adjacency, got {adj.dtype} {adj.shape}"
+            )
+        if adj.diagonal().any():
+            raise DomainError("adjacency has a self-loop")
+        if not np.array_equal(adj, adj.T):
+            raise DomainError("adjacency is not symmetric")
+        adj.flags.writeable = False
+        object.__setattr__(self, "adjacency", adj)
+
+    @classmethod
+    def from_edges(cls, labels, index_pairs, modulus: int | None = None) -> Graph:
+        """Graph on ``labels`` with edges given as index pairs (i, j), i < j."""
+        k = len(labels)
+        adj = np.zeros((k, k), dtype=bool)
+        for i, j in index_pairs:
+            i, j = operator.index(i), operator.index(j)
             if not (0 <= i < j < k):
                 raise DomainError(f"bad edge ({i}, {j}) for {k} vertices")
+            adj[i, j] = adj[j, i] = True
+        return cls(labels=tuple(labels), adjacency=adj, modulus=modulus)
 
     @property
     def vertex_count(self) -> int:
@@ -58,26 +82,21 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return int(np.count_nonzero(self.adjacency)) // 2
 
     def degrees(self) -> list[int]:
-        deg = [0] * len(self.labels)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return self.adjacency.sum(axis=1).tolist()
 
     def label_edges(self) -> list[tuple[int, int]]:
         """Edges as sorted label pairs (u, v), u < v, lexicographically sorted."""
-        out = []
-        for i, j in self.edges:
-            u, v = self.labels[i], self.labels[j]
-            out.append((u, v) if u < v else (v, u))
-        return sorted(out)
+        rows, cols = np.nonzero(np.triu(self.adjacency, 1))
+        lab = self.labels
+        pairs = ((lab[i], lab[j]) for i, j in zip(rows.tolist(), cols.tolist()))
+        return sorted((u, v) if u < v else (v, u) for u, v in pairs)
 
     def is_complete(self) -> bool:
         k = len(self.labels)
-        return len(self.edges) == k * (k - 1) // 2
+        return self.edge_count == k * (k - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -134,30 +153,25 @@ def build_bruteforce_wzd(n: int) -> Graph:
     """WΓ(Z_n) by direct definition scan over annihilator element pairs.
 
     Adjacency depends only on the two annihilator sets, so the witness search
-    is memoized per pair of distinct annihilators; the scan itself stays a raw
-    iteration over nonzero annihilator elements.
+    runs once per pair of distinct annihilators, into a token x token table
+    that the vertex pairs then index; the scan itself stays a raw iteration
+    over nonzero annihilator elements.
     """
     verts = zero_divisors(n)
-    anns = [tuple(sorted(annihilator(n, x) - {0})) for x in verts]
-    # Token per distinct annihilator set keeps memo keys small.
+    # Token per distinct annihilator set, in order of first appearance.
     tokens: dict[tuple[int, ...], int] = {}
-    vert_tok = []
-    for a in anns:
-        if a not in tokens:
-            tokens[a] = len(tokens)
-        vert_tok.append(tokens[a])
-    by_token = {t: a for a, t in tokens.items()}
-
-    memo: dict[tuple[int, int], bool] = {}
-    edges = set()
-    for i, j in combinations(range(len(verts)), 2):
-        key = (vert_tok[i], vert_tok[j]) if vert_tok[i] <= vert_tok[j] else (vert_tok[j], vert_tok[i])
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = _wzd_adjacent(n, by_token[key[0]], by_token[key[1]])
-        if hit:
-            edges.add((i, j))
-    return Graph(labels=tuple(verts), edges=frozenset(edges), modulus=n)
+    vert_tok = [
+        tokens.setdefault(tuple(sorted(annihilator(n, x) - {0})), len(tokens))
+        for x in verts
+    ]
+    anns = list(tokens)
+    table = np.zeros((len(anns), len(anns)), dtype=bool)
+    for a in range(len(anns)):
+        for b in range(a, len(anns)):
+            table[a, b] = table[b, a] = _wzd_adjacent(n, anns[a], anns[b])
+    adj = table[np.ix_(vert_tok, vert_tok)]
+    np.fill_diagonal(adj, False)
+    return Graph(labels=tuple(verts), adjacency=adj, modulus=n)
 
 
 def divisor_classes(n: int) -> DivisorClassPartition:
@@ -191,43 +205,35 @@ def build_structural_wzd(n: int) -> Graph:
     ``build_bruteforce_wzd`` (ascending residues).
     """
     part = divisor_classes(n)
-    if part.degenerate:
-        return Graph(labels=tuple(zero_divisors(n)), edges=frozenset(), modulus=n)
-    labels = tuple(sorted(x for c in part.classes for x in c.members))
-    index = {x: i for i, x in enumerate(labels)}
-    edges = set()
-    for a, b in combinations(part.classes, 2):
-        for x in a.members:
-            for y in b.members:
-                i, j = index[x], index[y]
-                edges.add((i, j) if i < j else (j, i))
-    for c in part.classes:
-        if c.kind is Kind.COMPLETE:
-            for x, y in combinations(c.members, 2):
-                i, j = index[x], index[y]
-                edges.add((i, j) if i < j else (j, i))
-    return Graph(labels=labels, edges=frozenset(edges), modulus=n)
+    if part.degenerate:  # n is prime: no zero-divisors
+        return Graph(labels=(), adjacency=np.zeros((0, 0), dtype=bool), modulus=n)
+    members = np.concatenate([c.members for c in part.classes])
+    order = np.argsort(members)
+    # class index of each vertex, vertices in ascending residue order
+    cls = np.repeat(np.arange(len(part.classes)), [c.size for c in part.classes])[order]
+    complete = np.array([c.kind is Kind.COMPLETE for c in part.classes])
+    adj = (cls[:, None] != cls[None, :]) | complete[cls][:, None]
+    np.fill_diagonal(adj, False)
+    return Graph(labels=tuple(members[order].tolist()), adjacency=adj, modulus=n)
 
 
 def build_zero_divisor_graph(n: int) -> Graph:
     """Γ(Z_n): same vertex set as WΓ(Z_n); x ~ y iff x*y = 0 mod n."""
     verts = zero_divisors(n)
-    edges = {
-        (i, j)
-        for i, j in combinations(range(len(verts)), 2)
-        if verts[i] * verts[j] % n == 0
-    }
-    return Graph(labels=tuple(verts), edges=frozenset(edges), modulus=n)
+    v = np.array(verts, dtype=np.int64)
+    adj = np.multiply.outer(v, v) % n == 0
+    np.fill_diagonal(adj, False)
+    return Graph(labels=tuple(verts), adjacency=adj, modulus=n)
 
 
 def graphs_equal(g1: Graph, g2: Graph) -> bool:
     """True iff identical vertex label lists and identical edge sets."""
-    return g1.labels == g2.labels and g1.edges == g2.edges
+    return g1.labels == g2.labels and np.array_equal(g1.adjacency, g2.adjacency)
 
 
 def is_spanning_subgraph(sub: Graph, sup: Graph) -> bool:
     """True iff vertex labels agree and every edge of ``sub`` is in ``sup``."""
-    return sub.labels == sup.labels and sub.edges <= sup.edges
+    return sub.labels == sup.labels and not (sub.adjacency & ~sup.adjacency).any()
 
 
 def assemble_join(
@@ -247,21 +253,18 @@ def assemble_join(
             raise DomainError("component order must be >= 1")
         offsets.append(total)
         total += order
-    edges = set()
+    adj = np.zeros((total, total), dtype=bool)
     for ci, (order, local) in enumerate(component_edge_lists):
         base = offsets[ci]
         for u, v in local:
             if not (0 <= u < order and 0 <= v < order and u != v):
                 raise DomainError(f"bad local edge ({u}, {v}) in component {ci}")
-            a, b = base + u, base + v
-            edges.add((a, b) if a < b else (b, a))
+            adj[base + u, base + v] = adj[base + v, base + u] = True
     for i, j in host_edges:
-        oi, ni = offsets[i], component_edge_lists[i][0]
-        oj, nj = offsets[j], component_edge_lists[j][0]
-        for u in range(oi, oi + ni):
-            for v in range(oj, oj + nj):
-                edges.add((u, v) if u < v else (v, u))
-    return Graph(labels=tuple(range(total)), edges=frozenset(edges), modulus=None)
+        block_i = slice(offsets[i], offsets[i] + component_edge_lists[i][0])
+        block_j = slice(offsets[j], offsets[j] + component_edge_lists[j][0])
+        adj[block_i, block_j] = adj[block_j, block_i] = True
+    return Graph(labels=tuple(range(total)), adjacency=adj, modulus=None)
 
 
 GRAPH_FORMATS = ("dot", "json", "csv")
@@ -273,24 +276,24 @@ def export_graph(g: Graph, fmt: str) -> str:
     CSV lists one ``u,v`` edge line per edge (u < v, sorted), then any
     isolated vertices as single-field lines so the vertex set round-trips.
     """
+    edges = g.label_edges()
     if fmt == "dot":
         name = f"wzd_{g.modulus}" if g.modulus is not None else "g"
         lines = [f"graph {name} {{"]
         lines += [f"  {u};" for u in g.labels]
-        lines += [f"  {u} -- {v};" for u, v in g.label_edges()]
+        lines += [f"  {u} -- {v};" for u, v in edges]
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
         payload = {
             "modulus": g.modulus,
             "vertices": list(g.labels),
-            "edges": [list(e) for e in g.label_edges()],
+            "edges": [list(e) for e in edges],
         }
         return json.dumps(payload, separators=(", ", ": ")) + "\n"
     if fmt == "csv":
-        covered = {u for e in g.label_edges() for u in e}
-        lines = [f"{u},{v}" for u, v in g.label_edges()]
-        lines += [str(u) for u in g.labels if u not in covered]
+        lines = [f"{u},{v}" for u, v in edges]
+        lines += [str(u) for u, d in zip(g.labels, g.degrees()) if d == 0]
         return "".join(line + "\n" for line in lines)
     raise DomainError(f"unknown graph format {fmt!r}; expected one of {GRAPH_FORMATS}")
 
@@ -300,8 +303,5 @@ def graph_from_json(text: str) -> Graph:
     payload = json.loads(text)
     labels = tuple(payload["vertices"])
     index = {u: i for i, u in enumerate(labels)}
-    edges = set()
-    for u, v in payload["edges"]:
-        i, j = index[u], index[v]
-        edges.add((i, j) if i < j else (j, i))
-    return Graph(labels=labels, edges=frozenset(edges), modulus=payload.get("modulus"))
+    pairs = (sorted((index[u], index[v])) for u, v in payload["edges"])
+    return Graph.from_edges(labels, pairs, modulus=payload.get("modulus"))

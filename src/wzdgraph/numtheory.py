@@ -7,7 +7,6 @@ Intended scale is n up to ~10^7, where trial division is instant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -34,17 +33,16 @@ class PrimeFactorization:
             out *= e + 1
         return out
 
+    @property
+    def totient(self) -> int:
+        """Euler's phi of n."""
+        out = self.n
+        for p, _ in self.factors:
+            out -= out // p
+        return out
+
     def exponent_one_primes(self) -> frozenset[int]:
         return frozenset(p for p, e in self.factors if e == 1)
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor; gcd(a, 0) = a. Undefined for a = b = 0."""
-    if a == 0 and b == 0:
-        raise DomainError("gcd(0, 0) is undefined")
-    if a < 0 or b < 0:
-        raise DomainError("gcd arguments must be non-negative")
-    return math.gcd(a, b)
 
 
 def factorize(n: int) -> PrimeFactorization:
@@ -71,10 +69,7 @@ def euler_phi(n: int) -> int:
     """Count of integers in [1, n] coprime to n; phi(1) = 1."""
     if n < 1:
         raise DomainError(f"phi undefined for n = {n}")
-    out = n
-    for p, _ in factorize(n).factors:
-        out -= out // p
-    return out
+    return factorize(n).totient
 
 
 def divisors(n: int) -> list[int]:

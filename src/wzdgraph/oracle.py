@@ -22,42 +22,13 @@ from .graphcore import (
 from .spectra import EXACT, SpectrumMultiset, wzd_spectrum_closed_form
 
 DEFAULT_ORDER_CAP = 256
-
-#: orders up to this size use the plain big-integer recurrence; larger ones
-#: run the same recurrence modulo word-size primes and CRT-reconstruct.
-_BIGINT_FL_MAX = 24
+#: largest order the modular charpoly handles exactly; see ``_crt_primes``
+EXACT_ORDER_LIMIT = 2048
 
 JACOBI_CONV_FACTOR = 1e-12
 JACOBI_MAX_SWEEPS = 100
 TRACE_REL_TOL = 1e-9
 SYMMETRY_REL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SymmetricIntMatrix:
-    """Dense symmetric integer matrix, stored row-major as nested tuples."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        k = len(self.rows)
-        for row in self.rows:
-            if len(row) != k:
-                raise ContractViolation("matrix must be square")
-        for i in range(k):
-            for j in range(i + 1, k):
-                if self.rows[i][j] != self.rows[j][i]:
-                    raise ContractViolation(f"asymmetry at ({i}, {j})")
-
-    @property
-    def order(self) -> int:
-        return len(self.rows)
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(len(self.rows)))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.float64).reshape(self.order, self.order)
 
 
 @dataclass(frozen=True)
@@ -77,22 +48,11 @@ class ExactPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def evaluate(self, x: int) -> int:
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
 
-
-def laplacian_matrix(g: Graph) -> SymmetricIntMatrix:
-    """L = D - A for an explicit graph: degrees on the diagonal, -1 on edges."""
-    k = g.vertex_count
-    rows = [[0] * k for _ in range(k)]
-    for i, j in g.edges:
-        rows[i][j] = rows[j][i] = -1
-        rows[i][i] += 1
-        rows[j][j] += 1
-    return SymmetricIntMatrix(rows=tuple(tuple(r) for r in rows))
+def laplacian_matrix(g: Graph) -> np.ndarray:
+    """L = D - A for an explicit graph, as a k x k int64 array."""
+    a = g.adjacency.astype(np.int64)
+    return np.diag(a.sum(axis=1)) - a
 
 
 def _round_robin_rounds(k: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -123,10 +83,7 @@ def symmetric_eigenvalues(m, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list[float]
     for non-symmetric input and ConvergenceError if ``max_sweeps`` cyclic
     sweeps do not suffice or the trace drifts.
     """
-    if isinstance(m, SymmetricIntMatrix):
-        a = m.as_array()
-    else:
-        a = np.array(m, dtype=np.float64)
+    a = np.array(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractViolation(f"need a square matrix, got shape {a.shape}")
     k = a.shape[0]
@@ -183,38 +140,13 @@ def symmetric_eigenvalues(m, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list[float]
     return [float(x) for x in np.sort(np.diagonal(a))]
 
 
-def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
-def _char_poly_bigint(rows) -> list[int]:
-    """Faddeev-LeVerrier over Python integers; divisions checked exact."""
-    k = len(rows)
-    a = [list(r) for r in rows]
-    coeffs = [0] * (k + 1)
-    coeffs[k] = 1
-    m = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    for j in range(1, k + 1):
-        p = _int_matmul(a, m)
-        t = sum(p[i][i] for i in range(k))
-        q, r = divmod(-t, j)
-        if r:
-            raise ArithmeticError(f"inexact division at step {j}")
-        coeffs[k - j] = q
-        if j < k:
-            m = p
-            for i in range(k):
-                m[i][i] += q
-    return coeffs
-
-
 _CRT_PRIME_CACHE: list[int] = []
 
 
 def _crt_primes(count: int) -> list[int]:
-    # Primes descending from 2^21: with k <= 2048 the mod-p matmul sums stay
-    # below 2^53 and are exact in float64; the pool grows on demand.
+    # Primes descending from 2^21: with k <= EXACT_ORDER_LIMIT = 2^11 the
+    # mod-p matmul sums stay below 2^53 and are exact in float64; the pool
+    # grows on demand.
     n = _CRT_PRIME_CACHE[-1] - 2 if _CRT_PRIME_CACHE else 2**21 - 1
     while len(_CRT_PRIME_CACHE) < count:
         if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
@@ -223,15 +155,15 @@ def _crt_primes(count: int) -> list[int]:
     return _CRT_PRIME_CACHE[:count]
 
 
-def _char_poly_crt(rows) -> list[int]:
-    """The same recurrence run modulo word-size primes, CRT-reconstructed.
+def _char_poly_crt(a: np.ndarray) -> list[int]:
+    """Faddeev-LeVerrier run modulo word-size primes, CRT-reconstructed.
 
     Residue arithmetic rides on exact float64 BLAS matmuls, which makes large
     orders tractable; the coefficient bound (1 + Gershgorin radius)^k decides
     how many primes are needed.
     """
-    k = len(rows)
-    lam = max((sum(abs(x) for x in row) for row in rows), default=0) or 1
+    k = a.shape[0]
+    lam = max((sum(map(abs, row)) for row in a.tolist()), default=0) or 1
     bound_bits = k * (lam + 1).bit_length() + 2
     primes = _crt_primes(bound_bits // 20 + 1)
     prod = 1
@@ -244,7 +176,8 @@ def _char_poly_crt(rows) -> list[int]:
         raise AssertionError("prime pool sizing is inconsistent")
     np_p = len(primes)
     pvec = np.array(primes, dtype=np.float64).reshape(np_p, 1, 1)
-    amod = np.mod(np.array(rows, dtype=np.float64)[None, :, :], pvec)
+    # reduced in int64 first, so that entries beyond 2^53 stay exact
+    amod = np.mod(a.astype(np.int64), np.array(primes)[:, None, None]).astype(np.float64)
     m = np.broadcast_to(np.eye(k), (np_p, k, k)).copy()
     residues: list[list[int]] = [[0] * np_p for _ in range(k + 1)]
     residues[k] = [1] * np_p
@@ -276,30 +209,29 @@ def _crt_combine(residues: list[int], primes: list[int]) -> int:
     return x
 
 
-def char_poly_exact(
-    m: SymmetricIntMatrix,
-    max_order: int = DEFAULT_ORDER_CAP,
-    method: str = "auto",
-) -> ExactPolynomial:
+def char_poly_exact(m: np.ndarray, max_order: int = DEFAULT_ORDER_CAP) -> ExactPolynomial:
     """Exact monic characteristic polynomial det(xI - M) by Faddeev-LeVerrier.
 
-    ``method`` selects the integer representation: "bigint" runs the
-    recurrence on Python integers, "modular" on residues with CRT
-    reconstruction, "auto" switches on the order.  Both produce identical
-    exact coefficients.
+    ``m`` must be a square ndarray of an integer dtype that fits int64.
+    Raises OrderCapError above ``max_order`` and, whatever the cap, above
+    ``EXACT_ORDER_LIMIT``, where the modular arithmetic stops being exact.
     """
-    k = m.order
+    if not (
+        isinstance(m, np.ndarray)
+        and m.ndim == 2
+        and m.shape[0] == m.shape[1]
+        and m.dtype.kind in "iu"
+        and np.can_cast(m.dtype, np.int64)
+    ):
+        raise ContractViolation("need a square integer ndarray")
+    k = m.shape[0]
     if k > max_order:
         raise OrderCapError(f"order {k} exceeds cap {max_order}")
-    if method == "auto":
-        method = "bigint" if k <= _BIGINT_FL_MAX else "modular"
-    if method == "bigint":
-        coeffs = _char_poly_bigint(m.rows)
-    elif method == "modular":
-        coeffs = _char_poly_crt(m.rows) if k else [1]
-    else:
-        raise DomainError(f"unknown method {method!r}")
-    return ExactPolynomial(coeffs=tuple(coeffs))
+    if k > EXACT_ORDER_LIMIT:
+        raise OrderCapError(
+            f"order {k} exceeds {EXACT_ORDER_LIMIT}, the limit of exact modular arithmetic"
+        )
+    return ExactPolynomial(coeffs=tuple(_char_poly_crt(m) if k else [1]))
 
 
 def _poly_mul_linear(coeffs: list[int], root: int) -> list[int]:
@@ -330,25 +262,6 @@ def poly_matches_spectrum(p: ExactPolynomial, s: SpectrumMultiset) -> bool:
             f"spectrum order {s.order} does not match degree {p.degree}"
         )
     return poly_from_spectrum(s).coeffs == p.coeffs
-
-
-def root_multiplicity(p: ExactPolynomial, root: int) -> int:
-    """Multiplicity of an integer root, by repeated exact synthetic division."""
-    mult = 0
-    coeffs = list(p.coeffs)
-    while len(coeffs) > 1:
-        # divide by (x - root): quotient descending, remainder last
-        quotient: list[int] = []
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * root + c if quotient else c
-            quotient.append(acc)
-        remainder = quotient.pop()
-        if remainder != 0:
-            break
-        mult += 1
-        coeffs = list(reversed(quotient))
-    return mult
 
 
 def integrality_check(eigs, tol: float) -> tuple[bool, list[int]]:

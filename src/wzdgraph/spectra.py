@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ContractViolation, DomainError
 from .graphcore import Kind
-from .numtheory import euler_phi, exact_primes, is_prime, proper_divisors
+from .numtheory import euler_phi, factorize, is_prime, proper_divisors
 
 EXACT = "exact"
 FLOAT = "float"
@@ -44,10 +44,12 @@ class WeightedHostGraph:
 
     def __post_init__(self) -> None:
         k = len(self.labels)
+        if len(set(self.labels)) != k:
+            raise ContractViolation("duplicate host labels")
         if len(self.weights) != k:
             raise ContractViolation("one weight per host vertex required")
-        if any(w < 1 for w in self.weights):
-            raise ContractViolation("host weights must be >= 1")
+        if any(type(w) is not int or w < 1 for w in self.weights):
+            raise ContractViolation("host weights must be integers >= 1")
         for i, j in self.edges:
             if not (0 <= i < j < k):
                 raise ContractViolation(f"bad host edge ({i}, {j})")
@@ -213,13 +215,14 @@ def _strip_one_zero(s: SpectrumMultiset) -> list[tuple]:
 
 
 def join_spectrum(
-    host: WeightedHostGraph, components: list[SpectrumMultiset]
+    host: WeightedHostGraph, components: list[SpectrumMultiset], n: int | None = None
 ) -> SpectrumMultiset:
     """Laplacian spectrum of the generalized join of ``components`` over ``host``.
 
     Requires components[i].order == host.weights[i].  The result is exact when
     the host spectrum is exact (complete or edgeless host) and every component
-    spectrum is exact; otherwise floating, merged at ``MERGE_TOL``.
+    spectrum is exact; otherwise floating, merged at ``MERGE_TOL``.  ``n``
+    tags the result, as for spectra of WΓ(Z_n).
     """
     if len(components) != host.order:
         raise ContractViolation(
@@ -237,8 +240,8 @@ def join_spectrum(
     for i, c in enumerate(components):
         pairs.extend((e + d[i], m) for e, m in _strip_one_zero(c))
     if exact:
-        return SpectrumMultiset.exact(pairs)
-    return SpectrumMultiset.floating(pairs)
+        return SpectrumMultiset.exact(pairs, n=n)
+    return SpectrumMultiset.floating(pairs, n=n)
 
 
 def wzd_spectrum_closed_form(n: int) -> SpectrumMultiset:
@@ -249,21 +252,24 @@ def wzd_spectrum_closed_form(n: int) -> SpectrumMultiset:
     {0, V^(V-1)}; otherwise it is {0} with V at multiplicity
     (sum of phi(n/d) over proper divisors d outside A') + |A'| - 1, plus
     V - phi(n/p) at multiplicity phi(n/p) - 1 for each p in A'.
+
+    Everything comes from one factorization of n: phi(n/p) = phi(n)/(p - 1)
+    for p in A', and the sum of phi(n/d) over all divisors d is n, so the sum
+    over proper divisors outside A' is V minus the phi(n/p).
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    if is_prime(n):
+    f = factorize(n)
+    if f.factors == ((n, 1),):
         return SpectrumMultiset.exact([], n=n)
-    v = n - euler_phi(n) - 1
-    exact = exact_primes(n)
+    phi = f.totient
+    v = n - phi - 1
+    exact = sorted(f.exponent_one_primes())
     if not exact:
         return SpectrumMultiset.exact([(0, 1), (v, v - 1)], n=n)
-    pairs = [(0, 1)]
-    v_mult = sum(euler_phi(n // d) for d in proper_divisors(n) if d not in exact)
-    pairs.append((v, v_mult + len(exact) - 1))
-    for p in sorted(exact):
-        f = euler_phi(n // p)
-        pairs.append((v - f, f - 1))
+    class_sizes = [phi // (p - 1) for p in exact]
+    pairs = [(0, 1), (v, v - sum(class_sizes) + len(exact) - 1)]
+    pairs += [(v - size, size - 1) for size in class_sizes]
     return SpectrumMultiset.exact(pairs, n=n)
 
 

@@ -34,6 +34,18 @@ def test_spectrum_json(capsys):
     ]
 
 
+def test_spectrum_of_huge_n_with_an_exponent_one_prime(capsys):
+    # 2^56 * 3: V = 2^57 - 1, and A_3 has phi(2^56) = 2^55 members
+    code, out, _ = run_cli(capsys, "spectrum", str(2**56 * 3), "--format", "json")
+    assert code == 0
+    v, f = 2**57 - 1, 2**55
+    assert json.loads(out)["entries"] == [
+        {"eigenvalue": 0, "multiplicity": 1},
+        {"eigenvalue": v - f, "multiplicity": f - 1},
+        {"eigenvalue": v, "multiplicity": v - f},
+    ]
+
+
 def test_spectrum_prime_is_informative_noop(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "7")
     assert code == 0
@@ -288,6 +300,25 @@ def test_join_weight_mismatch_is_input_error(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     code, _, err = run_cli(capsys, "join", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "labels, weights",
+    [(["a", "b"], [1.5, 2]), (["a", "b"], ["x", 2]), (["a", "b"], [True, 2]),
+     (["a", "a"], [1, 2])],
+    ids=["float-weight", "string-weight", "bool-weight", "duplicate-label"],
+)
+def test_join_rejects_bad_host(tmp_path, capsys, labels, weights):
+    # int(1.5) and int(True) would both fit the order-1 first component
+    payload = {
+        "host": {"labels": labels, "weights": weights, "edges": []},
+        "components": [{"kind": "complete", "order": 1}, {"kind": "empty", "order": 2}],
+    }
+    path = tmp_path / "bad_host.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "join", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("bad join input: ") and err.count("\n") == 1
 
 
 def test_output_determinism(capsys):

@@ -3,6 +3,7 @@
 import json
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,10 +32,7 @@ COMPOSITES_300 = [n for n in range(4, 301) if not is_prime(n)]
 def components(g: Graph) -> int:
     """Connected component count by plain BFS, independent of the builders."""
     k = g.vertex_count
-    adj = [[] for _ in range(k)]
-    for i, j in g.edges:
-        adj[i].append(j)
-        adj[j].append(i)
+    adj = [np.flatnonzero(row).tolist() for row in g.adjacency]
     seen = [False] * k
     count = 0
     for start in range(k):
@@ -172,19 +170,43 @@ def test_zero_divisor_graph_examples():
     assert edges == {(2, 6), (3, 4), (3, 8), (4, 6), (4, 9), (6, 8), (6, 10), (8, 9)}
 
 
+def test_graph_rejects_malformed_adjacency():
+    ok = np.array([[False, True], [True, False]])
+    with pytest.raises(DomainError):
+        Graph(labels=(1, 1), adjacency=ok)
+    with pytest.raises(DomainError):
+        Graph(labels=(1, 2, 3), adjacency=ok)
+    with pytest.raises(DomainError):
+        Graph(labels=(1, 2), adjacency=ok.astype(int))
+    with pytest.raises(DomainError):
+        Graph(labels=(1, 2), adjacency=np.array([[False, True], [False, False]]))
+    with pytest.raises(DomainError):
+        Graph(labels=(1, 2), adjacency=np.eye(2, dtype=bool))
+    for pairs in ([(1, 0)], [(0, 0)], [(0, 2)], [(-1, 1)]):
+        with pytest.raises(DomainError):
+            Graph.from_edges((1, 2), pairs)
+    with pytest.raises(TypeError):
+        Graph.from_edges((1, 2), [(0, 1.0)])
+    g = Graph(labels=(1, 2), adjacency=ok)
+    ok[0, 1] = ok[1, 0] = False  # the graph keeps its own read-only copy
+    assert g.edge_count == 1
+    with pytest.raises(ValueError):
+        g.adjacency[0, 1] = False
+
+
 def test_graphs_equal_distinguishes_edge_sets():
-    k2 = Graph(labels=(1, 2), edges=frozenset({(0, 1)}))
-    k2bar = Graph(labels=(1, 2), edges=frozenset())
+    k2 = Graph.from_edges((1, 2), [(0, 1)])
+    k2bar = Graph.from_edges((1, 2), [])
     assert not graphs_equal(k2, k2bar)
-    assert graphs_equal(k2, Graph(labels=(1, 2), edges=frozenset({(0, 1)})))
+    assert graphs_equal(k2, Graph.from_edges((1, 2), [(0, 1)]))
     assert graphs_equal(build_bruteforce_wzd(6), build_zero_divisor_graph(6))
 
 
 def test_spanning_subgraph_examples():
     assert is_spanning_subgraph(build_zero_divisor_graph(12), build_bruteforce_wzd(12))
     assert is_spanning_subgraph(build_zero_divisor_graph(6), build_bruteforce_wzd(6))
-    k2 = Graph(labels=(1, 2), edges=frozenset({(0, 1)}))
-    k2bar = Graph(labels=(1, 2), edges=frozenset())
+    k2 = Graph.from_edges((1, 2), [(0, 1)])
+    k2bar = Graph.from_edges((1, 2), [])
     assert is_spanning_subgraph(k2bar, k2)
     assert not is_spanning_subgraph(k2, k2bar)
 
@@ -257,7 +279,7 @@ def test_export_is_deterministic():
 def test_assemble_join_star():
     g = assemble_join({(0, 1)}, [(2, []), (1, [])])
     assert g.labels == (0, 1, 2)
-    assert g.edges == frozenset({(0, 2), (1, 2)})
+    assert g.label_edges() == [(0, 2), (1, 2)]
 
 
 def test_assemble_join_matches_structural_builder():

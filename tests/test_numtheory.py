@@ -11,7 +11,6 @@ from wzdgraph.numtheory import (
     euler_phi,
     exact_primes,
     factorize,
-    gcd,
     is_prime,
     proper_divisors,
 )
@@ -27,18 +26,6 @@ def is_prime_bruteforce(n: int) -> bool:
 
 def is_prime_trial(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
-
-
-@pytest.mark.parametrize(
-    "a, b, expected", [(12, 18, 6), (7, 13, 1), (0, 5, 5), (5, 0, 5), (1, 1, 1)]
-)
-def test_gcd_examples(a, b, expected):
-    assert gcd(a, b) == expected
-
-
-def test_gcd_both_zero_rejected():
-    with pytest.raises(DomainError):
-        gcd(0, 0)
 
 
 @pytest.mark.parametrize(

@@ -192,6 +192,25 @@ def test_closed_form_eigenvalues_distinct_per_exact_prime(n):
     assert v not in shifted and 0 not in shifted
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=4, max_value=5000).filter(lambda n: not is_prime(n)))
+def test_closed_form_matches_sum_over_host_weights(n):
+    # the paper's form: V at multiplicity (sum of the class sizes phi(n/d) over
+    # proper divisors d outside A') + |A'| - 1, and V - phi(n/p) at phi(n/p) - 1
+    host = host_upsilon(n)
+    weight = dict(zip(host.labels, host.weights))
+    v = sum(host.weights)
+    exact = exact_primes(n)
+    if not exact:
+        expected = {0: 1, v: v - 1} if v > 1 else {0: 1}
+    else:
+        expected = {0: 1, v: sum(w for d, w in weight.items() if d not in exact) + len(exact) - 1}
+        for p in exact:
+            if weight[p] > 1:
+                expected[v - weight[p]] = weight[p] - 1
+    assert wzd_spectrum_closed_form(n).entries == expected
+
+
 def test_specialization_coherence_full_range():
     # the generic join over the divisor host reproduces the direct formula
     for n in COMPOSITES_300:
