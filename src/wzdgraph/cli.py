@@ -196,11 +196,17 @@ def _verify_line(rep: oracle.VerificationReport) -> str:
     return " ".join(parts)
 
 
+def _worker_count(jobs: int, tasks: int) -> int:
+    """Workers for ``--jobs``: no more than the CPUs or the tasks to share."""
+    return min(jobs, os.cpu_count() or 1, tasks)
+
+
 def cmd_verify(lo: int, hi: int, fmt: str, tol: float, jobs: int, cap: int) -> int:
     ns = list(range(lo, hi + 1))
     work = [(n, tol, cap) for n in ns]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _worker_count(jobs, len(work))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_verify_worker, work, chunksize=4))
     else:
         reports = [_verify_worker(w) for w in work]

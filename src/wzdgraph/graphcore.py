@@ -23,7 +23,7 @@ from math import gcd as _gcd
 import numpy as np
 
 from .errors import DomainError
-from .numtheory import exact_primes, is_prime, proper_divisors
+from .numtheory import factorize
 
 
 class Kind(Enum):
@@ -178,14 +178,16 @@ def divisor_classes(n: int) -> DivisorClassPartition:
     """Partition of the nonzero zero-divisors of Z_n by gcd with n."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    if n < 4 or is_prime(n):
+    f = factorize(n)
+    proper = f.divisors()[1:-1]
+    if not proper:  # n is prime
         return DivisorClassPartition(n=n, classes=(), degenerate=True)
-    members: dict[int, list[int]] = {d: [] for d in proper_divisors(n)}
+    members: dict[int, list[int]] = {d: [] for d in proper}
     for x in range(1, n):
         d = _gcd(x, n)
         if d > 1:
             members[d].append(x)
-    exact = exact_primes(n)
+    exact = f.exponent_one_primes()
     classes = tuple(
         DivisorClass(
             divisor=d,

@@ -44,6 +44,13 @@ class PrimeFactorization:
     def exponent_one_primes(self) -> frozenset[int]:
         return frozenset(p for p, e in self.factors if e == 1)
 
+    def divisors(self) -> list[int]:
+        """All positive divisors of n, ascending, from the exponent vector."""
+        out = [1]
+        for p, e in self.factors:
+            out = [d * p**i for d in out for i in range(e + 1)]
+        return sorted(out)
+
 
 def factorize(n: int) -> PrimeFactorization:
     """Prime factorization by trial division; n = 1 yields an empty factor list."""
@@ -76,15 +83,7 @@ def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     if n < 1:
         raise DomainError(f"no divisors for n = {n}")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    return factorize(n).divisors()
 
 
 def proper_divisors(n: int) -> list[int]:

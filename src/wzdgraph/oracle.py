@@ -144,9 +144,11 @@ _CRT_PRIME_CACHE: list[int] = []
 
 
 def _crt_primes(count: int) -> list[int]:
-    # Primes descending from 2^21: with k <= EXACT_ORDER_LIMIT = 2^11 the
-    # mod-p matmul sums stay below 2^53 and are exact in float64; the pool
-    # grows on demand.
+    # Primes descending from 2^21, so 2^20 < p < 2^21.  Residues are kept
+    # within p/2 + 4 of zero (``_sym_mod``), so every float64 sum in the power
+    # sums is of at most k products of two residues, each below p^2 / 2, or
+    # of at most k residues; with k <= EXACT_ORDER_LIMIT = 2^11 it stays
+    # below 2^52 and is exact.  The pool grows on demand.
     n = _CRT_PRIME_CACHE[-1] - 2 if _CRT_PRIME_CACHE else 2**21 - 1
     while len(_CRT_PRIME_CACHE) < count:
         if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
@@ -155,12 +157,76 @@ def _crt_primes(count: int) -> list[int]:
     return _CRT_PRIME_CACHE[:count]
 
 
-def _char_poly_crt(a: np.ndarray) -> list[int]:
-    """Faddeev-LeVerrier run modulo word-size primes, CRT-reconstructed.
+def _sym_mod(x: np.ndarray, p: np.ndarray, p_inv: np.ndarray) -> np.ndarray:
+    """Reduce float64 integers |x| < 2^52 in place modulo p, to |x| <= p/2 + 4.
 
-    Residue arithmetic rides on exact float64 BLAS matmuls, which makes large
-    orders tractable; the coefficient bound (1 + Gershgorin radius)^k decides
-    how many primes are needed.
+    The quotient x * (1/p) is off by less than 2^-19 for p > 2^20, so its
+    rounding is off from x / p by at most one half plus that; rint(q) * p and
+    the difference are exact integers.
+    """
+    q = x * p_inv
+    np.rint(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
+def _power_sums(a: np.ndarray, primes: list[int]) -> np.ndarray:
+    """tr(A^j) mod p for j = 0..k, one row per prime, as a (P, k + 1) int64 array.
+
+    Baby steps A^r for r < s = isqrt(k) + 1 are kept; the giant steps
+    (A^s)^i are formed one at a time, and tr(A^(is + r)) is the sum over rows
+    y of the row-by-column products of A^r and (A^s)^i: about 2 sqrt(k)
+    matmuls per prime.  Primes go in chunks of at most 3P / (s + 3), so the
+    s + 4 live k x k arrays per prime of a chunk never hold more than
+    4 P k^2 floats.
+    """
+    s = math.isqrt(a.shape[0]) + 1
+    chunk = max(1, 3 * len(primes) // (s + 3))
+    a64 = a.astype(np.int64)
+    return np.concatenate(
+        [_power_sums_chunk(a64, primes[lo : lo + chunk], s)
+         for lo in range(0, len(primes), chunk)]
+    )
+
+
+def _power_sums_chunk(a: np.ndarray, primes: list[int], s: int) -> np.ndarray:
+    """``_power_sums`` for one chunk of primes, with s baby steps."""
+    k = a.shape[0]
+    ps = np.array(primes, dtype=np.int64)[:, None, None]
+    pv = ps.astype(np.float64)
+    p_inv = 1.0 / pv
+    # baby[:, y, r, x] = A^r[y, x] mod p
+    baby = np.empty((len(primes), k, s, k))
+    baby[:, :, 0, :] = np.eye(k)
+    # reduced in int64 first, so that entries beyond 2^53 stay exact
+    baby[:, :, 1, :] = _sym_mod(np.mod(a, ps).astype(np.float64), pv, p_inv)
+    amod = baby[:, :, 1, :]
+    for r in range(2, s):
+        baby[:, :, r, :] = _sym_mod(baby[:, :, r - 1, :] @ amod, pv, p_inv)
+    # giant[:, y, x] = (A^s)^i[x, y] mod p; transposed so that its row y
+    # pairs with row y of every baby step
+    step = _sym_mod(baby[:, :, s - 1, :] @ amod, pv, p_inv).transpose(0, 2, 1).copy()
+    # traces[:, i * s + r] is congruent to tr(A^(is + r)) mod p
+    traces = np.empty((len(primes), (k // s + 1) * s))
+    traces[:, :s] = np.trace(baby, axis1=1, axis2=3)
+    giant = step
+    for i in range(1, k // s + 1):
+        if i > 1:
+            giant = _sym_mod(step @ giant, pv, p_inv)
+        rows = _sym_mod((baby @ giant[..., None])[..., 0], pv, p_inv)
+        traces[:, i * s : (i + 1) * s] = rows.sum(axis=1)
+    return np.mod(traces[:, : k + 1].astype(np.int64), ps[:, 0])
+
+
+def _char_poly_crt(a: np.ndarray) -> list[int]:
+    """Characteristic polynomial from power sums modulo word-size primes.
+
+    Per prime, Newton's identities j e_j = sum_{i=1..j} (-1)^(i-1) e_(j-i)
+    tr(A^i) turn the power sums into the elementary symmetric functions e_j
+    of the eigenvalues (j <= k < p, so j is invertible), and the coefficient
+    of x^(k-j) is (-1)^j e_j.  CRT reconstructs the integers; the coefficient
+    bound (1 + Gershgorin radius)^k decides how many primes are needed.
     """
     k = a.shape[0]
     lam = max((sum(map(abs, row)) for row in a.tolist()), default=0) or 1
@@ -174,43 +240,48 @@ def _char_poly_crt(a: np.ndarray) -> list[int]:
             break
     else:
         raise AssertionError("prime pool sizing is inconsistent")
-    np_p = len(primes)
-    pvec = np.array(primes, dtype=np.float64).reshape(np_p, 1, 1)
-    # reduced in int64 first, so that entries beyond 2^53 stay exact
-    amod = np.mod(a.astype(np.int64), np.array(primes)[:, None, None]).astype(np.float64)
-    m = np.broadcast_to(np.eye(k), (np_p, k, k)).copy()
-    residues: list[list[int]] = [[0] * np_p for _ in range(k + 1)]
-    residues[k] = [1] * np_p
-    idx = np.arange(k)
+    q = np.array(primes, dtype=np.int64)
+    # signed[:, i - 1] = (-1)^(i-1) tr(A^i) mod p
+    signed = _power_sums(a, primes)[:, 1:]
+    signed[:, 1::2] = np.mod(-signed[:, 1::2], q[:, None])
+    e = np.zeros((len(primes), k + 1), dtype=np.int64)
+    e[:, 0] = 1
     for j in range(1, k + 1):
-        prod_m = np.mod(amod @ m, pvec)
-        tr = np.trace(prod_m, axis1=1, axis2=2)
-        cj = [(-int(t) * pow(j, -1, p)) % p for t, p in zip(tr, primes)]
-        residues[k - j] = cj
-        if j < k:
-            m = prod_m
-            m[:, idx, idx] = np.mod(
-                m[:, idx, idx] + np.array(cj, dtype=np.float64)[:, None],
-                pvec[:, :, 0],
-            )
-    coeffs = [_crt_combine(res, primes) for res in residues]
-    return coeffs
+        # j terms below 2^42 each: the int64 sum is exact
+        acc = np.einsum("pi,pi->p", e[:, j - 1 :: -1], signed[:, :j]) % q
+        inv = np.array([pow(j, -1, p) for p in primes], dtype=np.int64)
+        e[:, j] = acc * inv % q
+    e[:, 1::2] = np.mod(-e[:, 1::2], q[:, None])
+    garner, modulus = _garner_constants(primes)
+    return [_crt_combine(res, garner, modulus) for res in e[:, ::-1].T.tolist()]
 
 
-def _crt_combine(residues: list[int], primes: list[int]) -> int:
-    x = 0
+def _garner_constants(primes: list[int]) -> tuple[list[tuple[int, int, int]], int]:
+    """(p, product of the earlier primes, its inverse mod p) for each prime,
+    and the product of all the primes."""
+    out = []
     modulus = 1
-    for r, p in zip(residues, primes):
-        t = ((r - x) * pow(modulus, -1, p)) % p
-        x += modulus * t
+    for p in primes:
+        out.append((p, modulus, pow(modulus, -1, p)))
         modulus *= p
+    return out, modulus
+
+
+def _crt_combine(residues: list[int], garner: list[tuple[int, int, int]], modulus: int) -> int:
+    """The integer of least absolute value with the given residues."""
+    x = 0
+    for r, (p, before, inv) in zip(residues, garner):
+        x += before * ((r - x % p) * inv % p)
     if x > modulus // 2:
         x -= modulus
     return x
 
 
 def char_poly_exact(m: np.ndarray, max_order: int = DEFAULT_ORDER_CAP) -> ExactPolynomial:
-    """Exact monic characteristic polynomial det(xI - M) by Faddeev-LeVerrier.
+    """Exact monic characteristic polynomial det(xI - M).
+
+    Computed from the power sums tr(M^j) modulo word-size primes by Newton's
+    identities and reconstructed by CRT (``_char_poly_crt``).
 
     ``m`` must be a square ndarray of an integer dtype that fits int64.
     Raises OrderCapError above ``max_order`` and, whatever the cap, above

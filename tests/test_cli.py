@@ -1,10 +1,11 @@
 """Command-line contract: formats, exit codes, determinism."""
 
 import json
+import os
 
 import pytest
 
-from wzdgraph.cli import main
+from wzdgraph.cli import _worker_count, main
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +129,16 @@ def test_verify_parallel_jobs_output_matches_serial(capsys):
     code2, out2, _ = run_cli(capsys, "verify", "4..40", "--jobs", "3")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _worker_count(1000, 50) == 4
+    assert _worker_count(3, 50) == 3
+    assert _worker_count(1000, 2) == 2
+    assert _worker_count(1, 50) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count(8, 50) == 1
 
 
 def test_verify_empty_range_is_usage_error(capsys):

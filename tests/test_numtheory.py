@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from wzdgraph.errors import DomainError
 from wzdgraph.numtheory import (
+    divisors,
     euler_phi,
     exact_primes,
     factorize,
@@ -26,6 +27,11 @@ def is_prime_bruteforce(n: int) -> bool:
 
 def is_prime_trial(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def divisors_trial(n: int) -> list[int]:
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 @pytest.mark.parametrize(
@@ -89,6 +95,12 @@ def test_proper_divisors_examples(n, expected):
 def test_proper_divisors_rejects_small_n():
     with pytest.raises(DomainError):
         proper_divisors(1)
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=1, max_value=10**6))
+def test_divisors_match_trial_division(n):
+    assert divisors(n) == factorize(n).divisors() == divisors_trial(n)
 
 
 @given(st.integers(min_value=2, max_value=5000))

@@ -143,11 +143,43 @@ def test_char_poly_refuses_orders_past_exact_limit():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=14), st.integers(min_value=0, max_value=10**6))
-def test_char_poly_bigint_and_modular_agree(k, seed):
+@given(
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=0, max_value=10**6),
+    st.booleans(),
+    st.sampled_from([np.int64, np.int32, np.int8]),
+)
+def test_char_poly_bigint_and_modular_agree(k, seed, symmetric, dtype):
     rng = np.random.default_rng(seed)
     a = rng.integers(-6, 7, size=(k, k))
-    a = a + a.T
+    if symmetric:
+        a = a + a.T
+    a = a.astype(dtype)
+    assert char_poly_exact(a).coeffs == char_poly_bigint(a)
+
+
+# s = isqrt(k) + 1 baby steps; 15, 24 and 35 end one short of a giant step,
+# 20 and 30 exactly on one, and 40 takes five giant steps
+@pytest.mark.parametrize("k", [1, 2, 3, 15, 20, 24, 30, 35, 40])
+def test_char_poly_non_symmetric_orders(k):
+    a = np.random.default_rng(k).integers(-50, 51, size=(k, k))
+    assert char_poly_exact(a).coeffs == char_poly_bigint(a)
+
+
+def test_char_poly_entries_beyond_float_precision():
+    # about 40 primes, so several prime chunks with a short last one, and
+    # entries that float64 cannot hold exactly before reduction
+    a = np.random.default_rng(5).integers(-10**12, 10**12, size=(12, 12))
+    a[0, 1] = 2**62 + 1
+    a[3, 3] = -(2**62) - 3
+    assert char_poly_exact(a).coeffs == char_poly_bigint(a)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8])
+def test_char_poly_small_integer_dtypes_do_not_wrap(dtype):
+    info = np.iinfo(dtype)
+    a = np.random.default_rng(2).integers(info.min, info.max + 1, size=(17, 17), dtype=dtype)
+    a[0, 0], a[1, 1] = info.min, info.max
     assert char_poly_exact(a).coeffs == char_poly_bigint(a)
 
 
