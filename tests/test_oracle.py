@@ -18,6 +18,7 @@ from wzdgraph.oracle import (
     poly_matches_spectrum,
     symmetric_eigenvalues,
     verify_spectrum,
+    _round_robin_rounds,
 )
 from wzdgraph.spectra import SpectrumMultiset, wzd_spectrum_closed_form
 
@@ -59,6 +60,23 @@ def root_multiplicity(coeffs, root: int) -> int:
         mult += 1
         coeffs = quotient[::-1]
     return mult
+
+
+def round_robin_rounds_reference(k):
+    """Reference: the circle method by rotating a Python list, one round at a time."""
+    m = k if k % 2 == 0 else k + 1
+    arr = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        ps, qs = [], []
+        for i in range(m // 2):
+            x, y = arr[i], arr[m - 1 - i]
+            if x < k and y < k:
+                ps.append(min(x, y))
+                qs.append(max(x, y))
+        rounds.append((ps, qs))
+        arr = [arr[0], arr[-1]] + arr[1:-1]
+    return rounds
 
 
 def test_laplacian_matrix_examples():
@@ -113,6 +131,44 @@ def test_symmetric_eigenvalues_match_lapack(k, seed):
     ref = np.linalg.eigvalsh(a)
     assert np.max(np.abs(mine - ref)) < 1e-9 * max(1.0, np.max(np.abs(ref)))
     assert abs(mine.sum() - np.trace(a)) <= 1e-9 * max(1.0, abs(np.trace(a)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=25),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_symmetric_eigenvalues_with_tied_diagonal_match_lapack(k, distinct, seed):
+    # the middle-out start order sorts the diagonal; ties and odd orders
+    # must not change the eigenvalues
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-3, 4, size=(k, k)).astype(float)
+    a = (a + a.T) / 2.0
+    np.fill_diagonal(a, rng.integers(-5, 6, size=distinct)[rng.integers(0, distinct, size=k)])
+    mine = np.array(symmetric_eigenvalues(a))
+    ref = np.linalg.eigvalsh(a)
+    assert np.max(np.abs(mine - ref)) < 1e-9 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_round_robin_rounds_match_reference():
+    for k in range(2, 41):
+        ps, qs = _round_robin_rounds(k)
+        rounds = [(p.tolist(), q.tolist()) for p, q in zip(ps, qs)]
+        assert rounds == round_robin_rounds_reference(k), k
+        for p, q in rounds:
+            assert len(set(p) | set(q)) == 2 * len(p), k
+        # every pair exactly once per sweep
+        pairs = sorted(zip(ps.ravel().tolist(), qs.ravel().tolist()))
+        assert pairs == [(p, q) for p in range(k) for q in range(p + 1, k)], k
+
+
+@pytest.mark.parametrize("n", [240, 420])
+def test_jacobi_converges_in_few_sweeps_on_wzd_laplacians(n):
+    # in ascending vertex order these took 12 and 17 sweeps
+    eigs = symmetric_eigenvalues(laplacian_matrix(build_bruteforce_wzd(n)), max_sweeps=8)
+    expected = wzd_spectrum_closed_form(n).expand()
+    assert np.max(np.abs(np.array(eigs) - expected)) < 1e-8 * len(expected)
 
 
 def test_char_poly_examples():

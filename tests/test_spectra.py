@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wzdgraph import numtheory, spectra
 from wzdgraph.errors import ContractViolation, DomainError
 from wzdgraph.graphcore import Kind, divisor_classes
-from wzdgraph.numtheory import euler_phi, exact_primes, is_prime
+from wzdgraph.numtheory import euler_phi, exact_primes, is_prime, proper_divisors
 from wzdgraph.spectra import (
     EXACT,
     FLOAT,
@@ -52,6 +53,27 @@ def test_host_upsilon_examples():
 def test_host_upsilon_prime_degenerate():
     h = host_upsilon(7)
     assert h.order == 0
+
+
+def test_host_upsilon_weights_match_euler_phi():
+    for n in range(2, 2001):
+        host = host_upsilon(n)
+        assert host.labels == tuple(proper_divisors(n)), n
+        assert host.weights == tuple(euler_phi(n // d) for d in host.labels), n
+
+
+def test_host_upsilon_factors_n_once(monkeypatch):
+    calls = []
+    real = numtheory.factorize
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(numtheory, "factorize", counting)
+    monkeypatch.setattr(spectra, "factorize", counting)
+    assert host_upsilon(720720).order == 238
+    assert calls == [720720]
 
 
 def test_weighted_laplacian_examples():
