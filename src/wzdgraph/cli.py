@@ -64,19 +64,6 @@ def _positive_int(text: str) -> int:
     return x
 
 
-def _default_order_cap() -> int:
-    env = os.environ.get("WZD_MAX_ORDER")
-    if env is not None:
-        try:
-            cap = int(env)
-            if cap >= 1:
-                return cap
-        except ValueError:
-            pass
-        print(f"ignoring bad WZD_MAX_ORDER={env!r}", file=sys.stderr)
-    return oracle.DEFAULT_ORDER_CAP
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wzd",
@@ -105,8 +92,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="parallel workers over independent n")
     p.add_argument("--max-order", type=_positive_int, default=None,
-                   help="skip the exact charpoly check above this order "
-                        "(default: WZD_MAX_ORDER or 256)")
+                   help="skip the exact certificate above this order "
+                        "(default: no limit)")
 
     p = sub.add_parser("table", help="summary rows over a range of n")
     p.add_argument("range", type=_range, metavar="lo..hi")
@@ -176,7 +163,7 @@ def cmd_graph(n: int, fmt: str, classes: bool) -> int:
     return 0
 
 
-def _verify_worker(args: tuple[int, float, int]) -> oracle.VerificationReport:
+def _verify_worker(args: tuple[int, float, int | None]) -> oracle.VerificationReport:
     n, tol, cap = args
     return oracle.verify_spectrum(n, integral_tol=tol, order_cap=cap)
 
@@ -201,7 +188,7 @@ def _worker_count(jobs: int, tasks: int) -> int:
     return min(jobs, os.cpu_count() or 1, tasks)
 
 
-def cmd_verify(lo: int, hi: int, fmt: str, tol: float, jobs: int, cap: int) -> int:
+def cmd_verify(lo: int, hi: int, fmt: str, tol: float, jobs: int, cap: int | None) -> int:
     ns = list(range(lo, hi + 1))
     work = [(n, tol, cap) for n in ns]
     workers = _worker_count(jobs, len(work))
@@ -368,9 +355,8 @@ def main(argv=None) -> int:
         if args.command == "graph":
             return cmd_graph(args.n, args.format, args.classes)
         if args.command == "verify":
-            cap = args.max_order if args.max_order is not None else _default_order_cap()
             lo, hi = args.range
-            return cmd_verify(lo, hi, args.format, args.tol, args.jobs, cap)
+            return cmd_verify(lo, hi, args.format, args.tol, args.jobs, args.max_order)
         if args.command == "table":
             lo, hi = args.range
             return cmd_table(lo, hi, args.format)

@@ -1,5 +1,5 @@
 """Independent verification: explicit Laplacians, a dense Jacobi eigensolver,
-exact characteristic polynomials, and the per-n verification report.
+an exact twin-quotient certificate, and the per-n verification report.
 
 The exact path is authoritative: when the numeric and exact results disagree,
 the report fails and shows the exact spectrum.
@@ -21,9 +21,10 @@ from .graphcore import (
 )
 from .spectra import EXACT, SpectrumMultiset, wzd_spectrum_closed_form
 
-DEFAULT_ORDER_CAP = 256
-#: largest order the modular charpoly handles exactly; see ``_crt_primes``
-EXACT_ORDER_LIMIT = 2048
+#: largest order ``char_poly_exact`` accepts: its k products of k x k
+#: matrices of Python integers cost O(k^4), about 1.3 s at order 64 on one
+#: Xeon core
+CHAR_POLY_MAX_ORDER = 64
 
 JACOBI_CONV_FACTOR = 1e-12
 JACOBI_MAX_SWEEPS = 100
@@ -120,7 +121,8 @@ def symmetric_eigenvalues(m, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list[float]
     trace_in = float(np.trace(a))
     rounds = list(zip(*_round_robin_rounds(k)))
     upper = np.triu_indices(k, 1)
-    for _ in range(max_sweeps):
+    # pass i tests convergence after i sweeps, so max_sweeps sweeps may run
+    for done in range(max_sweeps + 1):
         diag = np.diagonal(a)
         target = JACOBI_CONV_FACTOR * (1.0 + float(np.max(np.abs(diag))))
         # summed directly off the strict triangle: the subtraction form
@@ -128,6 +130,8 @@ def symmetric_eigenvalues(m, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list[float]
         off_sq = 2.0 * float(np.sum(np.square(a[upper])))
         if math.sqrt(off_sq) < target:
             break
+        if done == max_sweeps:
+            raise ConvergenceError(f"Jacobi did not converge in {max_sweeps} sweeps")
         skip = target / k
         for ps, qs in rounds:
             pivots = a[ps, qs]
@@ -153,160 +157,21 @@ def symmetric_eigenvalues(m, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list[float]
             a[:, q] = s * cols_p + c * cols_q
             a[p, q] = 0.0
             a[q, p] = 0.0
-    else:
-        raise ConvergenceError(f"Jacobi did not converge in {max_sweeps} sweeps")
     trace_out = float(np.trace(a))
     if abs(trace_out - trace_in) > TRACE_REL_TOL * max(1.0, abs(trace_in)):
         raise ConvergenceError("Jacobi trace drift exceeds tolerance")
     return [float(x) for x in np.sort(np.diagonal(a))]
 
 
-_CRT_PRIME_CACHE: list[int] = []
-
-
-def _crt_primes(count: int) -> list[int]:
-    # Primes descending from 2^21, so 2^20 < p < 2^21.  Residues are kept
-    # within p/2 + 4 of zero (``_sym_mod``), so every float64 sum in the power
-    # sums is of at most k products of two residues, each below p^2 / 2, or
-    # of at most k residues; with k <= EXACT_ORDER_LIMIT = 2^11 it stays
-    # below 2^52 and is exact.  The pool grows on demand.
-    n = _CRT_PRIME_CACHE[-1] - 2 if _CRT_PRIME_CACHE else 2**21 - 1
-    while len(_CRT_PRIME_CACHE) < count:
-        if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
-            _CRT_PRIME_CACHE.append(n)
-        n -= 2
-    return _CRT_PRIME_CACHE[:count]
-
-
-def _sym_mod(x: np.ndarray, p: np.ndarray, p_inv: np.ndarray) -> np.ndarray:
-    """Reduce float64 integers |x| < 2^52 in place modulo p, to |x| <= p/2 + 4.
-
-    The quotient x * (1/p) is off by less than 2^-19 for p > 2^20, so its
-    rounding is off from x / p by at most one half plus that; rint(q) * p and
-    the difference are exact integers.
-    """
-    q = x * p_inv
-    np.rint(q, out=q)
-    q *= p
-    x -= q
-    return x
-
-
-def _power_sums(a: np.ndarray, primes: list[int]) -> np.ndarray:
-    """tr(A^j) mod p for j = 0..k, one row per prime, as a (P, k + 1) int64 array.
-
-    Baby steps A^r for r < s = isqrt(k) + 1 are kept; the giant steps
-    (A^s)^i are formed one at a time, and tr(A^(is + r)) is the sum over rows
-    y of the row-by-column products of A^r and (A^s)^i: about 2 sqrt(k)
-    matmuls per prime.  Primes go in chunks of at most 3P / (s + 3), so the
-    s + 4 live k x k arrays per prime of a chunk never hold more than
-    4 P k^2 floats.
-    """
-    s = math.isqrt(a.shape[0]) + 1
-    chunk = max(1, 3 * len(primes) // (s + 3))
-    a64 = a.astype(np.int64)
-    return np.concatenate(
-        [_power_sums_chunk(a64, primes[lo : lo + chunk], s)
-         for lo in range(0, len(primes), chunk)]
-    )
-
-
-def _power_sums_chunk(a: np.ndarray, primes: list[int], s: int) -> np.ndarray:
-    """``_power_sums`` for one chunk of primes, with s baby steps."""
-    k = a.shape[0]
-    ps = np.array(primes, dtype=np.int64)[:, None, None]
-    pv = ps.astype(np.float64)
-    p_inv = 1.0 / pv
-    # baby[:, y, r, x] = A^r[y, x] mod p
-    baby = np.empty((len(primes), k, s, k))
-    baby[:, :, 0, :] = np.eye(k)
-    # reduced in int64 first, so that entries beyond 2^53 stay exact
-    baby[:, :, 1, :] = _sym_mod(np.mod(a, ps).astype(np.float64), pv, p_inv)
-    amod = baby[:, :, 1, :]
-    for r in range(2, s):
-        baby[:, :, r, :] = _sym_mod(baby[:, :, r - 1, :] @ amod, pv, p_inv)
-    # giant[:, y, x] = (A^s)^i[x, y] mod p; transposed so that its row y
-    # pairs with row y of every baby step
-    step = _sym_mod(baby[:, :, s - 1, :] @ amod, pv, p_inv).transpose(0, 2, 1).copy()
-    # traces[:, i * s + r] is congruent to tr(A^(is + r)) mod p
-    traces = np.empty((len(primes), (k // s + 1) * s))
-    traces[:, :s] = np.trace(baby, axis1=1, axis2=3)
-    giant = step
-    for i in range(1, k // s + 1):
-        if i > 1:
-            giant = _sym_mod(step @ giant, pv, p_inv)
-        rows = _sym_mod((baby @ giant[..., None])[..., 0], pv, p_inv)
-        traces[:, i * s : (i + 1) * s] = rows.sum(axis=1)
-    return np.mod(traces[:, : k + 1].astype(np.int64), ps[:, 0])
-
-
-def _char_poly_crt(a: np.ndarray) -> list[int]:
-    """Characteristic polynomial from power sums modulo word-size primes.
-
-    Per prime, Newton's identities j e_j = sum_{i=1..j} (-1)^(i-1) e_(j-i)
-    tr(A^i) turn the power sums into the elementary symmetric functions e_j
-    of the eigenvalues (j <= k < p, so j is invertible), and the coefficient
-    of x^(k-j) is (-1)^j e_j.  CRT reconstructs the integers; the coefficient
-    bound (1 + Gershgorin radius)^k decides how many primes are needed.
-    """
-    k = a.shape[0]
-    lam = max((sum(map(abs, row)) for row in a.tolist()), default=0) or 1
-    bound_bits = k * (lam + 1).bit_length() + 2
-    primes = _crt_primes(bound_bits // 20 + 1)
-    prod = 1
-    for used, p in enumerate(primes, start=1):
-        prod *= p
-        if prod.bit_length() > bound_bits + 1:
-            primes = primes[:used]
-            break
-    else:
-        raise AssertionError("prime pool sizing is inconsistent")
-    q = np.array(primes, dtype=np.int64)
-    # signed[:, i - 1] = (-1)^(i-1) tr(A^i) mod p
-    signed = _power_sums(a, primes)[:, 1:]
-    signed[:, 1::2] = np.mod(-signed[:, 1::2], q[:, None])
-    e = np.zeros((len(primes), k + 1), dtype=np.int64)
-    e[:, 0] = 1
-    for j in range(1, k + 1):
-        # j terms below 2^42 each: the int64 sum is exact
-        acc = np.einsum("pi,pi->p", e[:, j - 1 :: -1], signed[:, :j]) % q
-        inv = np.array([pow(j, -1, p) for p in primes], dtype=np.int64)
-        e[:, j] = acc * inv % q
-    e[:, 1::2] = np.mod(-e[:, 1::2], q[:, None])
-    garner, modulus = _garner_constants(primes)
-    return [_crt_combine(res, garner, modulus) for res in e[:, ::-1].T.tolist()]
-
-
-def _garner_constants(primes: list[int]) -> tuple[list[tuple[int, int, int]], int]:
-    """(p, product of the earlier primes, its inverse mod p) for each prime,
-    and the product of all the primes."""
-    out = []
-    modulus = 1
-    for p in primes:
-        out.append((p, modulus, pow(modulus, -1, p)))
-        modulus *= p
-    return out, modulus
-
-
-def _crt_combine(residues: list[int], garner: list[tuple[int, int, int]], modulus: int) -> int:
-    """The integer of least absolute value with the given residues."""
-    x = 0
-    for r, (p, before, inv) in zip(residues, garner):
-        x += before * ((r - x % p) * inv % p)
-    if x > modulus // 2:
-        x -= modulus
-    return x
-
-
-def char_poly_exact(m: np.ndarray, max_order: int = DEFAULT_ORDER_CAP) -> ExactPolynomial:
+def char_poly_exact(m: np.ndarray) -> ExactPolynomial:
     """Exact monic characteristic polynomial det(xI - M).
 
-    Computed from the power sums tr(M^j) modulo word-size primes by Newton's
-    identities and reconstructed by CRT (``_char_poly_crt``).
+    Faddeev-LeVerrier over Python integers: with M_1 = I, the coefficient of
+    x^(k-j) is c_j = -tr(M M_j) / j, a division that is exact for integer M,
+    and M_(j+1) = M M_j + c_j I.  No symmetry is assumed.
 
     ``m`` must be a square ndarray of an integer dtype that fits int64.
-    Raises OrderCapError above ``max_order`` and, whatever the cap, above
-    ``EXACT_ORDER_LIMIT``, where the modular arithmetic stops being exact.
+    Raises OrderCapError above ``CHAR_POLY_MAX_ORDER``.
     """
     if not (
         isinstance(m, np.ndarray)
@@ -317,13 +182,19 @@ def char_poly_exact(m: np.ndarray, max_order: int = DEFAULT_ORDER_CAP) -> ExactP
     ):
         raise ContractViolation("need a square integer ndarray")
     k = m.shape[0]
-    if k > max_order:
-        raise OrderCapError(f"order {k} exceeds cap {max_order}")
-    if k > EXACT_ORDER_LIMIT:
-        raise OrderCapError(
-            f"order {k} exceeds {EXACT_ORDER_LIMIT}, the limit of exact modular arithmetic"
-        )
-    return ExactPolynomial(coeffs=tuple(_char_poly_crt(m) if k else [1]))
+    if k > CHAR_POLY_MAX_ORDER:
+        raise OrderCapError(f"order {k} exceeds {CHAR_POLY_MAX_ORDER}, the charpoly limit")
+    rows = m.tolist()
+    coeffs = [0] * k + [1]
+    cur = [[int(i == j) for j in range(k)] for i in range(k)]
+    for j in range(1, k + 1):
+        cols = list(zip(*cur))
+        cur = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in rows]
+        c = -sum(cur[i][i] for i in range(k)) // j
+        coeffs[k - j] = c
+        for i in range(k):
+            cur[i][i] += c
+    return ExactPolynomial(coeffs=tuple(coeffs))
 
 
 def _poly_mul_linear(coeffs: list[int], root: int) -> list[int]:
@@ -354,6 +225,56 @@ def poly_matches_spectrum(p: ExactPolynomial, s: SpectrumMultiset) -> bool:
             f"spectrum order {s.order} does not match degree {p.degree}"
         )
     return poly_from_spectrum(s).coeffs == p.coeffs
+
+
+def _row_classes(rows: np.ndarray) -> np.ndarray:
+    """Class index of each row of a 2-D bool array; equal rows share one."""
+    packed = np.packbits(rows, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    return np.unique(keys, return_inverse=True)[1]
+
+
+def twin_certificate(g: Graph, spectrum: SpectrumMultiset) -> bool:
+    """Exact proof that the Laplacian spectrum of ``g`` is ``spectrum``.
+
+    Vertices with equal rows of A are false twins, and the remaining ones
+    with equal rows of A + I are true twins.  For twins x and y of degree d,
+    e_x - e_y is an eigenvector of L with eigenvalue d (false) or d + 1
+    (true), so a class of size c gives that eigenvalue c - 1 times.  The
+    differences are orthogonal to the columns of the class-indicator matrix
+    P, and the two spaces together span R^k.  The twin partition is
+    equitable, L P = P Q, checked here exactly, so the other eigenvalues are
+    those of the m x m quotient Q.  The twin eigenvalues are removed from
+    ``spectrum`` and the rest must equal the roots of det(xI - Q).
+
+    Only ``g.adjacency`` is read: no gcd, divisor class or factorization.
+    """
+    if spectrum.variant != EXACT:
+        raise ContractViolation("exact spectrum required")
+    a = g.adjacency
+    k = a.shape[0]
+    if spectrum.order != k:
+        return False
+    false_cls = _row_classes(a)
+    false_twin = np.bincount(false_cls)[false_cls] > 1
+    true_cls = _row_classes(a | np.eye(k, dtype=bool))
+    key = np.where(false_twin, false_cls, k + true_cls)
+    _, reps, cls = np.unique(key, return_index=True, return_inverse=True)
+    deg = a.sum(axis=1)
+    p = np.zeros((k, len(reps)), dtype=np.int64)
+    p[np.arange(k), cls] = 1
+    lp = deg[:, None] * p - a @ p
+    q = lp[reps]
+    if not np.array_equal(lp, q[cls]):
+        return False
+    residual = dict(spectrum.entries)
+    twin_eigs = deg[reps] + ~false_twin[reps]
+    for eig, size in zip(twin_eigs.tolist(), np.bincount(cls).tolist()):
+        left = residual.get(eig, 0) - (size - 1)
+        if left < 0:
+            return False
+        residual[eig] = left
+    return poly_matches_spectrum(char_poly_exact(q), SpectrumMultiset.exact(residual.items()))
 
 
 def integrality_check(eigs, tol: float) -> tuple[bool, list[int]]:
@@ -408,14 +329,15 @@ class VerificationReport:
 def verify_spectrum(
     n: int,
     integral_tol: float = INTEGRAL_TOL,
-    order_cap: int = DEFAULT_ORDER_CAP,
+    order_cap: int | None = None,
 ) -> VerificationReport:
     """Run every check for one n and aggregate the result.
 
     Checks: the two constructions agree; the closed-form trace equals twice
-    the edge count; the exact characteristic polynomial factors as the closed
-    form predicts (skipped above ``order_cap``); numeric eigenvalues match the
-    closed form elementwise; and all numeric eigenvalues are near-integers.
+    the edge count; the twin-quotient certificate proves the closed form
+    exactly (skipped above ``order_cap``, if given); numeric eigenvalues match
+    the closed form elementwise; and all numeric eigenvalues are
+    near-integers.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
@@ -427,15 +349,10 @@ def verify_spectrum(
     checks = {"construction_equal": graphs_equal(brute, structural)}
     checks["trace_edges"] = closed.trace() == 2 * brute.edge_count
 
-    lap = laplacian_matrix(brute)
-    charpoly_skipped = order > order_cap
-    if charpoly_skipped:
-        checks["charpoly_match"] = True
-    else:
-        checks["charpoly_match"] = poly_matches_spectrum(
-            char_poly_exact(lap, max_order=order_cap), closed
-        )
+    charpoly_skipped = order_cap is not None and order > order_cap
+    checks["charpoly_match"] = charpoly_skipped or twin_certificate(brute, closed)
 
+    lap = laplacian_matrix(brute)
     numeric = symmetric_eigenvalues(lap)
     expanded = closed.expand()
     if len(numeric) != len(expanded):

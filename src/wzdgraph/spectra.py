@@ -71,7 +71,7 @@ class WeightedHostGraph:
         return d
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectrumMultiset:
     """Eigenvalue -> multiplicity map, exact-integer or floating.
 

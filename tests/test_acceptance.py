@@ -28,6 +28,7 @@ from wzdgraph.oracle import (
     laplacian_matrix,
     poly_matches_spectrum,
     symmetric_eigenvalues,
+    twin_certificate,
     verify_spectrum,
 )
 from wzdgraph.spectra import (
@@ -175,10 +176,9 @@ def test_spanning_subgraph_sweep():
 
 
 def test_exact_polynomial_sweep():
-    with criterion("exact charpoly equals the closed-form factorization, n in [4,200]"):
+    with criterion("twin-quotient certificate proves the closed form, n in [4,200]"):
         for n in range(4, 201):
             if is_prime(n):
                 continue
-            lap = laplacian_matrix(build_structural_wzd(n))
-            closed = wzd_spectrum_closed_form(n)
-            assert poly_matches_spectrum(char_poly_exact(lap), closed), n
+            g = build_structural_wzd(n)
+            assert twin_certificate(g, wzd_spectrum_closed_form(n)), n

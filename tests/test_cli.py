@@ -152,11 +152,14 @@ def test_verify_max_order_skips_charpoly(capsys):
     assert "charpoly=skipped" in out.splitlines()[0]
 
 
-def test_verify_env_max_order(capsys, monkeypatch):
-    monkeypatch.setenv("WZD_MAX_ORDER", "5")
-    code, out, _ = run_cli(capsys, "verify", "18..18")
+def test_verify_certifies_orders_above_256_by_default(capsys):
+    # order 263; the exact check has no default cap
+    code, out, _ = run_cli(capsys, "verify", "360..360", "--format", "json")
     assert code == 0
-    assert "charpoly=skipped" in out.splitlines()[0]
+    payload = json.loads(out)
+    assert payload["spectrum"]["order"] == 263
+    assert payload["checks"]["charpoly_match"] is True
+    assert "charpoly_skipped" not in payload
 
 
 def test_table_rows(capsys):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wzdgraph.errors import ContractViolation, DomainError, OrderCapError
-from wzdgraph.graphcore import Graph, build_bruteforce_wzd
+from wzdgraph.errors import ContractViolation, ConvergenceError, DomainError, OrderCapError
+from wzdgraph.graphcore import Graph, Kind, build_bruteforce_wzd
 from wzdgraph.oracle import (
+    CHAR_POLY_MAX_ORDER,
     ExactPolynomial,
     STATUS_DEGENERATE,
     STATUS_PASS,
@@ -17,10 +18,17 @@ from wzdgraph.oracle import (
     poly_from_spectrum,
     poly_matches_spectrum,
     symmetric_eigenvalues,
+    twin_certificate,
     verify_spectrum,
     _round_robin_rounds,
 )
-from wzdgraph.spectra import SpectrumMultiset, wzd_spectrum_closed_form
+from wzdgraph.spectra import (
+    SpectrumMultiset,
+    WeightedHostGraph,
+    component_spectrum,
+    join_spectrum,
+    wzd_spectrum_closed_form,
+)
 
 
 def graph_from_label_edges(labels, edges):
@@ -28,23 +36,39 @@ def graph_from_label_edges(labels, edges):
     return Graph.from_edges(labels, (sorted((index[u], index[v])) for u, v in edges))
 
 
-def char_poly_bigint(a) -> tuple[int, ...]:
-    """Reference: Faddeev-LeVerrier over Python integers, divisions checked exact."""
-    rows = [[int(x) for x in row] for row in a]
+def det_bareiss(rows) -> int:
+    """Reference: determinant by fraction-free (Bareiss) elimination over Python integers."""
+    m = [list(row) for row in rows]
+    k = len(m)
+    sign, prev = 1, 1
+    for i in range(k - 1):
+        if m[i][i] == 0:
+            swap = next((r for r in range(i + 1, k) if m[r][i]), None)
+            if swap is None:
+                return 0
+            m[i], m[swap] = m[swap], m[i]
+            sign = -sign
+        for r in range(i + 1, k):
+            for c in range(i + 1, k):
+                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
+        prev = m[i][i]
+    return sign * m[-1][-1] if k else 1
+
+
+def is_char_poly_of(coeffs, a) -> bool:
+    """Reference: whether coeffs (ascending) are det(tI - A).
+
+    Both are monic of degree k, so agreeing at t = 0..k proves them equal.
+    """
+    rows = np.asarray(a).tolist()
     k = len(rows)
-    coeffs = [0] * (k + 1)
-    coeffs[k] = 1
-    m = [[int(i == j) for j in range(k)] for i in range(k)]
-    for j in range(1, k + 1):
-        cols = list(zip(*m))
-        p = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in rows]
-        q, r = divmod(-sum(p[i][i] for i in range(k)), j)
-        assert r == 0, f"inexact division at step {j}"
-        coeffs[k - j] = q
-        m = p
-        for i in range(k):
-            m[i][i] += q
-    return tuple(coeffs)
+    if len(coeffs) != k + 1 or coeffs[-1] != 1:
+        return False
+    for t in range(k + 1):
+        shifted = [[t * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        if det_bareiss(shifted) != sum(c * t**i for i, c in enumerate(coeffs)):
+            return False
+    return True
 
 
 def root_multiplicity(coeffs, root: int) -> int:
@@ -166,9 +190,19 @@ def test_round_robin_rounds_match_reference():
 @pytest.mark.parametrize("n", [240, 420])
 def test_jacobi_converges_in_few_sweeps_on_wzd_laplacians(n):
     # in ascending vertex order these took 12 and 17 sweeps
-    eigs = symmetric_eigenvalues(laplacian_matrix(build_bruteforce_wzd(n)), max_sweeps=8)
+    eigs = symmetric_eigenvalues(laplacian_matrix(build_bruteforce_wzd(n)), max_sweeps=7)
     expected = wzd_spectrum_closed_form(n).expand()
     assert np.max(np.abs(np.array(eigs) - expected)) < 1e-8 * len(expected)
+
+
+def test_jacobi_sweep_bound_includes_the_last_sweep():
+    # n = 150 converges in its 5th sweep, so max_sweeps=5 must be enough
+    lap = laplacian_matrix(build_bruteforce_wzd(150))
+    eigs = symmetric_eigenvalues(lap, max_sweeps=5)
+    expected = wzd_spectrum_closed_form(150).expand()
+    assert np.max(np.abs(np.array(eigs) - expected)) < 1e-8 * len(expected)
+    with pytest.raises(ConvergenceError):
+        symmetric_eigenvalues(lap, max_sweeps=0)
 
 
 def test_char_poly_examples():
@@ -187,15 +221,17 @@ def test_char_poly_examples():
 
 
 def test_char_poly_order_cap():
-    m = laplacian_matrix(build_bruteforce_wzd(18))
+    m = laplacian_matrix(build_bruteforce_wzd(90))
+    assert m.shape == (CHAR_POLY_MAX_ORDER + 1,) * 2
     with pytest.raises(OrderCapError):
-        char_poly_exact(m, max_order=10)
+        char_poly_exact(m)
 
 
 def test_char_poly_refuses_orders_past_exact_limit():
-    # the float64 residue sums are exact only up to order 2048, whatever the cap
-    with pytest.raises(OrderCapError):
-        char_poly_exact(np.zeros((2049, 2049), dtype=np.int8), max_order=10**6)
+    # refused before any arithmetic, however large the order
+    for k in (CHAR_POLY_MAX_ORDER + 1, 2049):
+        with pytest.raises(OrderCapError):
+            char_poly_exact(np.zeros((k, k), dtype=np.int8))
 
 
 @settings(max_examples=40, deadline=None)
@@ -205,30 +241,27 @@ def test_char_poly_refuses_orders_past_exact_limit():
     st.booleans(),
     st.sampled_from([np.int64, np.int32, np.int8]),
 )
-def test_char_poly_bigint_and_modular_agree(k, seed, symmetric, dtype):
+def test_char_poly_matches_bareiss_reference(k, seed, symmetric, dtype):
     rng = np.random.default_rng(seed)
     a = rng.integers(-6, 7, size=(k, k))
     if symmetric:
         a = a + a.T
     a = a.astype(dtype)
-    assert char_poly_exact(a).coeffs == char_poly_bigint(a)
+    assert is_char_poly_of(char_poly_exact(a).coeffs, a)
 
 
-# s = isqrt(k) + 1 baby steps; 15, 24 and 35 end one short of a giant step,
-# 20 and 30 exactly on one, and 40 takes five giant steps
 @pytest.mark.parametrize("k", [1, 2, 3, 15, 20, 24, 30, 35, 40])
 def test_char_poly_non_symmetric_orders(k):
     a = np.random.default_rng(k).integers(-50, 51, size=(k, k))
-    assert char_poly_exact(a).coeffs == char_poly_bigint(a)
+    assert is_char_poly_of(char_poly_exact(a).coeffs, a)
 
 
 def test_char_poly_entries_beyond_float_precision():
-    # about 40 primes, so several prime chunks with a short last one, and
-    # entries that float64 cannot hold exactly before reduction
+    # entries that float64 cannot hold exactly
     a = np.random.default_rng(5).integers(-10**12, 10**12, size=(12, 12))
     a[0, 1] = 2**62 + 1
     a[3, 3] = -(2**62) - 3
-    assert char_poly_exact(a).coeffs == char_poly_bigint(a)
+    assert is_char_poly_of(char_poly_exact(a).coeffs, a)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint8])
@@ -236,10 +269,10 @@ def test_char_poly_small_integer_dtypes_do_not_wrap(dtype):
     info = np.iinfo(dtype)
     a = np.random.default_rng(2).integers(info.min, info.max + 1, size=(17, 17), dtype=dtype)
     a[0, 0], a[1, 1] = info.min, info.max
-    assert char_poly_exact(a).coeffs == char_poly_bigint(a)
+    assert is_char_poly_of(char_poly_exact(a).coeffs, a)
 
 
-def test_char_poly_modular_handles_large_graph():
+def test_char_poly_handles_large_graph():
     g = build_bruteforce_wzd(60)  # order 43
     p = char_poly_exact(laplacian_matrix(g))
     s = wzd_spectrum_closed_form(60)
@@ -293,6 +326,79 @@ def test_charpoly_roots_carry_closed_form_multiplicities(n):
     p = char_poly_exact(laplacian_matrix(build_bruteforce_wzd(n)))
     for eig, mult in wzd_spectrum_closed_form(n).items_sorted():
         assert root_multiplicity(p.coeffs, eig) == mult
+
+
+def planted_twin_graph(rng, host):
+    """Graph whose vertices come in classes of 1..5, one per vertex of the
+    bool matrix ``host``: each class is complete (true twins) or empty
+    (false twins), and classes adjacent in ``host`` are joined."""
+    sizes = rng.integers(1, 6, size=len(host))
+    kinds = [Kind.COMPLETE if rng.random() < 0.5 else Kind.EMPTY for _ in sizes]
+    cls = np.repeat(np.arange(len(host)), sizes)
+    a = host[np.ix_(cls, cls)]
+    same = cls[:, None] == cls[None, :]
+    complete = np.array([kind is Kind.COMPLETE for kind in kinds])[cls]
+    a[same] = (complete[:, None] & same)[same]
+    np.fill_diagonal(a, False)
+    return Graph(labels=tuple(range(len(cls))), adjacency=a), sizes, kinds
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_twin_certificate_on_planted_twins(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(3, 7))
+    # over a complete host the join spectrum theorem gives the exact spectrum
+    g, sizes, kinds = planted_twin_graph(rng, ~np.eye(m, dtype=bool))
+    host = WeightedHostGraph(
+        labels=tuple(range(m)),
+        weights=tuple(sizes.tolist()),
+        edges=frozenset((i, j) for i in range(m) for j in range(i + 1, m)),
+    )
+    exact = join_spectrum(host, [component_spectrum(int(c), kd) for c, kd in zip(sizes, kinds)])
+    assert twin_certificate(g, exact)
+    # over a path the quotient eigenvalues are not all integers, so the
+    # rounded numeric spectrum is wrong, though its twin part is right
+    path = np.eye(m + 1, k=1, dtype=bool) | np.eye(m + 1, k=-1, dtype=bool)
+    g, _, _ = planted_twin_graph(rng, path)
+    eigs = np.linalg.eigvalsh(laplacian_matrix(g).astype(float))
+    rounded = np.rint(eigs)
+    assert np.max(np.abs(eigs - rounded)) > 1e-6
+    wrong = SpectrumMultiset.exact((int(e), 1) for e in rounded)
+    assert not twin_certificate(g, wrong)
+
+
+@pytest.mark.parametrize("change", ["remove", "add"])
+def test_twin_certificate_rejects_one_edge_changed(change):
+    g = build_bruteforce_wzd(240)
+    closed = wzd_spectrum_closed_form(240)
+    assert twin_certificate(g, closed)
+    a = g.adjacency.copy()
+    present = change == "remove"
+    i, j = np.argwhere(np.triu(a == present, 1))[len(a) // 2]
+    a[i, j] = a[j, i] = not present
+    assert not twin_certificate(Graph(labels=g.labels, adjacency=a), closed)
+
+
+def test_twin_certificate_rejects_a_missing_twin_eigenvalue():
+    # the empty class A_3 of Z_240 holds phi(80) = 32 false twins of degree
+    # 175 - 32, so 143 has multiplicity 31; move one of them to 175
+    g = build_bruteforce_wzd(240)
+    closed = wzd_spectrum_closed_form(240)
+    assert closed.entries[143] == 31
+    wrong = dict(closed.entries)
+    wrong[143] -= 1
+    wrong[175] += 1
+    assert not twin_certificate(g, SpectrumMultiset.exact(wrong.items()))
+
+
+@pytest.mark.parametrize("n", [960, 1440, 2310])
+def test_twin_certificate_proves_large_closed_forms(n):
+    assert twin_certificate(build_bruteforce_wzd(n), wzd_spectrum_closed_form(n))
+
+
+def test_twin_certificate_rejects_floating_spectra():
+    with pytest.raises(ContractViolation):
+        twin_certificate(build_bruteforce_wzd(18), SpectrumMultiset.floating([(0.0, 11)]))
 
 
 def test_integrality_check_examples():
