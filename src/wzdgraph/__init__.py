@@ -25,13 +25,7 @@ from .graphcore import (
     graphs_equal,
     is_spanning_subgraph,
 )
-from .numtheory import (
-    PrimeFactorization,
-    euler_phi,
-    exact_primes,
-    factorize,
-    proper_divisors,
-)
+from .numtheory import PrimeFactorization, euler_phi, factorize
 from .oracle import (
     ExactPolynomial,
     VerificationReport,

@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 
 from . import graphcore, oracle, spectra
@@ -189,22 +190,26 @@ def _worker_count(jobs: int, tasks: int) -> int:
 
 
 def cmd_verify(lo: int, hi: int, fmt: str, tol: float, jobs: int, cap: int | None) -> int:
-    ns = list(range(lo, hi + 1))
-    work = [(n, tol, cap) for n in ns]
+    work = [(n, tol, cap) for n in range(lo, hi + 1)]
     workers = _worker_count(jobs, len(work))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_verify_worker, work, chunksize=4))
-    else:
-        reports = [_verify_worker(w) for w in work]
+            return _print_reports(pool.map(_verify_worker, work, chunksize=4), lo, hi, fmt)
+    return _print_reports(map(_verify_worker, work), lo, hi, fmt)
+
+
+def _print_reports(
+    reports: Iterable[oracle.VerificationReport], lo: int, hi: int, fmt: str
+) -> int:
+    """Print each report as it arrives, in order, then the text summary."""
     fails = 0
     passes = 0
     degenerate = 0
     for rep in reports:
         if fmt == "json":
-            print(json.dumps(rep.to_json_dict()))
+            print(json.dumps(rep.to_json_dict()), flush=True)
         else:
-            print(_verify_line(rep))
+            print(_verify_line(rep), flush=True)
         if rep.status == oracle.STATUS_FAIL:
             fails += 1
         elif rep.status == oracle.STATUS_DEGENERATE:
@@ -213,7 +218,7 @@ def cmd_verify(lo: int, hi: int, fmt: str, tol: float, jobs: int, cap: int | Non
             passes += 1
     if fmt == "text":
         print(
-            f"checked {len(reports)} values in {lo}..{hi}: "
+            f"checked {hi - lo + 1} values in {lo}..{hi}: "
             f"{passes} pass, {degenerate} degenerate, {fails} fail"
         )
     return 1 if fails else 0

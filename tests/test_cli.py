@@ -1,10 +1,14 @@
 """Command-line contract: formats, exit codes, determinism."""
 
+import io
 import json
 import os
+import sys
+import time
 
 import pytest
 
+from wzdgraph import cli
 from wzdgraph.cli import _worker_count, main
 
 
@@ -45,6 +49,40 @@ def test_spectrum_of_huge_n_with_an_exponent_one_prime(capsys):
         {"eigenvalue": v - f, "multiplicity": f - 1},
         {"eigenvalue": v, "multiplicity": v - f},
     ]
+
+
+def test_spectrum_of_a_21_digit_prime(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "spectrum", str(10**20 + 39))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out == "no zero-divisors; spectrum empty\n"
+
+
+def test_spectrum_of_a_semiprime_with_two_10_digit_factors(capsys):
+    # n = pq: V = p + q - 2; A_p has q - 1 members and A_q has p - 1
+    p, q = 9999999943, 9999999967
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "spectrum", str(p * q), "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    v = p + q - 2
+    assert json.loads(out)["entries"] == [
+        {"eigenvalue": 0, "multiplicity": 1},
+        {"eigenvalue": v - (q - 1), "multiplicity": q - 2},
+        {"eigenvalue": v - (p - 1), "multiplicity": p - 2},
+        {"eigenvalue": v, "multiplicity": 1},
+    ]
+
+
+@pytest.mark.parametrize(
+    "n", [3317044064679887385961981, 1000000000039 * 1000000000061]
+)
+def test_spectrum_refuses_n_it_cannot_factor(capsys, n):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "spectrum", str(n))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_spectrum_prime_is_informative_noop(capsys):
@@ -129,6 +167,36 @@ def test_verify_parallel_jobs_output_matches_serial(capsys):
     code2, out2, _ = run_cli(capsys, "verify", "4..40", "--jobs", "3")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+class FlushLog(io.StringIO):
+    """A stdout that remembers what had been flushed."""
+
+    flushed = ""
+
+    def flush(self):
+        self.flushed = self.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_prints_each_report_before_the_next_starts(monkeypatch, fmt):
+    log = FlushLog()
+    monkeypatch.setattr(sys, "stdout", log)
+    flushed_at_start = {}
+    real = cli._verify_worker
+
+    def worker(args):
+        flushed_at_start[args[0]] = log.flushed
+        return real(args)
+
+    monkeypatch.setattr(cli, "_verify_worker", worker)
+    assert main(["verify", "4..9", "--format", fmt]) == 0
+    lines = log.getvalue().splitlines()
+    assert len(lines) == (7 if fmt == "text" else 6)
+    assert flushed_at_start[4] == ""
+    assert flushed_at_start[9].splitlines() == lines[:5]
+    if fmt == "text":
+        assert lines[-1].startswith("checked 6 values in 4..9: ")
 
 
 def test_worker_count_is_clamped(monkeypatch):

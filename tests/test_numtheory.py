@@ -6,15 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wzdgraph import numtheory
 from wzdgraph.errors import DomainError
-from wzdgraph.numtheory import (
-    divisors,
-    euler_phi,
-    exact_primes,
-    factorize,
-    is_prime,
-    proper_divisors,
-)
+from wzdgraph.numtheory import PRIMALITY_LIMIT, divisors, euler_phi, factorize, is_prime
+
+#: the smallest strong pseudoprime to the first 12 prime bases (2..37)
+PSI_12 = 318665857834031151167461
 
 
 def phi_bruteforce(n: int) -> int:
@@ -32,6 +29,39 @@ def is_prime_trial(n: int) -> bool:
 def divisors_trial(n: int) -> list[int]:
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def factors_trial(n: int) -> tuple[tuple[int, int], ...]:
+    out = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            e += 1
+            n //= d
+        if e:
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def proper_divisors(n: int) -> list[int]:
+    return factorize(n).divisors()[1:-1]
+
+
+def exact_primes(n: int) -> frozenset[int]:
+    return factorize(n).exponent_one_primes()
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    return x == 1 or any(pow(x, 2**i, n) == n - 1 for i in range(s))
 
 
 @pytest.mark.parametrize(
@@ -56,7 +86,7 @@ def test_factorize_rejects_zero():
 @given(st.integers(min_value=1, max_value=100_000))
 def test_factorize_roundtrip_and_invariants(n):
     f = factorize(n)
-    assert f.reconstruct() == n
+    assert math.prod(p**e for p, e in f.factors) == n
     primes = [p for p, _ in f.factors]
     assert primes == sorted(primes) and len(set(primes)) == len(primes)
     assert all(e >= 1 for _, e in f.factors)
@@ -92,11 +122,6 @@ def test_proper_divisors_examples(n, expected):
     assert proper_divisors(n) == expected
 
 
-def test_proper_divisors_rejects_small_n():
-    with pytest.raises(DomainError):
-        proper_divisors(1)
-
-
 @settings(max_examples=300)
 @given(st.integers(min_value=1, max_value=10**6))
 def test_divisors_match_trial_division(n):
@@ -108,7 +133,7 @@ def test_proper_divisors_shape(n):
     divs = proper_divisors(n)
     assert divs == sorted(set(divs))
     assert all(1 < d < n and n % d == 0 for d in divs)
-    assert len(divs) == factorize(n).tau - 2
+    assert len(divs) == math.prod(e + 1 for _, e in factorize(n).factors) - 2
 
 
 @pytest.mark.parametrize(
@@ -146,3 +171,94 @@ def test_totient_partition_identity(n):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_is_prime_matches_bruteforce(n):
     assert is_prime(n) == is_prime_bruteforce(n)
+
+
+@settings(max_examples=500)
+@given(st.integers(min_value=1, max_value=10**6))
+def test_factorize_matches_trial_division(n):
+    assert factorize(n).factors == factors_trial(n)
+
+
+@given(st.lists(st.sampled_from([p for p in range(1001, 20_000) if is_prime_trial(p)]),
+                min_size=2, max_size=5))
+def test_factorize_products_of_primes_past_trial_division(primes):
+    # every prime is past the trial bound, so Miller-Rabin and rho do the work,
+    # and rho often splits off a composite part
+    expected = tuple((p, primes.count(p)) for p in sorted(set(primes)))
+    assert factorize(math.prod(primes)).factors == expected
+
+
+@pytest.mark.parametrize(
+    "n, factors",
+    [
+        # Carmichael numbers
+        (561, ((3, 1), (11, 1), (17, 1))),
+        (41041, ((7, 1), (11, 1), (13, 1), (41, 1))),
+        (825265, ((5, 1), (7, 1), (17, 1), (19, 1), (73, 1))),
+        # strong pseudoprime to the bases 2, 3, 5 and 7
+        (3215031751, ((151, 1), (751, 1), (28351, 1))),
+        (1000003**2, ((1000003, 2),)),
+        (1000003**3 * 999983, ((999983, 1), (1000003, 3))),
+        (2**100 * 3, ((2, 100), (3, 1))),
+        (10**20 + 39, ((10**20 + 39, 1),)),
+        (9999999943 * 9999999967, ((9999999943, 1), (9999999967, 1))),
+        (PSI_12, ((399165290221, 1), (798330580441, 1))),
+    ],
+)
+def test_factorize_past_trial_division(n, factors):
+    assert factorize(n).factors == factors
+
+
+@pytest.mark.parametrize("n", [561, 41041, 825265, 3215031751, 1000003**2, PSI_12])
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_pseudoprimes_fool_the_bases_they_are_named_for():
+    assert all(strong_probable_prime(3215031751, a) for a in (2, 3, 5, 7))
+    assert all(strong_probable_prime(PSI_12, a) for a in numtheory.MR_BASES[:12])
+    assert all(strong_probable_prime(PRIMALITY_LIMIT, a) for a in numtheory.MR_BASES)
+
+
+@pytest.mark.parametrize("n", [1000003, 1000000000039, 9999999967, 2**61 - 1, 10**20 + 39])
+def test_is_prime_accepts_large_primes(n):
+    assert is_prime(n)
+
+
+def test_is_prime_refuses_at_the_exact_limit():
+    assert is_prime(PRIMALITY_LIMIT - 1) is False
+    for n in (PRIMALITY_LIMIT, PRIMALITY_LIMIT + 2):
+        with pytest.raises(DomainError):
+            is_prime(n)
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (PRIMALITY_LIMIT, str(PRIMALITY_LIMIT)),
+        (3 * PRIMALITY_LIMIT, str(PRIMALITY_LIMIT)),
+        # both factors are far past what the rho budget reaches
+        (1000000000039 * 1000000000061, f"{numtheory.RHO_STEP_BUDGET} rho steps"),
+        # trial division leaves the same cofactor
+        (2**10 * 1000000000039 * 1000000000061, f"{numtheory.RHO_STEP_BUDGET} rho steps"),
+    ],
+)
+def test_factorize_refuses_past_its_bounds(n, message):
+    with pytest.raises(DomainError, match=message):
+        factorize(n)
+
+
+@pytest.mark.parametrize(
+    "n", [12, 1000003**3 * 999983, 9999999943 * 9999999967, 2**100 * 3, 10**20 + 39]
+)
+def test_factorize_calls_itself_once(monkeypatch, n):
+    calls = []
+    real = numtheory.factorize
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(numtheory, "factorize", counting)
+    numtheory.factorize(n)
+    assert calls == [n]

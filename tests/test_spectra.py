@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from wzdgraph import numtheory, spectra
 from wzdgraph.errors import ContractViolation, DomainError
 from wzdgraph.graphcore import Kind, divisor_classes
-from wzdgraph.numtheory import euler_phi, exact_primes, is_prime, proper_divisors
+from wzdgraph.numtheory import euler_phi, is_prime
 from wzdgraph.spectra import (
     EXACT,
     FLOAT,
@@ -25,6 +25,15 @@ from wzdgraph.spectra import (
 )
 
 COMPOSITES_300 = [n for n in range(4, 301) if not is_prime(n)]
+
+
+def proper_divisors(n: int) -> list[int]:
+    return [d for d in range(2, n) if n % d == 0]
+
+
+def exact_primes(n: int) -> set[int]:
+    """Primes p with p | n but p^2 not | n."""
+    return {p for p in range(2, n + 1) if n % p == 0 and n % (p * p) and is_prime(p)}
 
 
 def make_host(weights, edges):
