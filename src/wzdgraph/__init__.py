@@ -21,7 +21,6 @@ from .graphcore import (
     build_zero_divisor_graph,
     divisor_classes,
     export_graph,
-    graph_from_json,
     graphs_equal,
     is_spanning_subgraph,
 )
@@ -45,7 +44,6 @@ from .spectra import (
     join_spectrum,
     spectral_radius,
     symmetric_weighted_laplacian,
-    weighted_laplacian,
     wzd_spectrum_closed_form,
 )
 

@@ -14,7 +14,6 @@ import os
 import re
 import sys
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 
 from . import graphcore, oracle, spectra
 from .errors import ContractViolation, DomainError, OrderCapError
@@ -193,6 +192,8 @@ def cmd_verify(lo: int, hi: int, fmt: str, tol: float, jobs: int, cap: int | Non
     work = [(n, tol, cap) for n in range(lo, hi + 1)]
     workers = _worker_count(jobs, len(work))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return _print_reports(pool.map(_verify_worker, work, chunksize=4), lo, hi, fmt)
     return _print_reports(map(_verify_worker, work), lo, hi, fmt)

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd as _gcd
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DomainError
 from .numtheory import factorize
 
@@ -298,12 +297,3 @@ def export_graph(g: Graph, fmt: str) -> str:
         lines += [str(u) for u, d in zip(g.labels, g.degrees()) if d == 0]
         return "".join(line + "\n" for line in lines)
     raise DomainError(f"unknown graph format {fmt!r}; expected one of {GRAPH_FORMATS}")
-
-
-def graph_from_json(text: str) -> Graph:
-    """Inverse of ``export_graph(..., "json")``."""
-    payload = json.loads(text)
-    labels = tuple(payload["vertices"])
-    index = {u: i for i, u in enumerate(labels)}
-    pairs = (sorted((index[u], index[v])) for u, v in payload["edges"])
-    return Graph.from_edges(labels, pairs, modulus=payload.get("modulus"))

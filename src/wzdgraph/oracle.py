@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ContractViolation, ConvergenceError, DomainError, OrderCapError
 from .graphcore import (
     Graph,

@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ContractViolation, DomainError
 from .graphcore import Kind
 from .numtheory import factorize
@@ -145,23 +144,11 @@ def host_upsilon(n: int) -> WeightedHostGraph:
     )
 
 
-def weighted_laplacian(host: WeightedHostGraph) -> np.ndarray:
-    """Zero-row-sum host matrix: diagonal D_i, off-diagonal -n_j on edges."""
-    k = host.order
-    L = np.zeros((k, k), dtype=np.int64)
-    d = host.neighbor_weight_sums()
-    for i in range(k):
-        L[i, i] = d[i]
-    for i, j in host.edges:
-        L[i, j] = -host.weights[j]
-        L[j, i] = -host.weights[i]
-    return L
-
-
 def symmetric_weighted_laplacian(host: WeightedHostGraph) -> np.ndarray:
-    """Symmetrized host matrix: same diagonal, off-diagonal -sqrt(n_i n_j).
+    """Symmetrized host matrix: diagonal D_i, off-diagonal -sqrt(n_i n_j).
 
-    Similar to ``weighted_laplacian`` and therefore has the same spectrum.
+    Similar, by diag(sqrt(n_i)), to the zero-row-sum host matrix (diagonal
+    D_i, off-diagonal -n_j on edges), and therefore has the same spectrum.
     """
     k = host.order
     L = np.zeros((k, k), dtype=np.float64)
@@ -275,10 +262,18 @@ def wzd_spectrum_closed_form(n: int) -> SpectrumMultiset:
 
 
 def algebraic_connectivity(s: SpectrumMultiset):
-    """Second-smallest eigenvalue counting multiplicity."""
+    """Second-smallest eigenvalue counting multiplicity.
+
+    Read from the sorted (eigenvalue, multiplicity) pairs, never from the
+    expanded list, whose length is the order of the graph.
+    """
     if s.order < 2:
         raise DomainError("algebraic connectivity needs order >= 2")
-    return s.expand()[1]
+    seen = 0
+    for e, m in s.items_sorted():
+        seen += m
+        if seen >= 2:
+            return e
 
 
 def spectral_radius(s: SpectrumMultiset):

@@ -244,6 +244,17 @@ def test_table_rows(capsys):
     assert out.startswith("30,21,175,")
 
 
+def test_table_row_of_a_12_digit_n(capsys):
+    # 10^12 = 2^12 5^12 has no prime dividing it exactly once: WΓ is complete
+    v = 10**12 - 4 * 10**11 - 1
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "table", "1000000000000..1000000000000")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert out == f"1000000000000,{v},{v * (v - 1) // 2},0|{v},1|{v - 1},{v},{v},true\n"
+    assert elapsed < 1.0
+
+
 def test_table_json(capsys):
     code, out, _ = run_cli(capsys, "table", "12..12", "--format", "json")
     assert code == 0

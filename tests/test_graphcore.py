@@ -19,7 +19,6 @@ from wzdgraph.graphcore import (
     build_zero_divisor_graph,
     divisor_classes,
     export_graph,
-    graph_from_json,
     graphs_equal,
     is_spanning_subgraph,
     zero_divisors,
@@ -27,6 +26,15 @@ from wzdgraph.graphcore import (
 from wzdgraph.numtheory import euler_phi, is_prime
 
 COMPOSITES_300 = [n for n in range(4, 301) if not is_prime(n)]
+
+
+def graph_from_json(text: str) -> Graph:
+    """Reference inverse of ``export_graph(..., "json")``."""
+    payload = json.loads(text)
+    labels = tuple(payload["vertices"])
+    index = {u: i for i, u in enumerate(labels)}
+    pairs = (sorted((index[u], index[v])) for u, v in payload["edges"])
+    return Graph.from_edges(labels, pairs, modulus=payload.get("modulus"))
 
 
 def components(g: Graph) -> int:

@@ -20,7 +20,6 @@ from wzdgraph.spectra import (
     join_spectrum,
     spectral_radius,
     symmetric_weighted_laplacian,
-    weighted_laplacian,
     wzd_spectrum_closed_form,
 )
 
@@ -34,6 +33,19 @@ def proper_divisors(n: int) -> list[int]:
 def exact_primes(n: int) -> set[int]:
     """Primes p with p | n but p^2 not | n."""
     return {p for p in range(2, n + 1) if n % p == 0 and n % (p * p) and is_prime(p)}
+
+
+def weighted_laplacian(host: WeightedHostGraph) -> np.ndarray:
+    """Reference zero-row-sum host matrix: diagonal D_i, off-diagonal -n_j on edges."""
+    k = host.order
+    L = np.zeros((k, k), dtype=np.int64)
+    d = host.neighbor_weight_sums()
+    for i in range(k):
+        L[i, i] = d[i]
+    for i, j in host.edges:
+        L[i, j] = -host.weights[j]
+        L[j, i] = -host.weights[i]
+    return L
 
 
 def make_host(weights, edges):
@@ -255,8 +267,18 @@ def test_algebraic_connectivity_examples():
     assert algebraic_connectivity(wzd_spectrum_closed_form(18)) == 5
     assert algebraic_connectivity(SpectrumMultiset.exact([(0, 1), (3, 2)])) == 3
     assert algebraic_connectivity(SpectrumMultiset.exact([(0, 3)])) == 0
+    # a pair of multiplicity 0 counts for nothing
+    assert algebraic_connectivity(SpectrumMultiset(entries={0: 1, 1: 0, 2: 3})) == 2
+    assert algebraic_connectivity(SpectrumMultiset.floating([(0.0, 1), (0.5, 1), (2.0, 1)])) == 0.5
     with pytest.raises(DomainError):
         algebraic_connectivity(SpectrumMultiset.exact([(0, 1)]))
+
+
+def test_algebraic_connectivity_matches_expanded_spectrum():
+    for n in range(4, 3001):
+        s = wzd_spectrum_closed_form(n)
+        if s.order >= 2:
+            assert algebraic_connectivity(s) == s.expand()[1], n
 
 
 def test_spectral_radius_examples():
