@@ -14,4 +14,4 @@ class ConvergenceError(RuntimeError):
 
 
 class OrderCapError(ValueError):
-    """Matrix order exceeds the configured cap for exact computation."""
+    """A matrix or graph order exceeds the cap of the computation asked for."""

@@ -21,8 +21,13 @@ from enum import Enum
 from math import gcd as _gcd
 
 from ._numpy import np
-from .errors import DomainError
+from .errors import DomainError, OrderCapError
 from .numtheory import factorize
+
+#: Largest order n - phi(n) - 1 that ``divisor_classes``, and so ``wzd graph``,
+#: accepts.  Memory grows as its square: at order 4090 (n = 4091^2, complete,
+#: 8-digit labels) ``wzd graph --format dot`` peaks at about 0.6 GB.
+MAX_GRAPH_ORDER = 4096
 
 
 class Kind(Enum):
@@ -82,20 +87,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.adjacency)) // 2
-
-    def degrees(self) -> list[int]:
-        return self.adjacency.sum(axis=1).tolist()
-
-    def label_edges(self) -> list[tuple[int, int]]:
-        """Edges as sorted label pairs (u, v), u < v, lexicographically sorted."""
-        rows, cols = np.nonzero(np.triu(self.adjacency, 1))
-        lab = self.labels
-        pairs = ((lab[i], lab[j]) for i, j in zip(rows.tolist(), cols.tolist()))
-        return sorted((u, v) if u < v else (v, u) for u, v in pairs)
-
-    def is_complete(self) -> bool:
-        k = len(self.labels)
-        return self.edge_count == k * (k - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -174,10 +165,17 @@ def build_bruteforce_wzd(n: int) -> Graph:
 
 
 def divisor_classes(n: int) -> DivisorClassPartition:
-    """Partition of the nonzero zero-divisors of Z_n by gcd with n."""
+    """Partition of the nonzero zero-divisors of Z_n by gcd with n.
+
+    Refuses, before the scan, more than ``MAX_GRAPH_ORDER`` zero-divisors.
+    """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     f = factorize(n)
+    if (order := n - f.totient - 1) > MAX_GRAPH_ORDER:
+        raise OrderCapError(
+            f"WΓ(Z_{n}) has {order} vertices, above the limit of {MAX_GRAPH_ORDER}"
+        )
     proper = f.divisors()[1:-1]
     if not proper:  # n is prime
         return DivisorClassPartition(n=n, classes=(), degenerate=True)
@@ -270,30 +268,46 @@ def assemble_join(
 
 GRAPH_FORMATS = ("dot", "json", "csv")
 
+#: per format, each edge (u, v) is prefix(u) + v + suffix, with ``between``
+#: between two edges
+_EDGE_FORMATS = {
+    "csv": ("{},", "\n", ""),
+    "dot": ("  {} -- ", ";\n", ""),
+    "json": ("[{}, ", "]", ", "),
+}
+
 
 def export_graph(g: Graph, fmt: str) -> str:
     """Deterministic serialization in DOT, JSON, or CSV edge-list form.
 
-    CSV lists one ``u,v`` edge line per edge (u < v, sorted), then any
-    isolated vertices as single-field lines so the vertex set round-trips.
+    Vertices are listed in ``g.labels`` order and edges as label pairs
+    (u, v), u < v, sorted.  CSV lists one ``u,v`` edge line per edge, then
+    any isolated vertices as single-field lines so the vertex set
+    round-trips.  Edges are written row by row from the upper triangle, one
+    ``str.join`` per row; row-major order is sorted order once the labels
+    ascend, so a graph whose labels do not is permuted into label order.
     """
-    edges = g.label_edges()
+    if fmt not in GRAPH_FORMATS:
+        raise DomainError(f"unknown graph format {fmt!r}; expected one of {GRAPH_FORMATS}")
+    prefix, suffix, between = _EDGE_FORMATS[fmt]
+    names = [str(u) for u in g.labels]
+    adj, row_names = g.adjacency, np.array(names, dtype=object)
+    if any(a >= b for a, b in zip(g.labels, g.labels[1:])):
+        order = sorted(range(len(names)), key=g.labels.__getitem__)
+        adj, row_names = adj[np.ix_(order, order)], row_names[order]
+    rows = []
+    for i, u in enumerate(row_names.tolist()):
+        later = row_names[i + 1 :][adj[i, i + 1 :]].tolist()
+        if later:
+            head = prefix.format(u)
+            rows.append(head + (suffix + between + head).join(later) + suffix)
     if fmt == "dot":
         name = f"wzd_{g.modulus}" if g.modulus is not None else "g"
-        lines = [f"graph {name} {{"]
-        lines += [f"  {u};" for u in g.labels]
-        lines += [f"  {u} -- {v};" for u, v in edges]
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        vertices = [f"  {u};\n" for u in names]
+        return "".join([f"graph {name} {{\n", *vertices, *rows, "}\n"])
     if fmt == "json":
-        payload = {
-            "modulus": g.modulus,
-            "vertices": list(g.labels),
-            "edges": [list(e) for e in edges],
-        }
-        return json.dumps(payload, separators=(", ", ": ")) + "\n"
-    if fmt == "csv":
-        lines = [f"{u},{v}" for u, v in edges]
-        lines += [str(u) for u, d in zip(g.labels, g.degrees()) if d == 0]
-        return "".join(line + "\n" for line in lines)
-    raise DomainError(f"unknown graph format {fmt!r}; expected one of {GRAPH_FORMATS}")
+        vertices = ", ".join(names)
+        head = f'{{"modulus": {json.dumps(g.modulus)}, "vertices": [{vertices}], "edges": ['
+        return "".join([head, ", ".join(rows), "]}\n"])
+    isolated = np.flatnonzero(~g.adjacency.any(axis=1)).tolist()
+    return "".join([*rows, *(names[i] + "\n" for i in isolated)])

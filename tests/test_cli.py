@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from wzdgraph import cli
+from wzdgraph import cli, graphcore
 from wzdgraph.cli import _worker_count, main
 
 
@@ -127,6 +127,31 @@ def test_graph_json_with_classes(capsys):
     assert payload["modulus"] == 12
     kinds = {c["divisor"]: c["kind"] for c in payload["classes"]}
     assert kinds == {2: "complete", 3: "empty", 4: "complete", 6: "complete"}
+
+
+@pytest.mark.parametrize("n", [12, 18, 360])
+def test_graph_json_with_classes_is_the_export_plus_the_listing(capsys, n):
+    code, out, _ = run_cli(capsys, "graph", str(n), "--format", "json", "--classes")
+    assert code == 0
+    export = json.loads(graphcore.export_graph(graphcore.build_structural_wzd(n), "json"))
+    listing = [
+        {"divisor": c.divisor, "kind": c.kind.value, "members": list(c.members)}
+        for c in graphcore.divisor_classes(n).classes
+    ]
+    payload = json.loads(out)
+    assert list(payload) == ["modulus", "vertices", "edges", "classes"]
+    assert payload == {**export, "classes": listing}
+
+
+def test_graph_refuses_orders_above_the_limit(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "graph", "100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: WΓ(Z_100000) has 59999 vertices, above the limit of "
+        f"{graphcore.MAX_GRAPH_ORDER}\n"
+    )
 
 
 def test_graph_csv_with_classes_is_usage_error(capsys):

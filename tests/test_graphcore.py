@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wzdgraph.errors import DomainError
+from wzdgraph import graphcore
+from wzdgraph.errors import DomainError, OrderCapError
 from wzdgraph.graphcore import (
+    GRAPH_FORMATS,
     Graph,
     Kind,
     annihilator,
@@ -37,6 +39,40 @@ def graph_from_json(text: str) -> Graph:
     return Graph.from_edges(labels, pairs, modulus=payload.get("modulus"))
 
 
+def label_edges(g: Graph) -> list[tuple[int, int]]:
+    """Reference: edges as label pairs (u, v), u < v, lexicographically sorted."""
+    rows, cols = np.nonzero(np.triu(g.adjacency, 1))
+    lab = g.labels
+    pairs = ((lab[i], lab[j]) for i, j in zip(rows.tolist(), cols.tolist()))
+    return sorted((u, v) if u < v else (v, u) for u, v in pairs)
+
+
+def degrees(g: Graph) -> list[int]:
+    return g.adjacency.sum(axis=1).tolist()
+
+
+def reference_export(g: Graph, fmt: str) -> str:
+    """Reference for ``export_graph``: one tuple per edge, sorted, then formatted."""
+    edges = label_edges(g)
+    if fmt == "dot":
+        name = f"wzd_{g.modulus}" if g.modulus is not None else "g"
+        lines = [f"graph {name} {{"]
+        lines += [f"  {u};" for u in g.labels]
+        lines += [f"  {u} -- {v};" for u, v in edges]
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+    if fmt == "json":
+        payload = {
+            "modulus": g.modulus,
+            "vertices": list(g.labels),
+            "edges": [list(e) for e in edges],
+        }
+        return json.dumps(payload, separators=(", ", ": ")) + "\n"
+    lines = [f"{u},{v}" for u, v in edges]
+    lines += [str(u) for u, d in zip(g.labels, degrees(g)) if d == 0]
+    return "".join(line + "\n" for line in lines)
+
+
 def components(g: Graph) -> int:
     """Connected component count by plain BFS, independent of the builders."""
     k = g.vertex_count
@@ -59,7 +95,7 @@ def components(g: Graph) -> int:
 
 
 def label_edge_set(g: Graph) -> set[tuple[int, int]]:
-    return set(g.label_edges())
+    return set(label_edges(g))
 
 
 @pytest.mark.parametrize(
@@ -234,7 +270,8 @@ def test_vertex_count_identity(n):
 @pytest.mark.parametrize("n", [4, 8, 9, 16, 25, 27, 36, 72, 100])
 def test_all_square_prime_factors_give_complete_graphs(n):
     g = build_bruteforce_wzd(n)
-    assert g.is_complete()
+    k = g.vertex_count
+    assert g.edge_count == k * (k - 1) // 2
 
 
 @settings(max_examples=80, deadline=None)
@@ -278,6 +315,34 @@ def test_export_unknown_format_rejected():
         export_graph(build_structural_wzd(6), "xml")
 
 
+@pytest.mark.parametrize("fmt", GRAPH_FORMATS)
+def test_export_matches_reference_for_every_n_to_300(fmt):
+    for n in range(2, 301):
+        g = build_structural_wzd(n)
+        assert export_graph(g, fmt) == reference_export(g, fmt), n
+
+
+@pytest.mark.parametrize("fmt", GRAPH_FORMATS)
+def test_export_matches_reference_on_generic_graphs(fmt):
+    # labels out of order, two isolated vertices, no modulus
+    labels = (30, 7, 12, 100, 5, 41)
+    generic = Graph.from_edges(labels, [(0, 1), (0, 4), (1, 2), (1, 4), (2, 4)])
+    assert degrees(generic)[3] == degrees(generic)[5] == 0
+    prime = build_structural_wzd(13)
+    assert prime.vertex_count == 0
+    for g in (generic, prime, Graph.from_edges((2, 1), [(0, 1)]), Graph.from_edges((), [])):
+        assert export_graph(g, fmt) == reference_export(g, fmt)
+
+
+def test_divisor_classes_refuses_orders_above_the_limit(monkeypatch):
+    monkeypatch.setattr(graphcore, "MAX_GRAPH_ORDER", 11)
+    assert sum(c.size for c in divisor_classes(18).classes) == 11
+    with pytest.raises(OrderCapError, match="13 vertices, above the limit of 11"):
+        divisor_classes(26)
+    with pytest.raises(OrderCapError):
+        build_structural_wzd(26)
+
+
 def test_export_is_deterministic():
     g = build_structural_wzd(30)
     for fmt in ("dot", "json", "csv"):
@@ -287,7 +352,7 @@ def test_export_is_deterministic():
 def test_assemble_join_star():
     g = assemble_join({(0, 1)}, [(2, []), (1, [])])
     assert g.labels == (0, 1, 2)
-    assert g.label_edges() == [(0, 2), (1, 2)]
+    assert label_edges(g) == [(0, 2), (1, 2)]
 
 
 def test_assemble_join_matches_structural_builder():
