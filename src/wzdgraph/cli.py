@@ -195,7 +195,9 @@ def cmd_verify(lo: int, hi: int, fmt: str, tol: float, jobs: int, cap: int | Non
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return _print_reports(pool.map(_verify_worker, work, chunksize=4), lo, hi, fmt)
+            # one n per task: an n refused by its order then fails alone,
+            # after the reports before it, as in a serial run
+            return _print_reports(pool.map(_verify_worker, work), lo, hi, fmt)
     return _print_reports(map(_verify_worker, work), lo, hi, fmt)
 
 

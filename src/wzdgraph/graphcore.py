@@ -24,9 +24,10 @@ from ._numpy import np
 from .errors import DomainError, OrderCapError
 from .numtheory import factorize
 
-#: Largest order n - phi(n) - 1 that ``divisor_classes``, and so ``wzd graph``,
-#: accepts.  Memory grows as its square: at order 4090 (n = 4091^2, complete,
-#: 8-digit labels) ``wzd graph --format dot`` peaks at about 0.6 GB.
+#: Largest order n - phi(n) - 1 that ``divisor_classes`` and ``verify_spectrum``,
+#: and so ``wzd graph`` and ``wzd verify``, accept.  Memory grows as its
+#: square: at order 4090 (n = 4091^2, complete, 8-digit labels)
+#: ``wzd graph --format dot`` peaks at about 0.6 GB.
 MAX_GRAPH_ORDER = 4096
 
 
@@ -164,6 +165,15 @@ def build_bruteforce_wzd(n: int) -> Graph:
     return Graph(labels=tuple(verts), adjacency=adj, modulus=n)
 
 
+def check_graph_order(n: int, order: int) -> None:
+    """Raise OrderCapError when WΓ(Z_n), of ``order`` vertices, is above
+    ``MAX_GRAPH_ORDER``."""
+    if order > MAX_GRAPH_ORDER:
+        raise OrderCapError(
+            f"WΓ(Z_{n}) has {order} vertices, above the limit of {MAX_GRAPH_ORDER}"
+        )
+
+
 def divisor_classes(n: int) -> DivisorClassPartition:
     """Partition of the nonzero zero-divisors of Z_n by gcd with n.
 
@@ -172,18 +182,14 @@ def divisor_classes(n: int) -> DivisorClassPartition:
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     f = factorize(n)
-    if (order := n - f.totient - 1) > MAX_GRAPH_ORDER:
-        raise OrderCapError(
-            f"WΓ(Z_{n}) has {order} vertices, above the limit of {MAX_GRAPH_ORDER}"
-        )
+    check_graph_order(n, n - f.totient - 1)
     proper = f.divisors()[1:-1]
     if not proper:  # n is prime
         return DivisorClassPartition(n=n, classes=(), degenerate=True)
     members: dict[int, list[int]] = {d: [] for d in proper}
-    for x in range(1, n):
-        d = _gcd(x, n)
-        if d > 1:
-            members[d].append(x)
+    # the zero-divisors are the multiples of n's primes: sum n/p residues, not n - 1
+    for x in sorted({x for p, _ in f.factors for x in range(p, n, p)}):
+        members[_gcd(x, n)].append(x)
     exact = f.exponent_one_primes()
     classes = tuple(
         DivisorClass(

@@ -16,6 +16,7 @@ from .graphcore import (
     Graph,
     build_bruteforce_wzd,
     build_structural_wzd,
+    check_graph_order,
     graphs_equal,
 )
 from .spectra import EXACT, SpectrumMultiset, wzd_spectrum_closed_form
@@ -233,18 +234,60 @@ def _row_classes(rows: np.ndarray) -> np.ndarray:
     return np.unique(keys, return_inverse=True)[1]
 
 
+def _twin_classes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Twin classes of the k x k bool adjacency ``a``.
+
+    Vertices with equal rows of A are false twins, and the remaining ones
+    with equal rows of A + I are true twins.  Returns the class index of each
+    vertex, the first vertex of each class, and whether each class is of true
+    twins.  Only ``a`` is read: no gcd, divisor class or factorization.
+    """
+    k = a.shape[0]
+    false_cls = _row_classes(a)
+    false_twin = np.bincount(false_cls)[false_cls] > 1
+    true_cls = _row_classes(a | np.eye(k, dtype=bool))
+    key = np.where(false_twin, false_cls, k + true_cls)
+    _, reps, cls = np.unique(key, return_index=True, return_inverse=True)
+    return cls, reps, ~false_twin[reps]
+
+
+def reflect_classes(m, cls) -> np.ndarray:
+    """Q^T M Q as float64, for the orthogonal Q built from the classes ``cls``.
+
+    ``cls[i]`` labels index i.  Q is one Householder reflection per class of
+    c >= 2 indices, which swaps the class's normalized indicator with the unit
+    vector of its first index; the reflections act on disjoint indices, so
+    they commute, and each costs O(c k).  Q^T M Q has the eigenvalues of M
+    whatever the labels are.  When a class holds twins of a Laplacian M, the
+    rows of its other indices come out diagonal up to rounding, because the
+    differences inside the class are eigenvectors of M.
+    """
+    a = np.array(m, dtype=np.float64)
+    cls = np.asarray(cls)
+    order = np.argsort(cls, kind="stable")
+    for idx in np.split(order, np.flatnonzero(np.diff(cls[order])) + 1):
+        if len(idx) < 2:
+            continue
+        # v = u - e_first with u = 1/sqrt(c) on the class; H = I - 2 v v^T / v^T v
+        v = np.full(len(idx), 1.0 / math.sqrt(len(idx)))
+        v[0] -= 1.0
+        w = v * (2.0 / float(v @ v))
+        a[idx, :] -= np.outer(w, v @ a[idx, :])
+        a[:, idx] -= np.outer(a[:, idx] @ v, w)
+    return a
+
+
 def twin_certificate(g: Graph, spectrum: SpectrumMultiset) -> bool:
     """Exact proof that the Laplacian spectrum of ``g`` is ``spectrum``.
 
-    Vertices with equal rows of A are false twins, and the remaining ones
-    with equal rows of A + I are true twins.  For twins x and y of degree d,
-    e_x - e_y is an eigenvector of L with eigenvalue d (false) or d + 1
-    (true), so a class of size c gives that eigenvalue c - 1 times.  The
-    differences are orthogonal to the columns of the class-indicator matrix
-    P, and the two spaces together span R^k.  The twin partition is
-    equitable, L P = P Q, checked here exactly, so the other eigenvalues are
-    those of the m x m quotient Q.  The twin eigenvalues are removed from
-    ``spectrum`` and the rest must equal the roots of det(xI - Q).
+    For twins x and y of degree d, e_x - e_y is an eigenvector of L with
+    eigenvalue d (false twins) or d + 1 (true twins), so a twin class of
+    size c gives that eigenvalue c - 1 times.  The differences are
+    orthogonal to the columns of the class-indicator matrix P, and the two
+    spaces together span R^k.  The twin partition is equitable, L P = P Q,
+    checked here exactly, so the other eigenvalues are those of the m x m
+    quotient Q.  The twin eigenvalues are removed from ``spectrum`` and the
+    rest must equal the roots of det(xI - Q).
 
     Only ``g.adjacency`` is read: no gcd, divisor class or factorization.
     """
@@ -254,11 +297,7 @@ def twin_certificate(g: Graph, spectrum: SpectrumMultiset) -> bool:
     k = a.shape[0]
     if spectrum.order != k:
         return False
-    false_cls = _row_classes(a)
-    false_twin = np.bincount(false_cls)[false_cls] > 1
-    true_cls = _row_classes(a | np.eye(k, dtype=bool))
-    key = np.where(false_twin, false_cls, k + true_cls)
-    _, reps, cls = np.unique(key, return_index=True, return_inverse=True)
+    cls, reps, true_twin = _twin_classes(a)
     deg = a.sum(axis=1)
     p = np.zeros((k, len(reps)), dtype=np.int64)
     p[np.arange(k), cls] = 1
@@ -267,7 +306,7 @@ def twin_certificate(g: Graph, spectrum: SpectrumMultiset) -> bool:
     if not np.array_equal(lp, q[cls]):
         return False
     residual = dict(spectrum.entries)
-    twin_eigs = deg[reps] + ~false_twin[reps]
+    twin_eigs = deg[reps] + true_twin
     for eig, size in zip(twin_eigs.tolist(), np.bincount(cls).tolist()):
         left = residual.get(eig, 0) - (size - 1)
         if left < 0:
@@ -337,13 +376,20 @@ def verify_spectrum(
     exactly (skipped above ``order_cap``, if given); numeric eigenvalues match
     the closed form elementwise; and all numeric eigenvalues are
     near-integers.
+
+    The numeric eigenvalues are Jacobi's on Q^T L Q, L reflected across the
+    twin classes of the brute-force adjacency (``reflect_classes``): that
+    leaves only a block of class leaders to rotate, and whatever the classes,
+    Q^T L Q has the spectrum of L.  Raises OrderCapError, before any graph is
+    built, when the closed-form order is above ``graphcore.MAX_GRAPH_ORDER``.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    brute = build_bruteforce_wzd(n)
-    structural = build_structural_wzd(n)
     closed = wzd_spectrum_closed_form(n)
     order = closed.order
+    check_graph_order(n, order)
+    brute = build_bruteforce_wzd(n)
+    structural = build_structural_wzd(n)
 
     checks = {"construction_equal": graphs_equal(brute, structural)}
     checks["trace_edges"] = closed.trace() == 2 * brute.edge_count
@@ -352,7 +398,7 @@ def verify_spectrum(
     checks["charpoly_match"] = charpoly_skipped or twin_certificate(brute, closed)
 
     lap = laplacian_matrix(brute)
-    numeric = symmetric_eigenvalues(lap)
+    numeric = symmetric_eigenvalues(reflect_classes(lap, _twin_classes(brute.adjacency)[0]))
     expanded = closed.expand()
     if len(numeric) != len(expanded):
         checks["numeric_match"] = False

@@ -234,6 +234,29 @@ def test_worker_count_is_clamped(monkeypatch):
     assert _worker_count(8, 50) == 1
 
 
+def test_verify_refuses_orders_above_the_limit(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "100000..100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: WΓ(Z_100000) has 59999 vertices, above the limit of "
+        f"{graphcore.MAX_GRAPH_ORDER}\n"
+    )
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_range_stops_at_the_first_refused_n(capsys, jobs):
+    # 8219 and 8221 are prime; 8220 = 2^2 * 3 * 5 * 137 has 6043 zero-divisors
+    code, out, err = run_cli(capsys, "verify", "8219..8221", "--jobs", jobs)
+    assert code == 2
+    assert out == "n=8219 DEGENERATE-EMPTY (prime; no zero-divisors)\n"
+    assert err == (
+        f"error: WΓ(Z_8220) has 6043 vertices, above the limit of "
+        f"{graphcore.MAX_GRAPH_ORDER}\n"
+    )
+
+
 def test_verify_empty_range_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "verify", "3..2")
     assert code == 2

@@ -1,7 +1,9 @@
 """Graph construction: definition scan vs structural assembly, and exports."""
 
 import json
+import time
 from itertools import combinations
+from math import gcd
 
 import numpy as np
 import pytest
@@ -186,6 +188,18 @@ def test_divisor_classes_partition_properties(n):
     assert len(set(all_members)) == len(all_members)
     for c in part.classes:
         assert c.size == euler_phi(n // c.divisor)
+        assert list(c.members) == [x for x in range(1, n) if gcd(x, n) == c.divisor]
+
+
+def test_divisor_classes_scan_only_the_multiples_of_the_primes():
+    # n = 4091^2 has 4090 zero-divisors among 16.7 million residues; a gcd
+    # per residue took 3.8 s
+    n = 4091**2
+    start = time.perf_counter()
+    part = divisor_classes(n)
+    assert time.perf_counter() - start < 1.0
+    assert [(c.divisor, c.kind) for c in part.classes] == [(4091, Kind.COMPLETE)]
+    assert part.classes[0].members == tuple(range(4091, n, 4091))
 
 
 def test_structural_wzd_small_cases():

@@ -5,22 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wzdgraph import graphcore, oracle
 from wzdgraph.errors import ContractViolation, ConvergenceError, DomainError, OrderCapError
 from wzdgraph.graphcore import Graph, Kind, build_bruteforce_wzd
 from wzdgraph.oracle import (
     CHAR_POLY_MAX_ORDER,
+    NUMERIC_MATCH_TOL,
     ExactPolynomial,
     STATUS_DEGENERATE,
+    STATUS_FAIL,
     STATUS_PASS,
     char_poly_exact,
     integrality_check,
     laplacian_matrix,
     poly_from_spectrum,
     poly_matches_spectrum,
+    reflect_classes,
     symmetric_eigenvalues,
     twin_certificate,
     verify_spectrum,
     _round_robin_rounds,
+    _twin_classes,
 )
 from wzdgraph.spectra import (
     SpectrumMultiset,
@@ -203,6 +208,56 @@ def test_jacobi_sweep_bound_includes_the_last_sweep():
     assert np.max(np.abs(np.array(eigs) - expected)) < 1e-8 * len(expected)
     with pytest.raises(ConvergenceError):
         symmetric_eigenvalues(lap, max_sweeps=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=25),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_reflect_classes_keeps_the_spectrum_of_any_grouping(k, labels, seed):
+    # random labels group indices that are not twins, so the reflected
+    # matrix is full, but still similar to the input
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-9, 10, size=(k, k)).astype(float)
+    a = (a + a.T) / 2.0
+    cls = rng.integers(0, labels, size=k) * 7 - 3
+    r = reflect_classes(a, cls)
+    assert r.dtype == np.float64 and r.shape == (k, k)
+    scale = max(1.0, float(np.max(np.abs(a))))
+    assert np.max(np.abs(r - r.T)) < 1e-12 * scale
+    ref = np.linalg.eigvalsh(a)
+    assert np.max(np.abs(np.linalg.eigvalsh(r) - ref)) < 1e-9 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_reflect_classes_leaves_the_class_leaders_to_rotate():
+    # WΓ(Z_18): A_2 (6 false twins) and one class of 5 universal vertices
+    g = build_bruteforce_wzd(18)
+    cls, reps, true_twin = _twin_classes(g.adjacency)
+    assert np.bincount(cls).tolist() == [6, 5] and true_twin.tolist() == [False, True]
+    r = reflect_classes(laplacian_matrix(g), cls)
+    off = r - np.diag(np.diagonal(r))
+    off[np.ix_(reps, reps)] = 0.0
+    assert np.max(np.abs(off)) < 1e-14
+    # the other rows carry the twin eigenvalues: d = 5 in A_2, d + 1 = 11
+    others = np.setdiff1d(np.arange(11), reps)
+    expected = np.where(cls[others] == 0, 5.0, 11.0)
+    assert np.max(np.abs(np.diagonal(r)[others] - expected)) < 1e-14
+
+
+def test_jacobi_converges_in_one_sweep_on_reflected_wzd_laplacians():
+    # up to 6 sweeps on the raw Laplacians; skipping the reflection fails
+    # this at the first n that needs more than one
+    for n in range(4, 601):
+        closed = wzd_spectrum_closed_form(n)
+        if closed.order == 0:
+            continue
+        g = build_bruteforce_wzd(n)
+        r = reflect_classes(laplacian_matrix(g), _twin_classes(g.adjacency)[0])
+        eigs = symmetric_eigenvalues(r, max_sweeps=1)
+        err = np.max(np.abs(np.array(eigs) - closed.expand()))
+        assert err <= NUMERIC_MATCH_TOL * closed.order, n
 
 
 def test_char_poly_examples():
@@ -445,6 +500,37 @@ def test_verify_spectrum_degenerate_prime():
 def test_verify_spectrum_rejects_tiny_n():
     with pytest.raises(DomainError):
         verify_spectrum(1)
+
+
+@pytest.mark.parametrize("change", ["remove", "add"])
+def test_verify_spectrum_numeric_check_sees_one_edge_changed(monkeypatch, change):
+    def changed(n):
+        g = graphcore.build_bruteforce_wzd(n)
+        a = g.adjacency.copy()
+        present = change == "remove"
+        i, j = np.argwhere(np.triu(a == present, 1))[len(a) // 2]
+        a[i, j] = a[j, i] = not present
+        return Graph(labels=g.labels, adjacency=a, modulus=n)
+
+    monkeypatch.setattr(oracle, "build_bruteforce_wzd", changed)
+    rep = verify_spectrum(240)
+    assert rep.checks["numeric_match"] is False
+    assert rep.status == STATUS_FAIL
+
+
+def test_verify_spectrum_refuses_orders_above_the_limit(monkeypatch):
+    def unreachable(n):
+        raise AssertionError("the graph is built before the order check")
+
+    monkeypatch.setattr(graphcore, "MAX_GRAPH_ORDER", 11)
+    assert verify_spectrum(18).status == STATUS_PASS  # 11 vertices
+    monkeypatch.setattr(oracle, "build_bruteforce_wzd", unreachable)
+    with pytest.raises(OrderCapError) as refused:
+        verify_spectrum(26)
+    with pytest.raises(OrderCapError) as by_classes:
+        graphcore.divisor_classes(26)
+    assert str(refused.value) == str(by_classes.value)
+    assert str(refused.value) == "WΓ(Z_26) has 13 vertices, above the limit of 11"
 
 
 def test_verify_spectrum_cap_skips_charpoly():
