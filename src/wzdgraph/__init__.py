@@ -15,7 +15,6 @@ from .graphcore import (
     DivisorClassPartition,
     Graph,
     Kind,
-    annihilator,
     build_bruteforce_wzd,
     build_structural_wzd,
     build_zero_divisor_graph,

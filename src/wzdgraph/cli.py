@@ -9,6 +9,7 @@ deterministic: identical invocations produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -64,7 +65,10 @@ def _positive_int(text: str) -> int:
     return x
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The ``wzd`` parser, built on the first call and then reused; usage
+    errors go to the ``sys.stderr`` of the call that meets them."""
     parser = argparse.ArgumentParser(
         prog="wzd",
         description="Weakly zero-divisor graphs of Z_n and their Laplacian spectra.",
@@ -197,7 +201,12 @@ def cmd_verify(lo: int, hi: int, fmt: str, tol: float, jobs: int, cap: int | Non
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # one n per task: an n refused by its order then fails alone,
             # after the reports before it, as in a serial run
-            return _print_reports(pool.map(_verify_worker, work), lo, hi, fmt)
+            try:
+                return _print_reports(pool.map(_verify_worker, work), lo, hi, fmt)
+            except BaseException:
+                # the n after a refused one are not printed: start no more
+                pool.shutdown(wait=False, cancel_futures=True)
+                raise
     return _print_reports(map(_verify_worker, work), lo, hi, fmt)
 
 

@@ -4,6 +4,7 @@ WΓ(Z_n) is built two independent ways:
 
 * ``build_bruteforce_wzd`` scans the adjacency definition directly: x ~ y iff
   some nonzero r annihilating x and nonzero s annihilating y have rs = 0 mod n.
+  The annihilators come from the raw test r*x = 0 mod n, not from gcds.
 * ``build_structural_wzd`` assembles the graph from its divisor-class
   partition: classes A_d = {x : gcd(x, n) = d} are pairwise completely joined,
   and each class induces either a complete or an empty subgraph.
@@ -29,6 +30,17 @@ from .numtheory import factorize
 #: square: at order 4090 (n = 4091^2, complete, 8-digit labels)
 #: ``wzd graph --format dot`` peaks at about 0.6 GB.
 MAX_GRAPH_ORDER = 4096
+
+#: Largest n that ``build_bruteforce_wzd``, and so ``wzd verify``, scans.  A
+#: composite n has at least n/p - 1 >= sqrt(n) - 1 zero-divisors, p its least
+#: prime, so every composite above this bound is refused by the order limit
+#: already; the bound refuses the primes, whose scan would walk all of Z_n.
+#: It also keeps the scan's products r*x below n^2 < 2^63.
+MAX_SCAN_MODULUS = (MAX_GRAPH_ORDER + 1) ** 2
+
+#: Cells of one numpy window in the definition scan: at most this many
+#: residues, or vertex x candidate products, at a time (8 MB of int64).
+SCAN_WINDOW_CELLS = 1 << 20
 
 
 class Kind(Enum):
@@ -114,23 +126,44 @@ class DivisorClassPartition:
     degenerate: bool = False
 
 
-def annihilator(n: int, x: int) -> set[int]:
-    """All r in Z_n with r*x = 0 mod n; equals the multiples of n/gcd(x, n)."""
-    if n < 2:
-        raise DomainError(f"need modulus n >= 2, got {n}")
-    if not 0 <= x < n:
-        raise DomainError(f"residue {x} out of range for Z_{n}")
-    return {r for r in range(n) if r * x % n == 0}
-
-
 def zero_divisors(n: int) -> list[int]:
-    """Nonzero zero-divisors of Z_n, ascending; empty when n is prime."""
+    """Nonzero zero-divisors of Z_n, ascending; empty when n is prime.
+
+    One ``np.gcd`` per window of ``SCAN_WINDOW_CELLS`` residues; needs n < 2^63.
+    """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    return [x for x in range(1, n) if _gcd(x, n) > 1]
+    found = []
+    for lo in range(1, n, SCAN_WINDOW_CELLS):
+        x = np.arange(lo, min(lo + SCAN_WINDOW_CELLS, n), dtype=np.int64)
+        found.append(x[np.gcd(x, n) > 1])
+    return np.concatenate(found).tolist()
 
 
-def _wzd_adjacent(n: int, ann_x: tuple[int, ...], ann_y: tuple[int, ...]) -> bool:
+def _least_annihilators(n: int, verts: list[int]) -> np.ndarray:
+    """Least r >= 1 with r*x = 0 mod n, for each x of ``verts``, by the raw test.
+
+    Candidates r = 1, 2, ... are tested against all unresolved x at once, in
+    windows of at most ``SCAN_WINDOW_CELLS`` products; a resolved x drops out,
+    so the work is about the sum of n/gcd(x, n).  Needs n^2 < 2^63.
+    """
+    x = np.array(verts, dtype=np.int64)
+    least = np.zeros(len(x), dtype=np.int64)
+    todo = np.arange(len(x))
+    lo = 1
+    while todo.size:
+        width = max(1, SCAN_WINDOW_CELLS // todo.size)
+        r = np.arange(lo, min(lo + width, n + 1), dtype=np.int64)  # r = n always hits
+        prod = np.multiply.outer(x[todo], r)
+        hit = np.remainder(prod, n, out=prod) == 0
+        found = hit.any(axis=1)
+        least[todo[found]] = r[hit[found].argmax(axis=1)]
+        todo = todo[~found]
+        lo += len(r)
+    return least
+
+
+def _wzd_adjacent(n: int, ann_x: range, ann_y: range) -> bool:
     # Witnesses must be nonzero: with r = 0 allowed every pair would be
     # adjacent and the within-class empty subgraphs could not exist.
     for r in ann_x:
@@ -143,19 +176,24 @@ def _wzd_adjacent(n: int, ann_x: tuple[int, ...], ann_y: tuple[int, ...]) -> boo
 def build_bruteforce_wzd(n: int) -> Graph:
     """WΓ(Z_n) by direct definition scan over annihilator element pairs.
 
-    Adjacency depends only on the two annihilator sets, so the witness search
-    runs once per pair of distinct annihilators, into a token x token table
-    that the vertex pairs then index; the scan itself stays a raw iteration
-    over nonzero annihilator elements.
+    The annihilator of x is an additive subgroup of Z_n, so it is cyclic: the
+    multiples of its least positive element r0 (``_least_annihilators``,
+    found by the raw test r*x = 0 mod n, with no gcd or divisor lattice).
+    Adjacency depends only on the two annihilators, so vertices are keyed on
+    r0, and the witness search runs once per pair of distinct r0 over the
+    nonzero elements ``range(r0, n, r0)``, into a token x token table that
+    the vertex pairs then index.
+
+    Raises OrderCapError above ``MAX_SCAN_MODULUS``.
     """
+    if n > MAX_SCAN_MODULUS:
+        raise OrderCapError(
+            f"n = {n} is above {MAX_SCAN_MODULUS}, the largest modulus the "
+            f"definition scan takes"
+        )
     verts = zero_divisors(n)
-    # Token per distinct annihilator set, in order of first appearance.
-    tokens: dict[tuple[int, ...], int] = {}
-    vert_tok = [
-        tokens.setdefault(tuple(sorted(annihilator(n, x) - {0})), len(tokens))
-        for x in verts
-    ]
-    anns = list(tokens)
+    least, vert_tok = np.unique(_least_annihilators(n, verts), return_inverse=True)
+    anns = [range(r0, n, r0) for r0 in least.tolist()]
     table = np.zeros((len(anns), len(anns)), dtype=bool)
     for a in range(len(anns)):
         for b in range(a, len(anns)):

@@ -252,32 +252,63 @@ def _twin_classes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def reflect_classes(m, cls) -> np.ndarray:
-    """Q^T M Q as float64, for the orthogonal Q built from the classes ``cls``.
+    """Q^T M Q as float64, in class order, for the orthogonal Q built from the
+    classes ``cls``.
 
-    ``cls[i]`` labels index i.  Q is one Householder reflection per class of
+    ``cls[i]`` labels index i.  Q first permutes the indices into class order,
+    ``np.argsort(cls, kind="stable")``: row and column i of the result belong
+    to index ``order[i]``, and each class is one contiguous block, led by its
+    first index.  Then Q applies one Householder reflection per class of
     c >= 2 indices, which swaps the class's normalized indicator with the unit
-    vector of its first index; the reflections act on disjoint indices, so
-    they commute, and each costs O(c k).  Q^T M Q has the eigenvalues of M
-    whatever the labels are.  When a class holds twins of a Laplacian M, the
-    rows of its other indices come out diagonal up to rounding, because the
+    vector of its leader; the reflections act on disjoint slices, so they
+    commute, and each costs O(c k).  Q^T M Q has the eigenvalues of M whatever
+    the labels are.  When a class holds twins of a Laplacian M, the rows of
+    its other indices come out diagonal up to rounding, because the
     differences inside the class are eigenvectors of M.
     """
-    a = np.array(m, dtype=np.float64)
     cls = np.asarray(cls)
     order = np.argsort(cls, kind="stable")
-    for idx in np.split(order, np.flatnonzero(np.diff(cls[order])) + 1):
-        if len(idx) < 2:
+    a = np.asarray(m)[np.ix_(order, order)].astype(np.float64)
+    cuts = [0, *(np.flatnonzero(np.diff(cls[order])) + 1).tolist(), len(order)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi - lo < 2:
             continue
-        # v = u - e_first with u = 1/sqrt(c) on the class; H = I - 2 v v^T / v^T v
-        v = np.full(len(idx), 1.0 / math.sqrt(len(idx)))
+        # v = u - e_lo with u = 1/sqrt(c) on the class; H = I - 2 v v^T / v^T v
+        v = np.full(hi - lo, 1.0 / math.sqrt(hi - lo))
         v[0] -= 1.0
         w = v * (2.0 / float(v @ v))
-        a[idx, :] -= np.outer(w, v @ a[idx, :])
-        a[:, idx] -= np.outer(a[:, idx] @ v, w)
+        a[lo:hi, :] -= np.outer(w, v @ a[lo:hi, :])
+        a[:, lo:hi] -= np.outer(a[:, lo:hi] @ v, w)
     return a
 
 
-def twin_certificate(g: Graph, spectrum: SpectrumMultiset) -> bool:
+def _deflated_eigenvalues(a: np.ndarray, leaders: np.ndarray) -> list[float]:
+    """Eigenvalues of the symmetric ``a``, ascending, when its off-diagonal
+    mass sits in the rows and columns ``leaders``; ``a`` is overwritten.
+
+    E is everything off the diagonal outside the leaders x leaders block B,
+    and ||E||_F is summed directly over E's entries, with B and the diagonal
+    set aside.  When it is under half of Jacobi's own stopping target
+    ``JACOBI_CONV_FACTOR * (1 + max |diagonal|)``, the eigenvalues are the
+    diagonal of the other rows plus ``symmetric_eigenvalues(B)``: by Weyl's
+    inequality each moves by at most ||E||_2 <= ||E||_F when E is dropped
+    (Golub & Van Loan, Matrix Computations, 4th ed., 8.1.2), the bound that
+    makes Jacobi's own stopping test sound.  Otherwise all of ``a`` goes to
+    ``symmetric_eigenvalues``.
+    """
+    diag = np.diagonal(a).copy()
+    block = a[np.ix_(leaders, leaders)]
+    target = JACOBI_CONV_FACTOR * (1.0 + float(np.max(np.abs(diag), initial=0.0)))
+    a[np.ix_(leaders, leaders)] = 0.0
+    np.fill_diagonal(a, 0.0)
+    if math.sqrt(float(np.vdot(a, a))) < 0.5 * target:
+        return sorted(np.delete(diag, leaders).tolist() + symmetric_eigenvalues(block))
+    a[np.ix_(leaders, leaders)] = block
+    np.fill_diagonal(a, diag)
+    return symmetric_eigenvalues(a)
+
+
+def twin_certificate(g: Graph, spectrum: SpectrumMultiset, twins=None) -> bool:
     """Exact proof that the Laplacian spectrum of ``g`` is ``spectrum``.
 
     For twins x and y of degree d, e_x - e_y is an eigenvector of L with
@@ -290,6 +321,7 @@ def twin_certificate(g: Graph, spectrum: SpectrumMultiset) -> bool:
     rest must equal the roots of det(xI - Q).
 
     Only ``g.adjacency`` is read: no gcd, divisor class or factorization.
+    ``twins`` is ``_twin_classes(g.adjacency)``, if the caller has it already.
     """
     if spectrum.variant != EXACT:
         raise ContractViolation("exact spectrum required")
@@ -297,7 +329,7 @@ def twin_certificate(g: Graph, spectrum: SpectrumMultiset) -> bool:
     k = a.shape[0]
     if spectrum.order != k:
         return False
-    cls, reps, true_twin = _twin_classes(a)
+    cls, reps, true_twin = _twin_classes(a) if twins is None else twins
     deg = a.sum(axis=1)
     p = np.zeros((k, len(reps)), dtype=np.int64)
     p[np.arange(k), cls] = 1
@@ -377,11 +409,19 @@ def verify_spectrum(
     the closed form elementwise; and all numeric eigenvalues are
     near-integers.
 
-    The numeric eigenvalues are Jacobi's on Q^T L Q, L reflected across the
-    twin classes of the brute-force adjacency (``reflect_classes``): that
-    leaves only a block of class leaders to rotate, and whatever the classes,
-    Q^T L Q has the spectrum of L.  Raises OrderCapError, before any graph is
-    built, when the closed-form order is above ``graphcore.MAX_GRAPH_ORDER``.
+    The twin classes of the brute-force adjacency are found once, for the
+    certificate and for the numeric check.  The numeric eigenvalues are those
+    of Q^T L Q, L reflected across the twin classes (``reflect_classes``):
+    whatever the classes, it has the spectrum of L, and when they are twin
+    classes only the block of class leaders keeps off-diagonal mass.  When
+    the rest, E, has ||E||_F under half of Jacobi's stopping target, the
+    eigenvalues are the other rows' diagonal plus Jacobi's on the leader
+    block; otherwise Jacobi runs on all of Q^T L Q (``_deflated_eigenvalues``).
+
+    Raises OrderCapError, before any graph is built, when the closed-form
+    order is above ``graphcore.MAX_GRAPH_ORDER``, or when n is above
+    ``graphcore.MAX_SCAN_MODULUS``, which only a prime can reach past the
+    order limit.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
@@ -394,11 +434,14 @@ def verify_spectrum(
     checks = {"construction_equal": graphs_equal(brute, structural)}
     checks["trace_edges"] = closed.trace() == 2 * brute.edge_count
 
+    twins = _twin_classes(brute.adjacency)
     charpoly_skipped = order_cap is not None and order > order_cap
-    checks["charpoly_match"] = charpoly_skipped or twin_certificate(brute, closed)
+    checks["charpoly_match"] = charpoly_skipped or twin_certificate(brute, closed, twins)
 
-    lap = laplacian_matrix(brute)
-    numeric = symmetric_eigenvalues(reflect_classes(lap, _twin_classes(brute.adjacency)[0]))
+    # in class order the leader of each class opens its block
+    sizes = np.bincount(twins[0])
+    leaders = (np.cumsum(sizes) - sizes)[sizes > 0]
+    numeric = _deflated_eigenvalues(reflect_classes(laplacian_matrix(brute), twins[0]), leaders)
     expanded = closed.expand()
     if len(numeric) != len(expanded):
         checks["numeric_match"] = False

@@ -257,6 +257,33 @@ def test_verify_range_stops_at_the_first_refused_n(capsys, jobs):
     )
 
 
+def test_verify_jobs_stops_at_a_refused_n_without_running_the_rest(capsys):
+    # 8210 (order 4929) is refused first; 8211 (order 3986), 8213 and 8215
+    # would be verified if the pool ran what pool.map had queued
+    code, out, err = run_cli(capsys, "verify", "8210..8216")
+    start = time.perf_counter()
+    pooled = run_cli(capsys, "verify", "8210..8216", "--jobs", "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: WΓ(Z_8210) has 4929 vertices, above the limit of "
+        f"{graphcore.MAX_GRAPH_ORDER}\n"
+    )
+    assert pooled == (code, out, err)
+
+
+@pytest.mark.parametrize("n", [100000007, 10**18 + 3])
+def test_verify_refuses_primes_above_the_scan_bound(capsys, n):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", f"{n}..{n}")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: n = {n} is above {graphcore.MAX_SCAN_MODULUS}, the largest "
+        f"modulus the definition scan takes\n"
+    )
+
+
 def test_verify_empty_range_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "verify", "3..2")
     assert code == 2
@@ -478,3 +505,15 @@ def test_output_determinism(capsys):
 def test_unknown_command_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2
+
+
+def test_parser_is_built_once_and_each_call_reports_to_its_own_stderr(monkeypatch):
+    assert cli._parser() is cli._parser()
+    errs = []
+    for _ in range(2):
+        err = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", err)
+        assert main(["frobnicate"]) == 2
+        errs.append(err.getvalue())
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("usage: wzd ") and "invalid choice: 'frobnicate'" in errs[0]

@@ -16,7 +16,6 @@ from wzdgraph.graphcore import (
     GRAPH_FORMATS,
     Graph,
     Kind,
-    annihilator,
     assemble_join,
     build_bruteforce_wzd,
     build_structural_wzd,
@@ -100,6 +99,15 @@ def label_edge_set(g: Graph) -> set[tuple[int, int]]:
     return set(label_edges(g))
 
 
+def annihilator(n: int, x: int) -> set[int]:
+    """Reference: all r in Z_n with r*x = 0 mod n, one residue at a time."""
+    if n < 2:
+        raise DomainError(f"need modulus n >= 2, got {n}")
+    if not 0 <= x < n:
+        raise DomainError(f"residue {x} out of range for Z_{n}")
+    return {r for r in range(n) if r * x % n == 0}
+
+
 @pytest.mark.parametrize(
     "n, x, expected",
     [
@@ -128,6 +136,25 @@ def test_annihilator_domain_errors():
         annihilator(1, 0)
     with pytest.raises(DomainError):
         annihilator(6, 6)
+
+
+@pytest.mark.parametrize("cells", [1, 7, graphcore.SCAN_WINDOW_CELLS])
+def test_least_annihilators_match_the_reference_sets(monkeypatch, cells):
+    # small windows make every n cross window boundaries
+    monkeypatch.setattr(graphcore, "SCAN_WINDOW_CELLS", cells)
+    for n in range(2, 121):
+        verts = zero_divisors(n)
+        assert verts == [x for x in range(1, n) if gcd(x, n) > 1]
+        least = graphcore._least_annihilators(n, verts).tolist()
+        assert least == [min(annihilator(n, x) - {0}) for x in verts], n
+        # the annihilator is the multiples of its least positive element
+        assert all(annihilator(n, x) == set(range(0, n, r)) for x, r in zip(verts, least))
+
+
+@pytest.mark.parametrize("n", [5040, 8186, 66049])
+def test_scan_equals_structural_at_large_orders(n):
+    # many classes; an empty class of 4092; large n and small order
+    assert graphs_equal(build_bruteforce_wzd(n), build_structural_wzd(n))
 
 
 def test_bruteforce_wzd_small_cases():

@@ -236,7 +236,12 @@ def test_reflect_classes_leaves_the_class_leaders_to_rotate():
     g = build_bruteforce_wzd(18)
     cls, reps, true_twin = _twin_classes(g.adjacency)
     assert np.bincount(cls).tolist() == [6, 5] and true_twin.tolist() == [False, True]
-    r = reflect_classes(laplacian_matrix(g), cls)
+    # the result is in class order, each class opened by its leader; put it
+    # back in vertex order
+    order = np.argsort(cls, kind="stable")
+    assert order[[0, 6]].tolist() == reps.tolist()
+    back = np.argsort(order)
+    r = reflect_classes(laplacian_matrix(g), cls)[np.ix_(back, back)]
     off = r - np.diag(np.diagonal(r))
     off[np.ix_(reps, reps)] = 0.0
     assert np.max(np.abs(off)) < 1e-14
@@ -516,6 +521,102 @@ def test_verify_spectrum_numeric_check_sees_one_edge_changed(monkeypatch, change
     rep = verify_spectrum(240)
     assert rep.checks["numeric_match"] is False
     assert rep.status == STATUS_FAIL
+
+
+def jacobi_orders(monkeypatch) -> list[int]:
+    """The order of every matrix ``verify_spectrum`` hands to Jacobi."""
+    orders = []
+    real = oracle.symmetric_eigenvalues
+
+    def spy(m, *args, **kwargs):
+        orders.append(len(m))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "symmetric_eigenvalues", spy)
+    return orders
+
+
+def test_verify_spectrum_runs_jacobi_on_the_leader_block_only(monkeypatch):
+    orders = jacobi_orders(monkeypatch)
+    blocks = total = 0
+    for n in range(4, 201):
+        del orders[:]
+        assert verify_spectrum(n).passed, n
+        leaders = len(_twin_classes(build_bruteforce_wzd(n).adjacency)[1])
+        assert orders == [leaders], n
+        blocks += leaders
+        total += wzd_spectrum_closed_form(n).order
+    assert blocks * 10 < total
+
+
+def test_verify_spectrum_twin_classes_found_once(monkeypatch):
+    calls = []
+    real = oracle._twin_classes
+    monkeypatch.setattr(oracle, "_twin_classes", lambda a: calls.append(1) or real(a))
+    assert verify_spectrum(240).status == STATUS_PASS
+    assert len(calls) == 1
+
+
+def test_verify_spectrum_wrong_grouping_takes_the_fallback_and_passes(monkeypatch):
+    # classes mixing non-twins leave mass outside the leader block, so the
+    # whole k x k matrix goes to Jacobi, and the verdict stands; each n has an
+    # empty class (in a complete graph every grouping is one of twins)
+    def wrong(a):
+        k = a.shape[0]
+        return np.arange(k) % 3, np.arange(min(k, 3)), np.zeros(min(k, 3), dtype=bool)
+
+    orders = jacobi_orders(monkeypatch)
+    monkeypatch.setattr(oracle, "_twin_classes", wrong)
+    for n in (18, 150, 240):
+        del orders[:]
+        rep = verify_spectrum(n, order_cap=1)
+        assert rep.status == STATUS_PASS, n
+        assert orders == [wzd_spectrum_closed_form(n).order], n
+    # the certificate reads the same grouping, and its exact L P = P Q refuses it
+    rep = verify_spectrum(18)
+    assert rep.status == STATUS_FAIL and rep.checks["charpoly_match"] is False
+    assert rep.checks["numeric_match"] is True
+
+
+@pytest.mark.parametrize("n", [18, 150])
+def test_verify_spectrum_deflated_path_sees_a_perturbed_laplacian(monkeypatch, n):
+    # a multiple of I keeps the twin eigenvectors, so the check stays deflated
+    order = wzd_spectrum_closed_form(n).order
+    shift = 2 * NUMERIC_MATCH_TOL * order
+    real = oracle.laplacian_matrix
+    monkeypatch.setattr(oracle, "laplacian_matrix", lambda g: real(g) + shift * np.eye(order))
+    orders = jacobi_orders(monkeypatch)
+    rep = verify_spectrum(n)
+    assert rep.checks["numeric_match"] is False and rep.status == STATUS_FAIL
+    assert orders and orders[0] < order
+
+
+def test_verify_spectrum_sees_a_planted_wrong_least_annihilator(monkeypatch):
+    # vertex 2 of Z_18 has least annihilator 9; planting 6 adds the witness
+    # 6 * 9 = 0 to 2 ~ 4, an edge inside the empty class A_2
+    real = graphcore._least_annihilators
+
+    def planted(n, verts):
+        least = real(n, verts)
+        least[verts.index(2)] = 6
+        return least
+
+    monkeypatch.setattr(graphcore, "_least_annihilators", planted)
+    rep = verify_spectrum(18)
+    assert rep.checks["construction_equal"] is False
+    assert rep.status == STATUS_FAIL
+
+
+def test_verify_spectrum_refuses_primes_above_the_scan_bound(monkeypatch):
+    def unreachable(n):
+        raise AssertionError("the vertices are listed before the bound check")
+
+    assert graphcore.MAX_SCAN_MODULUS == (graphcore.MAX_GRAPH_ORDER + 1) ** 2 == 16785409
+    monkeypatch.setattr(graphcore, "zero_divisors", unreachable)
+    for n in (graphcore.MAX_SCAN_MODULUS + 12, 100000007, 10**18 + 3):  # primes
+        assert wzd_spectrum_closed_form(n).order == 0
+        with pytest.raises(OrderCapError, match=f"n = {n} is above 16785409"):
+            verify_spectrum(n)
 
 
 def test_verify_spectrum_refuses_orders_above_the_limit(monkeypatch):

@@ -63,6 +63,15 @@ def test_verify_jobs_matches_the_serial_run_and_leaves_numpy_to_the_workers(caps
     assert pooled == capsys.readouterr().out
 
 
+def test_parser_is_built_on_first_use():
+    code = ("from wzdgraph import cli\n"
+            "assert cli._parser.cache_info().currsize == 0\n"
+            "assert cli.main(['spectrum', '30']) == 0\n"
+            "assert cli._parser.cache_info().currsize == 1\n")
+    proc = python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_lazy_binding_is_numpy_itself():
     code = ("import sys, wzdgraph._numpy as lazy, numpy\n"
             "assert lazy.np is numpy is sys.modules['numpy']\n"
