@@ -272,22 +272,52 @@ def cmd_table(lo: int, hi: int, fmt: str) -> int:
     return 0
 
 
-def _component_from_json(entry: dict, index: int) -> spectra.SpectrumMultiset:
+def _spectrum_pairs(entries, index: int) -> list[tuple]:
+    """(eigenvalue, multiplicity) pairs of component ``index``'s spectrum:
+    finite numbers, each with an integer multiplicity >= 0."""
+    pairs = []
+    for item in entries:
+        e, m = item["eigenvalue"], item["multiplicity"]
+        if type(m) is not int or m < 0:
+            raise DomainError(
+                f"component {index}: multiplicity must be an integer >= 0, got {m!r}"
+            )
+        # the bound also refuses NaN, and ints that no float holds
+        if type(e) not in (int, float) or not abs(e) <= sys.float_info.max:
+            raise DomainError(f"component {index}: eigenvalue must be a finite number, got {e!r}")
+        pairs.append((e, m))
+    return pairs
+
+
+def _local_edges(entry: dict, order: int, index: int) -> list[tuple[int, int]]:
+    """Component ``index``'s ``edges`` as index pairs (i, j), 0 <= i < j < order."""
+    edges = []
+    for edge in entry["edges"]:
+        if not (
+            isinstance(edge, list)
+            and len(edge) == 2
+            and all(type(x) is int and 0 <= x < order for x in edge)
+            and edge[0] != edge[1]
+        ):
+            raise DomainError(f"component {index}: bad edge {edge!r} for order {order}")
+        edges.append((min(edge), max(edge)))
+    return edges
+
+
+def _component_from_json(entry, index: int) -> spectra.SpectrumMultiset:
+    if not isinstance(entry, dict):
+        raise DomainError(f"component {index} is not an object")
     if "spectrum" in entry:
-        pairs = [
-            (item["eigenvalue"], item["multiplicity"])
-            for item in entry["spectrum"]["entries"]
-        ]
+        pairs = _spectrum_pairs(entry["spectrum"]["entries"], index)
         if all(float(e).is_integer() for e, _ in pairs):
             return spectra.SpectrumMultiset.exact((int(e), m) for e, m in pairs)
         return spectra.SpectrumMultiset.floating(pairs)
     kind = entry.get("kind")
     if kind not in ("complete", "empty"):
         if "edges" in entry and "order" in entry:
-            g = graphcore.Graph.from_edges(
-                range(entry["order"]),
-                ((min(u, v), max(u, v)) for u, v in entry["edges"]),
-            )
+            order = entry["order"]
+            graphcore.check_graph_order(f"join component {index}", order)
+            g = graphcore.Graph.from_edges(range(order), _local_edges(entry, order, index))
             eigs = oracle.symmetric_eigenvalues(oracle.laplacian_matrix(g))
             return spectra.SpectrumMultiset.floating((e, 1) for e in eigs)
         raise DomainError(
@@ -298,7 +328,7 @@ def _component_from_json(entry: dict, index: int) -> spectra.SpectrumMultiset:
 
 def _component_edges(entry: dict, order: int, index: int) -> list[tuple[int, int]]:
     if "edges" in entry:
-        return [(min(u, v), max(u, v)) for u, v in entry["edges"]]
+        return _local_edges(entry, order, index)
     kind = entry.get("kind")
     if kind == "complete":
         return [(i, j) for i in range(order) for j in range(i + 1, order)]
@@ -315,8 +345,10 @@ def cmd_join(path: str, fmt: str, check: bool) -> int:
         labels = tuple(host_spec["labels"])
         index = {u: i for i, u in enumerate(labels)}
         edges = set()
-        for u, v in host_spec["edges"]:
-            i, j = index[u], index[v]
+        for edge in host_spec["edges"]:
+            if not (isinstance(edge, list) and len(edge) == 2):
+                raise DomainError(f"host edge {edge!r} is not a pair of labels")
+            i, j = index[edge[0]], index[edge[1]]
             edges.add((i, j) if i < j else (j, i))
         host = spectra.WeightedHostGraph(
             labels=labels, weights=tuple(host_spec["weights"]), edges=frozenset(edges)
@@ -333,6 +365,7 @@ def cmd_join(path: str, fmt: str, check: bool) -> int:
 
     check_ok = True
     if check:
+        graphcore.check_graph_order("the assembled join", sum(host.weights))
         try:
             parts = [
                 (host.weights[i], _component_edges(entry, host.weights[i], i))

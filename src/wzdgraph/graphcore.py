@@ -69,7 +69,8 @@ class Graph:
         k = len(self.labels)
         if len(set(self.labels)) != k:
             raise DomainError("duplicate vertex labels")
-        adj = np.array(self.adjacency)
+        # C order: the twin classes view each packed row as one value
+        adj = np.array(self.adjacency, order="C")
         if adj.dtype != bool or adj.shape != (k, k):
             raise DomainError(
                 f"need a {k} x {k} boolean adjacency, got {adj.dtype} {adj.shape}"
@@ -198,17 +199,17 @@ def build_bruteforce_wzd(n: int) -> Graph:
     for a in range(len(anns)):
         for b in range(a, len(anns)):
             table[a, b] = table[b, a] = _wzd_adjacent(n, anns[a], anns[b])
-    adj = table[np.ix_(vert_tok, vert_tok)]
+    adj = table.take(vert_tok, 0).take(vert_tok, 1)
     np.fill_diagonal(adj, False)
     return Graph(labels=tuple(verts), adjacency=adj, modulus=n)
 
 
-def check_graph_order(n: int, order: int) -> None:
-    """Raise OrderCapError when WΓ(Z_n), of ``order`` vertices, is above
-    ``MAX_GRAPH_ORDER``."""
+def check_graph_order(name: str, order: int) -> None:
+    """Raise OrderCapError when the graph ``name``, of ``order`` vertices, is
+    above ``MAX_GRAPH_ORDER``."""
     if order > MAX_GRAPH_ORDER:
         raise OrderCapError(
-            f"WΓ(Z_{n}) has {order} vertices, above the limit of {MAX_GRAPH_ORDER}"
+            f"{name} has {order} vertices, above the limit of {MAX_GRAPH_ORDER}"
         )
 
 
@@ -220,7 +221,7 @@ def divisor_classes(n: int) -> DivisorClassPartition:
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     f = factorize(n)
-    check_graph_order(n, n - f.totient - 1)
+    check_graph_order(f"WΓ(Z_{n})", n - f.totient - 1)
     proper = f.divisors()[1:-1]
     if not proper:  # n is prime
         return DivisorClassPartition(n=n, classes=(), degenerate=True)

@@ -7,6 +7,7 @@ the report fails and shows the exact spectrum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,11 @@ CHAR_POLY_MAX_ORDER = 64
 
 JACOBI_CONV_FACTOR = 1e-12
 JACOBI_MAX_SWEEPS = 100
+#: largest order whose Jacobi schedule is cached.  The schedule of order k
+#: holds 16 k (k - 1) bytes of indices plus one view per round, so the full
+#: cache, one entry per order, takes about 2.3 MB, where one entry at order
+#: 4096 alone would take 270 MB.
+JACOBI_CACHED_ORDER = 64
 TRACE_REL_TOL = 1e-9
 SYMMETRY_REL_TOL = 1e-12
 
@@ -52,8 +58,10 @@ class ExactPolynomial:
 
 def laplacian_matrix(g: Graph) -> np.ndarray:
     """L = D - A for an explicit graph, as a k x k int64 array."""
-    a = g.adjacency.astype(np.int64)
-    return np.diag(a.sum(axis=1)) - a
+    lap = g.adjacency.astype(np.int64)
+    np.negative(lap, out=lap)
+    np.fill_diagonal(lap, g.adjacency.sum(axis=1))
+    return lap
 
 
 def _round_robin_rounds(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -77,6 +85,24 @@ def _round_robin_rounds(k: int) -> tuple[np.ndarray, np.ndarray]:
     return ps, qs
 
 
+def _jacobi_schedule(k: int) -> tuple[tuple, np.ndarray]:
+    """Jacobi's index arrays for order k, all read-only: one (ps, qs, flat)
+    triple per round of ``_round_robin_rounds(k)``, with ``flat = ps * k + qs``
+    the pivots' indices into the raveled matrix, and the raveled indices of
+    the strict upper triangle, in ``np.triu_indices(k, 1)`` order.
+    """
+    ps, qs = _round_robin_rounds(k)
+    flat = ps * k + qs
+    rows, cols = np.triu_indices(k, 1)
+    upper = rows * k + cols
+    for arr in (ps, qs, flat, upper):
+        arr.flags.writeable = False
+    return tuple(zip(ps, qs, flat)), upper
+
+
+_cached_jacobi_schedule = functools.lru_cache(maxsize=JACOBI_CACHED_ORDER)(_jacobi_schedule)
+
+
 def symmetric_eigenvalues(m, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list[float]:
     """All eigenvalues of a real symmetric matrix, ascending, by cyclic Jacobi.
 
@@ -85,7 +111,7 @@ def symmetric_eigenvalues(m, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list[float]
     update.  Converged when the off-diagonal Frobenius mass drops below
     ``JACOBI_CONV_FACTOR * (1 + max |diagonal|)``.  Raises ContractViolation
     for non-symmetric input and ConvergenceError if ``max_sweeps`` cyclic
-    sweeps do not suffice or the trace drifts.
+    sweeps do not suffice or the trace drifts.  ``m`` is not modified.
 
     The indices are first put in a middle-out order of the diagonal: the
     upper half of a stable sort on even positions, ascending from the
@@ -98,8 +124,11 @@ def symmetric_eigenvalues(m, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list[float]
     this order needs 4 at n = 480 and at most 6 for n <= 320.  A
     permutation similarity is exact in float64 and keeps the trace, and the
     result is sorted, so the eigenvalues do not depend on it.
+
+    The schedule of each order up to ``JACOBI_CACHED_ORDER`` is built once
+    and then reused; above it, each call builds its own.
     """
-    a = np.array(m, dtype=np.float64)
+    a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractViolation(f"need a square matrix, got shape {a.shape}")
     k = a.shape[0]
@@ -117,31 +146,30 @@ def symmetric_eigenvalues(m, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list[float]
     order[0::2] = by_diag[k // 2 :]
     order[1::2] = by_diag[k // 2 - 1 :: -1]
     a = a[np.ix_(order, order)]
+    diag = np.diagonal(a)
 
     trace_in = float(np.trace(a))
-    rounds = list(zip(*_round_robin_rounds(k)))
-    upper = np.triu_indices(k, 1)
+    schedule = _cached_jacobi_schedule if k <= JACOBI_CACHED_ORDER else _jacobi_schedule
+    rounds, upper = schedule(k)
     # pass i tests convergence after i sweeps, so max_sweeps sweeps may run
     for done in range(max_sweeps + 1):
-        diag = np.diagonal(a)
         target = JACOBI_CONV_FACTOR * (1.0 + float(np.max(np.abs(diag))))
         # summed directly off the strict triangle: the subtraction form
         # trace(A^2) - trace(diag^2) cancels catastrophically near convergence
-        off_sq = 2.0 * float(np.sum(np.square(a[upper])))
+        off_sq = 2.0 * float(np.sum(np.square(a.take(upper))))
         if math.sqrt(off_sq) < target:
             break
         if done == max_sweeps:
             raise ConvergenceError(f"Jacobi did not converge in {max_sweeps} sweeps")
         skip = target / k
-        for ps, qs in rounds:
-            pivots = a[ps, qs]
-            mask = np.abs(pivots) > skip
-            if not mask.any():
-                continue
-            p = ps[mask]
-            q = qs[mask]
-            apq = a[p, q]
-            tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+        for p, q, flat in rounds:
+            apq = a.take(flat)
+            big = np.abs(apq) > skip
+            if not big.all():
+                if not big.any():
+                    continue
+                p, q, apq = p[big], q[big], apq[big]
+            tau = (diag[q] - diag[p]) / (2.0 * apq)
             t = np.where(tau >= 0.0, 1.0, -1.0) / (
                 np.abs(tau) + np.sqrt(1.0 + tau * tau)
             )
@@ -160,7 +188,7 @@ def symmetric_eigenvalues(m, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list[float]
     trace_out = float(np.trace(a))
     if abs(trace_out - trace_in) > TRACE_REL_TOL * max(1.0, abs(trace_in)):
         raise ConvergenceError("Jacobi trace drift exceeds tolerance")
-    return [float(x) for x in np.sort(np.diagonal(a))]
+    return [float(x) for x in np.sort(diag)]
 
 
 def char_poly_exact(m: np.ndarray) -> ExactPolynomial:
@@ -427,7 +455,7 @@ def verify_spectrum(
         raise DomainError(f"need n >= 2, got {n}")
     closed = wzd_spectrum_closed_form(n)
     order = closed.order
-    check_graph_order(n, order)
+    check_graph_order(f"WΓ(Z_{n})", order)
     brute = build_bruteforce_wzd(n)
     structural = build_structural_wzd(n)
 

@@ -459,6 +459,86 @@ def test_join_malformed_input(tmp_path, capsys):
     assert code == 2
 
 
+def one_component_join(component, weight):
+    return {
+        "host": {"labels": [0], "weights": [weight], "edges": []},
+        "components": [component],
+    }
+
+
+def spectrum_component(*pairs):
+    entries = [{"eigenvalue": e, "multiplicity": m} for e, m in pairs]
+    return {"spectrum": {"entries": entries}}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps(one_component_join(spectrum_component(("a", 1)), 1)),
+        json.dumps(one_component_join(spectrum_component((0, 1.5), (1, 0.5)), 2)),
+        json.dumps(one_component_join(spectrum_component((0, True)), 1)),
+        json.dumps(one_component_join(spectrum_component((0, 2), (1, -1)), 1)),
+        json.dumps(one_component_join(spectrum_component((True, 1)), 1)),
+        json.dumps(one_component_join(spectrum_component((0, 1), (10**400, 1)), 2)),
+        json.dumps(one_component_join(spectrum_component((0, 1), (float("nan"), 1)), 2)),
+        json.dumps(one_component_join(spectrum_component((0, 1), (float("inf"), 1)), 2)),
+    ],
+    ids=["string-eigenvalue", "fractional-multiplicities", "bool-multiplicity",
+         "negative-multiplicity", "bool-eigenvalue", "eigenvalue-past-float",
+         "nan-eigenvalue", "infinite-eigenvalue"],
+)
+def test_join_rejects_malformed_spectrum_entries(tmp_path, capsys, text):
+    path = tmp_path / "bad_spectrum.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "join", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("bad join input: component 0: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "payload, flags",
+    [
+        (one_component_join("K3", 3), []),
+        (one_component_join({"order": 3, "edges": [[0, 1, 2]]}, 3), []),
+        (one_component_join({"order": 3, "edges": [[0, 0]]}, 3), []),
+        (one_component_join({**spectrum_component((0, 2)), "edges": [["a", "b"]]}, 2), ["--check"]),
+        ({"host": {"labels": [0, 1], "weights": [1, 1], "edges": [[0, 1, 1]]},
+          "components": [{"kind": "empty", "order": 1}] * 2}, []),
+    ],
+    ids=["component-not-object", "edge-triple", "edge-loop", "string-edge-check",
+         "host-edge-triple"],
+)
+def test_join_rejects_malformed_edges_and_components(tmp_path, capsys, payload, flags):
+    path = tmp_path / "bad_edges.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "join", str(path), *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("bad join input: ") and err.count("\n") == 1
+
+
+def test_join_refuses_explicit_graphs_above_the_order_limit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(graphcore, "MAX_GRAPH_ORDER", 3)
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("graph built before the order check")
+
+    monkeypatch.setattr(graphcore.Graph, "from_edges", no_graph)
+    monkeypatch.setattr(graphcore, "assemble_join", no_graph)
+    monkeypatch.setattr(cli, "_component_edges", no_graph)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(one_component_join({"order": 4, "edges": [[0, 1]]}, 4)))
+    code, out, err = run_cli(capsys, "join", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: join component 0 has 4 vertices, above the limit of 3\n"
+    # a kind needs no graph, until --check assembles the join
+    path.write_text(json.dumps(one_component_join({"kind": "complete", "order": 4}, 4)))
+    code, out, _ = run_cli(capsys, "join", str(path))
+    assert code == 0 and out.splitlines() == ["eigenvalue    0 4", "multiplicity  1 3"]
+    code, out, err = run_cli(capsys, "join", str(path), "--check")
+    assert code == 2 and out == ""
+    assert err == "error: the assembled join has 4 vertices, above the limit of 3\n"
+
+
 def test_join_weight_mismatch_is_input_error(tmp_path, capsys):
     payload = {
         "host": {"labels": [0], "weights": [2], "edges": []},

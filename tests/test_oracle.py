@@ -192,6 +192,42 @@ def test_round_robin_rounds_match_reference():
         assert pairs == [(p, q) for p in range(k) for q in range(p + 1, k)], k
 
 
+@pytest.mark.parametrize("k", [2, 7, oracle.JACOBI_CACHED_ORDER + 3])
+def test_symmetric_eigenvalues_leaves_its_input_unchanged(k):
+    rng = np.random.default_rng(k)
+    a = rng.standard_normal((k, k))
+    a = a + a.T
+    a[0, 1] += 1e-15  # within the symmetry tolerance, so the mean is taken
+    before = a.copy()
+    symmetric_eigenvalues(a)
+    assert np.array_equal(a, before)
+
+
+def test_jacobi_schedule_is_built_once_per_order_and_read_only():
+    k = 9
+    rounds, upper = oracle._cached_jacobi_schedule(k)
+    assert oracle._cached_jacobi_schedule(k) is oracle._cached_jacobi_schedule(k)
+    ps, qs = _round_robin_rounds(k)
+    assert [(p.tolist(), q.tolist()) for p, q, _ in rounds] == list(
+        zip(ps.tolist(), qs.tolist())
+    )
+    assert all(np.array_equal(flat, p * k + q) for p, q, flat in rounds)
+    rows, cols = np.triu_indices(k, 1)
+    assert np.array_equal(upper, rows * k + cols)
+    for arr in (upper, *(x for triple in rounds for x in triple)):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_jacobi_schedule_cache_holds_no_order_above_its_bound():
+    bound = oracle.JACOBI_CACHED_ORDER
+    oracle._cached_jacobi_schedule.cache_clear()
+    for k in (3, bound, bound + 1, 2 * bound):
+        symmetric_eigenvalues(np.diag(np.arange(k, dtype=float)))
+    assert oracle._cached_jacobi_schedule.cache_info().currsize == 2
+    assert oracle._cached_jacobi_schedule.cache_info().maxsize == bound
+
+
 @pytest.mark.parametrize("n", [240, 420])
 def test_jacobi_converges_in_few_sweeps_on_wzd_laplacians(n):
     # in ascending vertex order these took 12 and 17 sweeps
@@ -454,6 +490,14 @@ def test_twin_certificate_rejects_a_missing_twin_eigenvalue():
 @pytest.mark.parametrize("n", [960, 1440, 2310])
 def test_twin_certificate_proves_large_closed_forms(n):
     assert twin_certificate(build_bruteforce_wzd(n), wzd_spectrum_closed_form(n))
+
+
+@pytest.mark.parametrize("n", [30, 360])
+def test_twin_certificate_reads_a_fortran_ordered_adjacency(n):
+    g = build_bruteforce_wzd(n)
+    fortran = Graph(labels=g.labels, adjacency=np.asfortranarray(g.adjacency))
+    assert fortran.adjacency.flags.c_contiguous
+    assert twin_certificate(fortran, wzd_spectrum_closed_form(n))
 
 
 def test_twin_certificate_rejects_floating_spectra():
