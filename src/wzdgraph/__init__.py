@@ -17,11 +17,9 @@ from .graphcore import (
     Kind,
     build_bruteforce_wzd,
     build_structural_wzd,
-    build_zero_divisor_graph,
     divisor_classes,
     export_graph,
     graphs_equal,
-    is_spanning_subgraph,
 )
 from .numtheory import PrimeFactorization, euler_phi, factorize
 from .oracle import (
@@ -39,7 +37,6 @@ from .spectra import (
     WeightedHostGraph,
     algebraic_connectivity,
     component_spectrum,
-    host_upsilon,
     join_spectrum,
     spectral_radius,
     symmetric_weighted_laplacian,

@@ -17,6 +17,7 @@ import sys
 from collections.abc import Iterable
 
 from . import graphcore, oracle, spectra
+from ._numpy import np
 from .errors import ContractViolation, DomainError, OrderCapError
 from .graphcore import Kind
 
@@ -143,7 +144,7 @@ def cmd_graph(n: int, fmt: str, classes: bool) -> int:
         print(f"WΓ(Z_{n}): {g.vertex_count} vertices, {g.edge_count} edges{note}")
         if classes:
             part = graphcore.divisor_classes(n)
-            if not part.degenerate:
+            if part.classes:
                 print("classes:")
                 for c in part.classes:
                     members = " ".join(str(x) for x in c.members)
@@ -248,7 +249,6 @@ def _table_row(n: int) -> dict:
         "multiplicities": mults,
         "algebraic_connectivity": spectra.algebraic_connectivity(s) if s.order >= 2 else None,
         "spectral_radius": spectra.spectral_radius(s) if s.order >= 1 else None,
-        "integral": all(isinstance(e, int) for e in eigs),
     }
 
 
@@ -266,7 +266,6 @@ def cmd_table(lo: int, hi: int, fmt: str) -> int:
                 "|".join(str(m) for m in row["multiplicities"]),
                 "" if row["algebraic_connectivity"] is None else str(row["algebraic_connectivity"]),
                 "" if row["spectral_radius"] is None else str(row["spectral_radius"]),
-                "true" if row["integral"] else "false",
             ]
             print(",".join(cells))
     return 0
@@ -315,9 +314,8 @@ def _component_from_json(entry, index: int) -> spectra.SpectrumMultiset:
     kind = entry.get("kind")
     if kind not in ("complete", "empty"):
         if "edges" in entry and "order" in entry:
-            order = entry["order"]
-            graphcore.check_graph_order(f"join component {index}", order)
-            g = graphcore.Graph.from_edges(range(order), _local_edges(entry, order, index))
+            graphcore.check_graph_order(f"join component {index}", entry["order"])
+            g = _component_graph(entry, entry["order"], index)
             eigs = oracle.symmetric_eigenvalues(oracle.laplacian_matrix(g))
             return spectra.SpectrumMultiset.floating((e, 1) for e in eigs)
         raise DomainError(
@@ -326,15 +324,16 @@ def _component_from_json(entry, index: int) -> spectra.SpectrumMultiset:
     return spectra.component_spectrum(entry["order"], Kind(kind))
 
 
-def _component_edges(entry: dict, order: int, index: int) -> list[tuple[int, int]]:
+def _component_graph(entry: dict, order: int, index: int) -> graphcore.Graph:
+    """Component ``index`` of ``order`` vertices, from its edge list or its kind."""
     if "edges" in entry:
-        return _local_edges(entry, order, index)
+        return graphcore.Graph.from_edges(range(order), _local_edges(entry, order, index))
     kind = entry.get("kind")
-    if kind == "complete":
-        return [(i, j) for i in range(order) for j in range(i + 1, order)]
-    if kind == "empty":
-        return []
-    raise DomainError(f"component {index} has no edge list; cannot assemble the join")
+    if kind not in ("complete", "empty"):
+        raise DomainError(f"component {index} has no edge list; cannot assemble the join")
+    adj = np.full((order, order), kind == "complete")
+    np.fill_diagonal(adj, False)
+    return graphcore.Graph(labels=tuple(range(order)), adjacency=adj)
 
 
 def cmd_join(path: str, fmt: str, check: bool) -> int:
@@ -358,6 +357,12 @@ def cmd_join(path: str, fmt: str, check: bool) -> int:
             _component_from_json(entry, i) for i, entry in enumerate(comp_specs)
         ]
         result = spectra.join_spectrum(host, components, n=payload.get("n"))
+        if check:
+            graphcore.check_graph_order("the assembled join", sum(host.weights))
+            parts = [
+                _component_graph(entry, host.weights[i], i)
+                for i, entry in enumerate(comp_specs)
+            ]
     except (OSError, json.JSONDecodeError, KeyError, TypeError,
             DomainError, ContractViolation) as exc:
         print(f"bad join input: {exc}", file=sys.stderr)
@@ -365,16 +370,7 @@ def cmd_join(path: str, fmt: str, check: bool) -> int:
 
     check_ok = True
     if check:
-        graphcore.check_graph_order("the assembled join", sum(host.weights))
-        try:
-            parts = [
-                (host.weights[i], _component_edges(entry, host.weights[i], i))
-                for i, entry in enumerate(comp_specs)
-            ]
-        except DomainError as exc:
-            print(f"bad join input: {exc}", file=sys.stderr)
-            return 2
-        assembled = graphcore.assemble_join(set(edges), parts)
+        assembled = graphcore.assemble_join(edges, parts)
         numeric = oracle.symmetric_eigenvalues(oracle.laplacian_matrix(assembled))
         expected = result.expand()
         tol = 1e-8 * max(1, result.order)

@@ -1,4 +1,4 @@
-"""Construction of WΓ(Z_n) and Γ(Z_n), plus graph serialization.
+"""Construction of WΓ(Z_n) and of generalized joins, plus graph serialization.
 
 WΓ(Z_n) is built two independent ways:
 
@@ -118,13 +118,11 @@ class DivisorClass:
 class DivisorClassPartition:
     """The sets A_d over proper divisors d of n, each tagged complete/empty.
 
-    ``degenerate`` is set when n is prime or n < 4 (no proper divisors, so no
-    partition exists and the vertex set is empty or the notion is void).
+    ``classes`` is empty when n is prime: there are no proper divisors.
     """
 
     n: int
     classes: tuple[DivisorClass, ...]
-    degenerate: bool = False
 
 
 def zero_divisors(n: int) -> list[int]:
@@ -224,7 +222,7 @@ def divisor_classes(n: int) -> DivisorClassPartition:
     check_graph_order(f"WΓ(Z_{n})", n - f.totient - 1)
     proper = f.divisors()[1:-1]
     if not proper:  # n is prime
-        return DivisorClassPartition(n=n, classes=(), degenerate=True)
+        return DivisorClassPartition(n=n, classes=())
     members: dict[int, list[int]] = {d: [] for d in proper}
     # the zero-divisors are the multiples of n's primes: sum n/p residues, not n - 1
     for x in sorted({x for p, _ in f.factors for x in range(p, n, p)}):
@@ -238,7 +236,7 @@ def divisor_classes(n: int) -> DivisorClassPartition:
         )
         for d in sorted(members)
     )
-    return DivisorClassPartition(n=n, classes=classes, degenerate=False)
+    return DivisorClassPartition(n=n, classes=classes)
 
 
 def build_structural_wzd(n: int) -> Graph:
@@ -249,7 +247,7 @@ def build_structural_wzd(n: int) -> Graph:
     ``build_bruteforce_wzd`` (ascending residues).
     """
     part = divisor_classes(n)
-    if part.degenerate:  # n is prime: no zero-divisors
+    if not part.classes:  # n is prime: no zero-divisors
         return Graph(labels=(), adjacency=np.zeros((0, 0), dtype=bool), modulus=n)
     members = np.concatenate([c.members for c in part.classes])
     order = np.argsort(members)
@@ -261,54 +259,28 @@ def build_structural_wzd(n: int) -> Graph:
     return Graph(labels=tuple(members[order].tolist()), adjacency=adj, modulus=n)
 
 
-def build_zero_divisor_graph(n: int) -> Graph:
-    """Γ(Z_n): same vertex set as WΓ(Z_n); x ~ y iff x*y = 0 mod n."""
-    verts = zero_divisors(n)
-    v = np.array(verts, dtype=np.int64)
-    adj = np.multiply.outer(v, v) % n == 0
-    np.fill_diagonal(adj, False)
-    return Graph(labels=tuple(verts), adjacency=adj, modulus=n)
-
-
 def graphs_equal(g1: Graph, g2: Graph) -> bool:
     """True iff identical vertex label lists and identical edge sets."""
     return g1.labels == g2.labels and np.array_equal(g1.adjacency, g2.adjacency)
 
 
-def is_spanning_subgraph(sub: Graph, sup: Graph) -> bool:
-    """True iff vertex labels agree and every edge of ``sub`` is in ``sup``."""
-    return sub.labels == sup.labels and not (sub.adjacency & ~sup.adjacency).any()
+def assemble_join(host_edges: set[tuple[int, int]], components: list[Graph]) -> Graph:
+    """Explicit generalized join: replace host vertex i by ``components[i]``.
 
-
-def assemble_join(
-    host_edges: set[tuple[int, int]],
-    component_edge_lists: list[tuple[int, list[tuple[int, int]]]],
-) -> Graph:
-    """Explicit generalized join: replace host vertex i by component i.
-
-    ``component_edge_lists`` holds (order, local edges) per host vertex; host
-    edges are index pairs into that list.  Vertices of the result are numbered
-    0..N-1 in component order.
+    Host edges are index pairs into ``components``.  Vertices of the result
+    are numbered 0..N-1 in component order; each component's adjacency fills
+    its diagonal block and each host edge a pair of off-diagonal blocks.
     """
-    offsets = []
-    total = 0
-    for order, _ in component_edge_lists:
-        if order < 1:
-            raise DomainError("component order must be >= 1")
-        offsets.append(total)
-        total += order
-    adj = np.zeros((total, total), dtype=bool)
-    for ci, (order, local) in enumerate(component_edge_lists):
-        base = offsets[ci]
-        for u, v in local:
-            if not (0 <= u < order and 0 <= v < order and u != v):
-                raise DomainError(f"bad local edge ({u}, {v}) in component {ci}")
-            adj[base + u, base + v] = adj[base + v, base + u] = True
+    offsets = [0]
+    for g in components:
+        offsets.append(offsets[-1] + g.vertex_count)
+    blocks = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
+    adj = np.zeros((offsets[-1], offsets[-1]), dtype=bool)
+    for block, g in zip(blocks, components):
+        adj[block, block] = g.adjacency
     for i, j in host_edges:
-        block_i = slice(offsets[i], offsets[i] + component_edge_lists[i][0])
-        block_j = slice(offsets[j], offsets[j] + component_edge_lists[j][0])
-        adj[block_i, block_j] = adj[block_j, block_i] = True
-    return Graph(labels=tuple(range(total)), adjacency=adj, modulus=None)
+        adj[blocks[i], blocks[j]] = adj[blocks[j], blocks[i]] = True
+    return Graph(labels=tuple(range(offsets[-1])), adjacency=adj, modulus=None)
 
 
 GRAPH_FORMATS = ("dot", "json", "csv")

@@ -42,16 +42,9 @@ class PrimeFactorization:
     @property
     def totient(self) -> int:
         """Euler's phi of n."""
-        return self.divisor_totient(self.n)
-
-    def divisor_totient(self, m: int) -> int:
-        """Euler's phi of a divisor m of n, from the primes of n: m is not factored."""
-        if m < 1 or self.n % m:
-            raise DomainError(f"{m} does not divide {self.n}")
-        out = m
+        out = self.n
         for p, _ in self.factors:
-            if m % p == 0:
-                out -= out // p
+            out -= out // p
         return out
 
     def exponent_one_primes(self) -> frozenset[int]:

@@ -408,10 +408,6 @@ class VerificationReport:
     spectrum: SpectrumMultiset
     charpoly_skipped: bool = False
 
-    @property
-    def passed(self) -> bool:
-        return self.status != STATUS_FAIL
-
     def to_json_dict(self) -> dict:
         out = {
             "n": self.n,

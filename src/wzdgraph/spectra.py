@@ -6,15 +6,15 @@ spectrum of the join is the union over i of (D_i + component spectrum with one
 0 removed) together with the spectrum of the k x k weighted host matrix, where
 D_i is the total weight of the host neighbors of vertex i.
 
-For WΓ(Z_n) the host is the complete graph on the proper divisors of n with
-weight phi(n/d) at divisor d, which makes the host spectrum exact by a
-rank-one argument and the whole result integer-valued.
+The join engine serves ``wzd join``.  WΓ(Z_n) is such a join, over the
+complete host on the proper divisors d of n with weight phi(n/d), but
+``wzd_spectrum_closed_form`` builds no host: it reads the whole spectrum from
+one factorization of n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from ._numpy import np
 from .errors import ContractViolation, DomainError
@@ -128,20 +128,6 @@ class SpectrumMultiset:
             else:
                 merged.append([e, m])
         return cls(entries={e: m for e, m in merged}, variant=FLOAT, n=n)
-
-
-def host_upsilon(n: int) -> WeightedHostGraph:
-    """Complete host on the proper divisors of n, weight phi(n/d) at d."""
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    f = factorize(n)
-    divs = f.divisors()[1:-1]
-    edges = frozenset(combinations(range(len(divs)), 2))
-    return WeightedHostGraph(
-        labels=tuple(divs),
-        weights=tuple(f.divisor_totient(n // d) for d in divs),
-        edges=edges,
-    )
 
 
 def symmetric_weighted_laplacian(host: WeightedHostGraph) -> np.ndarray:

@@ -11,15 +11,15 @@ from collections import Counter
 from contextlib import contextmanager
 from itertools import combinations
 
+from test_graphcore import build_zero_divisor_graph, is_spanning_subgraph
 from wzdgraph.graphcore import (
+    Graph,
     Kind,
     assemble_join,
     build_bruteforce_wzd,
     build_structural_wzd,
-    build_zero_divisor_graph,
     divisor_classes,
     graphs_equal,
-    is_spanning_subgraph,
 )
 from wzdgraph.numtheory import euler_phi, is_prime
 from wzdgraph.oracle import (
@@ -149,10 +149,9 @@ def test_generic_join_random_cases():
                 weights=tuple(orders),
                 edges=frozenset(host_edges),
             )
-            parts = [(m, _random_graph(rng, m)) for m in orders]
+            parts = [Graph.from_edges(range(m), _random_graph(rng, m)) for m in orders]
             comps = []
-            for m, edges in parts:
-                g = assemble_join(set(), [(m, edges)])
+            for g in parts:
                 eigs = symmetric_eigenvalues(laplacian_matrix(g))
                 comps.append(SpectrumMultiset.floating((e, 1) for e in eigs))
             predicted = join_spectrum(host, comps).expand()

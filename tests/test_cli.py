@@ -308,11 +308,11 @@ def test_verify_certifies_orders_above_256_by_default(capsys):
 def test_table_rows(capsys):
     code, out, _ = run_cli(capsys, "table", "18..18", "--format", "csv")
     assert code == 0
-    assert out == "18,11,40,0|5|11,1|5|5,5,11,true\n"
+    assert out == "18,11,40,0|5|11,1|5|5,5,11\n"
 
     code, out, _ = run_cli(capsys, "table", "4..4")
     assert code == 0
-    assert out == "4,1,0,0,1,,0,true\n"
+    assert out == "4,1,0,0,1,,0\n"
 
     code, out, _ = run_cli(capsys, "table", "30..30")
     assert code == 0
@@ -326,7 +326,7 @@ def test_table_row_of_a_12_digit_n(capsys):
     code, out, _ = run_cli(capsys, "table", "1000000000000..1000000000000")
     elapsed = time.perf_counter() - start
     assert code == 0
-    assert out == f"1000000000000,{v},{v * (v - 1) // 2},0|{v},1|{v - 1},{v},{v},true\n"
+    assert out == f"1000000000000,{v},{v * (v - 1) // 2},0|{v},1|{v - 1},{v},{v}\n"
     assert elapsed < 1.0
 
 
@@ -342,7 +342,6 @@ def test_table_json(capsys):
         "multiplicities": [1, 1, 5],
         "algebraic_connectivity": 5,
         "spectral_radius": 7,
-        "integral": True,
     }
 
 
@@ -502,11 +501,12 @@ def test_join_rejects_malformed_spectrum_entries(tmp_path, capsys, text):
         (one_component_join({"order": 3, "edges": [[0, 1, 2]]}, 3), []),
         (one_component_join({"order": 3, "edges": [[0, 0]]}, 3), []),
         (one_component_join({**spectrum_component((0, 2)), "edges": [["a", "b"]]}, 2), ["--check"]),
+        (one_component_join({**spectrum_component((0, 2)), "edges": 5}, 2), ["--check"]),
         ({"host": {"labels": [0, 1], "weights": [1, 1], "edges": [[0, 1, 1]]},
           "components": [{"kind": "empty", "order": 1}] * 2}, []),
     ],
     ids=["component-not-object", "edge-triple", "edge-loop", "string-edge-check",
-         "host-edge-triple"],
+         "edges-not-a-list-check", "host-edge-triple"],
 )
 def test_join_rejects_malformed_edges_and_components(tmp_path, capsys, payload, flags):
     path = tmp_path / "bad_edges.json"
@@ -514,6 +514,23 @@ def test_join_rejects_malformed_edges_and_components(tmp_path, capsys, payload, 
     code, out, err = run_cli(capsys, "join", str(path), *flags)
     assert code == 2 and out == ""
     assert err.startswith("bad join input: ") and err.count("\n") == 1
+
+
+def test_join_check_refuses_a_spectrum_only_component(tmp_path, capsys):
+    payload = {
+        "host": {"labels": [0, 1], "weights": [1, 2], "edges": [[0, 1]]},
+        "components": [{"kind": "complete", "order": 1}, spectrum_component((0, 1), (2, 1))],
+    }
+    path = tmp_path / "spectrum_only.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run_cli(capsys, "join", str(path))
+    # K_1 joined to K_2 is K_3
+    assert code == 0 and out.splitlines() == ["eigenvalue    0 3", "multiplicity  1 2"]
+    code, out, err = run_cli(capsys, "join", str(path), "--check")
+    assert code == 2 and out == ""
+    assert err == (
+        "bad join input: component 1 has no edge list; cannot assemble the join\n"
+    )
 
 
 def test_join_refuses_explicit_graphs_above_the_order_limit(tmp_path, capsys, monkeypatch):
@@ -524,7 +541,7 @@ def test_join_refuses_explicit_graphs_above_the_order_limit(tmp_path, capsys, mo
 
     monkeypatch.setattr(graphcore.Graph, "from_edges", no_graph)
     monkeypatch.setattr(graphcore, "assemble_join", no_graph)
-    monkeypatch.setattr(cli, "_component_edges", no_graph)
+    monkeypatch.setattr(cli, "_component_graph", no_graph)
     path = tmp_path / "big.json"
     path.write_text(json.dumps(one_component_join({"order": 4, "edges": [[0, 1]]}, 4)))
     code, out, err = run_cli(capsys, "join", str(path))

