@@ -42,6 +42,10 @@ MAX_SCAN_MODULUS = (MAX_GRAPH_ORDER + 1) ** 2
 #: residues, or vertex x candidate products, at a time (8 MB of int64).
 SCAN_WINDOW_CELLS = 1 << 20
 
+#: Side of the square tiles in which ``Graph`` checks its adjacency for
+#: symmetry; a graph of order up to this is checked in one piece.
+SYMMETRY_TILE = 512
+
 
 class Kind(Enum):
     """Shape of the subgraph induced by one divisor class."""
@@ -77,8 +81,13 @@ class Graph:
             )
         if adj.diagonal().any():
             raise DomainError("adjacency has a self-loop")
-        if not np.array_equal(adj, adj.T):
-            raise DomainError("adjacency is not symmetric")
+        # tile (i, j) against tile (j, i) transposed: a whole-matrix transpose
+        # reads with a stride of k bytes, which misses the cache at large k
+        t = SYMMETRY_TILE
+        for i in range(0, k, t):
+            for j in range(i, k, t):
+                if not np.array_equal(adj[i : i + t, j : j + t], adj[j : j + t, i : i + t].T):
+                    raise DomainError("adjacency is not symmetric")
         adj.flags.writeable = False
         object.__setattr__(self, "adjacency", adj)
 

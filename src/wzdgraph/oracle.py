@@ -296,8 +296,10 @@ def reflect_classes(m, cls) -> np.ndarray:
     """
     cls = np.asarray(cls)
     order = np.argsort(cls, kind="stable")
-    a = np.asarray(m)[np.ix_(order, order)].astype(np.float64)
-    cuts = [0, *(np.flatnonzero(np.diff(cls[order])) + 1).tolist(), len(order)]
+    k = len(order)
+    a = np.asarray(m).take(order[:, None] * k + order).astype(np.float64)
+    ordered = cls[order]
+    cuts = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), k]
     for lo, hi in zip(cuts, cuts[1:]):
         if hi - lo < 2:
             continue
@@ -305,34 +307,63 @@ def reflect_classes(m, cls) -> np.ndarray:
         v = np.full(hi - lo, 1.0 / math.sqrt(hi - lo))
         v[0] -= 1.0
         w = v * (2.0 / float(v @ v))
-        a[lo:hi, :] -= np.outer(w, v @ a[lo:hi, :])
-        a[:, lo:hi] -= np.outer(a[:, lo:hi] @ v, w)
+        rows = a[lo:hi]
+        rows -= w[:, None] * (v @ rows)
+        cols = a[:, lo:hi]
+        cols -= (cols @ v)[:, None] * w
     return a
 
 
-def _deflated_eigenvalues(a: np.ndarray, leaders: np.ndarray) -> list[float]:
-    """Eigenvalues of the symmetric ``a``, ascending, when its off-diagonal
-    mass sits in the rows and columns ``leaders``; ``a`` is overwritten.
+def _deflated_eigenvalues(a: np.ndarray, sizes: np.ndarray) -> list[float]:
+    """Eigenvalues of ``a`` = Q^T L Q from ``reflect_classes``, ascending,
+    for a symmetric L and classes of positive ``sizes`` in class order;
+    ``a`` is overwritten.
 
-    E is everything off the diagonal outside the leaders x leaders block B,
-    and ||E||_F is summed directly over E's entries, with B and the diagonal
-    set aside.  When it is under half of Jacobi's own stopping target
+    A Laplacian has L 1 = 0, and the class reflections take 1 to
+    sum_C sqrt(|C|) e_leader(C).  One more Householder reflection of the
+    leader rows and columns takes sqrt(s) / ||sqrt(s)|| to the first leader,
+    whose row and column then vanish, as the other rows of each twin class
+    do.  With one class that vector is the first leader's already, and the
+    reflection is skipped.
+
+    E is everything off the diagonal outside the block B of the other m - 1
+    leaders, and ||E||_F is summed directly over E's entries.  When it is
+    under half of Jacobi's own stopping target
     ``JACOBI_CONV_FACTOR * (1 + max |diagonal|)``, the eigenvalues are the
-    diagonal of the other rows plus ``symmetric_eigenvalues(B)``: by Weyl's
+    other rows' diagonal plus ``symmetric_eigenvalues(B)``: by Weyl's
     inequality each moves by at most ||E||_2 <= ||E||_F when E is dropped
     (Golub & Van Loan, Matrix Computations, 4th ed., 8.1.2), the bound that
-    makes Jacobi's own stopping test sound.  Otherwise all of ``a`` goes to
+    makes Jacobi's own stopping test sound.  Otherwise all of the reflected
+    ``a``, similar to L whatever the classes are, goes to
     ``symmetric_eigenvalues``.
     """
-    diag = np.diagonal(a).copy()
-    block = a[np.ix_(leaders, leaders)]
-    target = JACOBI_CONV_FACTOR * (1.0 + float(np.max(np.abs(diag), initial=0.0)))
-    a[np.ix_(leaders, leaders)] = 0.0
-    np.fill_diagonal(a, 0.0)
+    k = a.shape[0]
+    leaders = sizes.cumsum() - sizes
+    if len(sizes) > 1:
+        # v = u - e_first with u = sqrt(s / k), a unit vector: sum(s) = k
+        v = np.sqrt(sizes / k)
+        v[0] -= 1.0
+        w = v * (2.0 / float(v @ v))
+        rows = a[leaders]
+        rows -= w[:, None] * (v @ rows)
+        a[leaders] = rows
+        cols = a[:, leaders]
+        cols -= (cols @ v)[:, None] * w
+        a[:, leaders] = cols
+    rest = leaders[1:]
+    block_at = rest[:, None], rest
+    diag = a.diagonal().copy()
+    block = a[block_at]
+    target = JACOBI_CONV_FACTOR * (1.0 + float(np.abs(diag).max(initial=0.0)))
+    a[block_at] = 0.0
+    a.flat[:: k + 1] = 0.0
     if math.sqrt(float(np.vdot(a, a))) < 0.5 * target:
-        return sorted(np.delete(diag, leaders).tolist() + symmetric_eigenvalues(block))
-    a[np.ix_(leaders, leaders)] = block
-    np.fill_diagonal(a, diag)
+        # the other leaders' diagonal entries give way to B's eigenvalues
+        diag[rest] = symmetric_eigenvalues(block)
+        diag.sort()
+        return diag.tolist()
+    a[block_at] = block
+    a.flat[:: k + 1] = diag
     return symmetric_eigenvalues(a)
 
 
@@ -437,10 +468,13 @@ def verify_spectrum(
     certificate and for the numeric check.  The numeric eigenvalues are those
     of Q^T L Q, L reflected across the twin classes (``reflect_classes``):
     whatever the classes, it has the spectrum of L, and when they are twin
-    classes only the block of class leaders keeps off-diagonal mass.  When
-    the rest, E, has ||E||_F under half of Jacobi's stopping target, the
-    eigenvalues are the other rows' diagonal plus Jacobi's on the leader
-    block; otherwise Jacobi runs on all of Q^T L Q (``_deflated_eigenvalues``).
+    classes only the block of the m class leaders keeps off-diagonal mass.
+    One more reflection of the leader rows takes the constant vector, which
+    L annihilates, to the first leader, whose row and column then vanish
+    too.  When the rest, E, has ||E||_F under half of Jacobi's stopping
+    target, the eigenvalues are the other rows' diagonal plus Jacobi's on the
+    (m - 1) x (m - 1) block of the other leaders; otherwise Jacobi runs on
+    the whole reflected matrix (``_deflated_eigenvalues``).
 
     Raises OrderCapError, before any graph is built, when the closed-form
     order is above ``graphcore.MAX_GRAPH_ORDER``, or when n is above
@@ -462,10 +496,8 @@ def verify_spectrum(
     charpoly_skipped = order_cap is not None and order > order_cap
     checks["charpoly_match"] = charpoly_skipped or twin_certificate(brute, closed, twins)
 
-    # in class order the leader of each class opens its block
-    sizes = np.bincount(twins[0])
-    leaders = (np.cumsum(sizes) - sizes)[sizes > 0]
-    numeric = _deflated_eigenvalues(reflect_classes(laplacian_matrix(brute), twins[0]), leaders)
+    reflected = reflect_classes(laplacian_matrix(brute), twins[0])
+    numeric = _deflated_eigenvalues(reflected, np.bincount(twins[0]))
     expanded = closed.expand()
     if len(numeric) != len(expanded):
         checks["numeric_match"] = False

@@ -291,6 +291,18 @@ def test_graph_rejects_malformed_adjacency():
         g.adjacency[0, 1] = False
 
 
+@pytest.mark.parametrize("k, i, j", [(600, 5, 590), (600, 590, 599), (3, 0, 2)])
+def test_graph_rejects_an_asymmetric_entry_in_any_tile(k, i, j):
+    # (5, 590) and (590, 599) lie outside the first tile of SYMMETRY_TILE = 512
+    assert graphcore.SYMMETRY_TILE == 512
+    adj = np.zeros((k, k), dtype=bool)
+    adj[i, j] = True
+    with pytest.raises(DomainError, match="adjacency is not symmetric"):
+        Graph(labels=tuple(range(k)), adjacency=adj)
+    adj[j, i] = True
+    assert Graph(labels=tuple(range(k)), adjacency=adj).edge_count == 1
+
+
 def test_graphs_equal_distinguishes_edge_sets():
     k2 = Graph.from_edges((1, 2), [(0, 1)])
     k2bar = Graph.from_edges((1, 2), [])

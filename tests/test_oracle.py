@@ -24,6 +24,7 @@ from wzdgraph.oracle import (
     symmetric_eigenvalues,
     twin_certificate,
     verify_spectrum,
+    _deflated_eigenvalues,
     _round_robin_rounds,
     _twin_classes,
 )
@@ -539,10 +540,15 @@ def test_verify_spectrum_pass_cases():
     assert rep36.spectrum.entries == {0: 1, 23: 22}
 
 
-def test_verify_spectrum_degenerate_prime():
-    rep = verify_spectrum(7)
-    assert rep.status == STATUS_DEGENERATE
-    assert rep.spectrum.order == 0
+def test_verify_spectrum_degenerate_prime(monkeypatch):
+    orders = jacobi_orders(monkeypatch)
+    for p in (2, 3, 7, 997):
+        del orders[:]
+        rep = verify_spectrum(p)
+        assert rep.status == STATUS_DEGENERATE and all(rep.checks.values()), p
+        assert rep.spectrum.order == 0
+        # the empty graph has no leader block: Jacobi gets 0 x 0
+        assert orders == [0], p
 
 
 def test_verify_spectrum_rejects_tiny_n():
@@ -580,16 +586,78 @@ def jacobi_orders(monkeypatch) -> list[int]:
 
 
 def test_verify_spectrum_runs_jacobi_on_the_leader_block_only(monkeypatch):
+    # the m class leaders less the first, which the constant vector takes
     orders = jacobi_orders(monkeypatch)
     blocks = total = 0
     for n in range(4, 201):
         del orders[:]
         assert verify_spectrum(n).status != STATUS_FAIL, n
         leaders = len(_twin_classes(build_bruteforce_wzd(n).adjacency)[1])
-        assert orders == [leaders], n
+        assert orders == [max(leaders - 1, 0)], n
         blocks += leaders
         total += wzd_spectrum_closed_form(n).order
     assert blocks * 10 < total
+
+
+@pytest.mark.parametrize("n", [18, 150, 240])
+def test_deflation_zeroes_the_first_leaders_row_and_column(monkeypatch, n):
+    g = build_bruteforce_wzd(n)
+    cls = _twin_classes(g.adjacency)[0]
+    a = reflect_classes(laplacian_matrix(g), cls)
+    scale = float(np.abs(a).max())
+    blocks = []
+    real = oracle.symmetric_eigenvalues
+
+    def spy(m):
+        blocks.append(real(m))
+        return blocks[-1]
+
+    monkeypatch.setattr(oracle, "symmetric_eigenvalues", spy)
+    eigs = _deflated_eigenvalues(a, np.bincount(cls))
+    # the deflated path leaves the first leader's row and column in place
+    # and sets only the other leaders' block and the diagonal aside
+    row, col = a[0, 1:], a[1:, 0]
+    assert np.abs(row).max() < 1e-12 * scale and np.abs(col).max() < 1e-12 * scale
+    # WΓ(Z_n) is connected, so 0 is a simple eigenvalue.  The block keeps the
+    # m - 1 others of the quotient, and the twin rows hold d or d + 1 >= 1,
+    # so the diagonal entry that gives 0 is the first leader's.
+    assert len(blocks) == 1 and min(blocks[0]) > 0.5
+    assert abs(eigs[0]) < 1e-12 and eigs[1] > 0.5
+    closed = wzd_spectrum_closed_form(n).expand()
+    assert np.max(np.abs(np.array(eigs) - closed)) <= NUMERIC_MATCH_TOL * len(closed)
+
+
+@pytest.mark.parametrize("n", [49, 121])
+def test_verify_spectrum_one_twin_class_runs_jacobi_on_an_empty_block(monkeypatch, n):
+    # WΓ(Z_(p^2)) is complete on p - 1 vertices: one class of true twins
+    assert len(_twin_classes(build_bruteforce_wzd(n).adjacency)[1]) == 1
+    orders = jacobi_orders(monkeypatch)
+    assert verify_spectrum(n).status == STATUS_PASS
+    assert orders == [0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=25),
+    st.integers(min_value=1, max_value=8),
+    st.booleans(),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_deflated_eigenvalues_of_any_weighted_laplacian_and_grouping(k, labels, singletons, seed):
+    # a random grouping mixes non-twins and takes the whole-matrix fallback;
+    # singletons leave only the constant vector, so the deflated path runs
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.0, 3.0, size=(k, k)) * (rng.random((k, k)) < 0.6)
+    w = np.triu(w, 1)
+    w = w + w.T
+    lap = np.diag(w.sum(axis=1)) - w
+    cls = np.arange(k)[::-1] if singletons else rng.integers(0, labels, size=k) * 5 - 2
+    sizes = np.unique(cls, return_counts=True)[1]
+    eigs = _deflated_eigenvalues(reflect_classes(lap, cls), sizes)
+    ref = np.linalg.eigvalsh(lap)
+    scale = max(1.0, float(np.abs(ref).max()))
+    assert len(eigs) == k and eigs == sorted(eigs)
+    assert np.max(np.abs(np.array(eigs) - ref)) < 1e-9 * scale
 
 
 def test_verify_spectrum_twin_classes_found_once(monkeypatch):
