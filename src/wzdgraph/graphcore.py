@@ -171,26 +171,17 @@ def _least_annihilators(n: int, verts: list[int]) -> np.ndarray:
     return least
 
 
-def _wzd_adjacent(n: int, ann_x: range, ann_y: range) -> bool:
-    # Witnesses must be nonzero: with r = 0 allowed every pair would be
-    # adjacent and the within-class empty subgraphs could not exist.
-    for r in ann_x:
-        for s in ann_y:
-            if r * s % n == 0:
-                return True
-    return False
-
-
 def build_bruteforce_wzd(n: int) -> Graph:
     """WΓ(Z_n) by direct definition scan over annihilator element pairs.
 
     The annihilator of x is an additive subgroup of Z_n, so it is cyclic: the
     multiples of its least positive element r0 (``_least_annihilators``,
     found by the raw test r*x = 0 mod n, with no gcd or divisor lattice).
-    Adjacency depends only on the two annihilators, so vertices are keyed on
-    r0, and the witness search runs once per pair of distinct r0 over the
-    nonzero elements ``range(r0, n, r0)``, into a token x token table that
-    the vertex pairs then index.
+    Vertices are keyed on r0.  A witness is nonzero (else every pair would be
+    adjacent), so it is a vertex, and r*x = 0 depends only on the two
+    annihilators, as r kills x iff x kills r.  With Z[a, c] = (x_a * x_c = 0
+    mod n) for one representative x_a per token, x ~ y iff the int64 cube
+    Z Z Z (entries at most m^2 for m tokens) is positive at their tokens.
 
     Raises OrderCapError above ``MAX_SCAN_MODULUS``.
     """
@@ -200,12 +191,11 @@ def build_bruteforce_wzd(n: int) -> Graph:
             f"definition scan takes"
         )
     verts = zero_divisors(n)
-    least, vert_tok = np.unique(_least_annihilators(n, verts), return_inverse=True)
-    anns = [range(r0, n, r0) for r0 in least.tolist()]
-    table = np.zeros((len(anns), len(anns)), dtype=bool)
-    for a in range(len(anns)):
-        for b in range(a, len(anns)):
-            table[a, b] = table[b, a] = _wzd_adjacent(n, anns[a], anns[b])
+    least = _least_annihilators(n, verts)
+    _, first, vert_tok = np.unique(least, return_index=True, return_inverse=True)
+    rep = np.array(verts, dtype=np.int64)[first]
+    zero = (np.multiply.outer(rep, rep) % n == 0).astype(np.int64)
+    table = zero @ zero @ zero > 0
     adj = table.take(vert_tok, 0).take(vert_tok, 1)
     np.fill_diagonal(adj, False)
     return Graph(labels=tuple(verts), adjacency=adj, modulus=n)

@@ -110,8 +110,8 @@ def symmetric_eigenvalues(m, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list[float]
     on disjoint index pairs, so each round applies as one batched orthogonal
     update.  Converged when the off-diagonal Frobenius mass drops below
     ``JACOBI_CONV_FACTOR * (1 + max |diagonal|)``.  Raises ContractViolation
-    for non-symmetric input and ConvergenceError if ``max_sweeps`` cyclic
-    sweeps do not suffice or the trace drifts.  ``m`` is not modified.
+    for non-symmetric or non-finite input, and ConvergenceError if
+    ``max_sweeps`` sweeps do not suffice or the trace drifts.  ``m`` is unchanged.
 
     The indices are first put in a middle-out order of the diagonal: the
     upper half of a stable sort on even positions, ascending from the
@@ -135,6 +135,8 @@ def symmetric_eigenvalues(m, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list[float]
     if k == 0:
         return []
     scale = float(np.max(np.abs(a)))
+    if not math.isfinite(scale):
+        raise ContractViolation("matrix has a non-finite entry")
     if float(np.max(np.abs(a - a.T))) > SYMMETRY_REL_TOL * (1.0 + scale):
         raise ContractViolation("matrix is not symmetric")
     a = (a + a.T) / 2.0
@@ -255,13 +257,6 @@ def poly_matches_spectrum(p: ExactPolynomial, s: SpectrumMultiset) -> bool:
     return poly_from_spectrum(s).coeffs == p.coeffs
 
 
-def _row_classes(rows: np.ndarray) -> np.ndarray:
-    """Class index of each row of a 2-D bool array; equal rows share one."""
-    packed = np.packbits(rows, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    return np.unique(keys, return_inverse=True)[1]
-
-
 def _twin_classes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Twin classes of the k x k bool adjacency ``a``.
 
@@ -271,12 +266,37 @@ def _twin_classes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     twins.  Only ``a`` is read: no gcd, divisor class or factorization.
     """
     k = a.shape[0]
-    false_cls = _row_classes(a)
+    packed = np.packbits(a, axis=1)
+    plus = packed.copy()  # A + I: the diagonal bits set
+    i = np.arange(k)
+    plus[i, i >> 3] |= (0x80 >> (i & 7)).astype(np.uint8)
+    rows = np.concatenate([packed, plus])
+    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    labels = np.unique(keys, return_inverse=True)[1]  # one sort for A and A + I
+    false_cls = labels[:k]
     false_twin = np.bincount(false_cls)[false_cls] > 1
-    true_cls = _row_classes(a | np.eye(k, dtype=bool))
-    key = np.where(false_twin, false_cls, k + true_cls)
+    key = np.where(false_twin, false_cls, 2 * k + labels[k:])
     _, reps, cls = np.unique(key, return_index=True, return_inverse=True)
     return cls, reps, ~false_twin[reps]
+
+
+def _reflect_blocks(a: np.ndarray, ordered: np.ndarray) -> np.ndarray:
+    """Apply to the float64 ``a``, in place, the class reflections of
+    ``reflect_classes`` for the sorted labels ``ordered``; return ``a``."""
+    k = len(ordered)
+    cuts = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), k]
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi - lo < 2:
+            continue
+        # v = u - e_lo with u = 1/sqrt(c) on the class; H = I - 2 v v^T / v^T v
+        v = np.full(hi - lo, 1.0 / math.sqrt(hi - lo))
+        v[0] -= 1.0
+        w = v * (2.0 / float(v @ v))
+        rows = a[lo:hi]
+        rows -= w[:, None] * (v @ rows)
+        cols = a[:, lo:hi]
+        cols -= (cols @ v)[:, None] * w
+    return a
 
 
 def reflect_classes(m, cls) -> np.ndarray:
@@ -298,20 +318,17 @@ def reflect_classes(m, cls) -> np.ndarray:
     order = np.argsort(cls, kind="stable")
     k = len(order)
     a = np.asarray(m).take(order[:, None] * k + order).astype(np.float64)
-    ordered = cls[order]
-    cuts = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), k]
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi - lo < 2:
-            continue
-        # v = u - e_lo with u = 1/sqrt(c) on the class; H = I - 2 v v^T / v^T v
-        v = np.full(hi - lo, 1.0 / math.sqrt(hi - lo))
-        v[0] -= 1.0
-        w = v * (2.0 / float(v @ v))
-        rows = a[lo:hi]
-        rows -= w[:, None] * (v @ rows)
-        cols = a[:, lo:hi]
-        cols -= (cols @ v)[:, None] * w
-    return a
+    return _reflect_blocks(a, cls[order])
+
+
+def _ordered_laplacian(adj: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """L = D - A of the bool adjacency ``adj`` as float64, rows and columns
+    in ``order``: two one-byte gathers of A, with no int64 L and no k x k
+    index array, equal entry for entry to ``laplacian_matrix`` so ordered."""
+    a = adj.take(order, 0).take(order, 1)
+    lap = np.subtract(0.0, a, dtype=np.float64)  # 0 - A: no negative zeros
+    lap.flat[:: len(order) + 1] = a.sum(axis=1)
+    return lap
 
 
 def _deflated_eigenvalues(a: np.ndarray, sizes: np.ndarray) -> list[float]:
@@ -409,13 +426,16 @@ def twin_certificate(g: Graph, spectrum: SpectrumMultiset, twins=None) -> bool:
 def integrality_check(eigs, tol: float) -> tuple[bool, list[int]]:
     """Whether every eigenvalue sits within tol of an integer; plus roundings.
 
-    Rounding is to the nearest integer, halves away from zero.
+    Rounding is to the nearest integer, halves away from zero.  Raises
+    DomainError for a non-finite eigenvalue.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
     rounded = []
     ok = True
     for e in eigs:
+        if not math.isfinite(e):
+            raise DomainError(f"eigenvalue {e} is not finite")
         r = math.floor(e + 0.5) if e >= 0 else math.ceil(e - 0.5)
         rounded.append(int(r))
         if abs(e - r) > tol:
@@ -466,15 +486,13 @@ def verify_spectrum(
 
     The twin classes of the brute-force adjacency are found once, for the
     certificate and for the numeric check.  The numeric eigenvalues are those
-    of Q^T L Q, L reflected across the twin classes (``reflect_classes``):
-    whatever the classes, it has the spectrum of L, and when they are twin
-    classes only the block of the m class leaders keeps off-diagonal mass.
-    One more reflection of the leader rows takes the constant vector, which
-    L annihilates, to the first leader, whose row and column then vanish
-    too.  When the rest, E, has ||E||_F under half of Jacobi's stopping
-    target, the eigenvalues are the other rows' diagonal plus Jacobi's on the
-    (m - 1) x (m - 1) block of the other leaders; otherwise Jacobi runs on
-    the whole reflected matrix (``_deflated_eigenvalues``).
+    of Q^T L Q, L reflected across the twin classes as by ``reflect_classes``,
+    with L built in float64 from the bool adjacency gathered into class order
+    (``_ordered_laplacian``).  Whatever the classes, it has the spectrum of
+    L; for twin classes only the block of the m class leaders keeps
+    off-diagonal mass, and ``_deflated_eigenvalues`` hands Jacobi the
+    (m - 1) x (m - 1) block of all leaders but the first, whose row the
+    constant vector clears, or the whole matrix when the rest is too large.
 
     Raises OrderCapError, before any graph is built, when the closed-form
     order is above ``graphcore.MAX_GRAPH_ORDER``, or when n is above
@@ -496,8 +514,10 @@ def verify_spectrum(
     charpoly_skipped = order_cap is not None and order > order_cap
     checks["charpoly_match"] = charpoly_skipped or twin_certificate(brute, closed, twins)
 
-    reflected = reflect_classes(laplacian_matrix(brute), twins[0])
-    numeric = _deflated_eigenvalues(reflected, np.bincount(twins[0]))
+    cls = twins[0]
+    perm = np.argsort(cls, kind="stable")
+    reflected = _reflect_blocks(_ordered_laplacian(brute.adjacency, perm), cls[perm])
+    numeric = _deflated_eigenvalues(reflected, np.bincount(cls))
     expanded = closed.expand()
     if len(numeric) != len(expanded):
         checks["numeric_match"] = False

@@ -1,5 +1,6 @@
 """Command-line contract: formats, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -185,6 +186,34 @@ def test_verify_json_lines(capsys):
     assert reports[1]["status"] == "DEGENERATE-EMPTY"
     assert reports[2]["status"] == "PASS"
     assert reports[2]["spectrum"]["entries"][0] == {"eigenvalue": 0, "multiplicity": 1}
+
+
+@pytest.mark.parametrize(
+    "argv, lines, digest",
+    [
+        (
+            ("verify", "4..400"),
+            398,
+            "aad42665571f359bb7e8a74f1294f1579dec4f4d3033bffdf69dc9f8b2ff3141",
+        ),
+        (
+            ("verify", "4..300", "--format", "json"),
+            297,
+            "e07f70a961575c5dbea20f8a6ecb840e6113966f763740f638272cfc7763b079",
+        ),
+        (
+            ("verify", "100..160", "--max-order", "8"),
+            62,
+            "1ab98ae3236105423a328393b44faf7f4a8ad2f27e0753ccc74b5109d9d96c1f",
+        ),
+    ],
+)
+def test_verify_output_is_byte_identical_to_its_recorded_digest(capsys, argv, lines, digest):
+    # sha256 of stdout as first recorded; any change to a verdict, a check
+    # name or the spectrum text changes it
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_parallel_jobs_output_matches_serial(capsys):

@@ -164,6 +164,27 @@ def test_least_annihilators_match_the_reference_sets(monkeypatch, cells):
         assert all(annihilator(n, x) == set(range(0, n, r)) for x, r in zip(verts, least))
 
 
+def definition_edges(n: int) -> set[tuple[int, int]]:
+    """Reference: x ~ y iff some nonzero r annihilating x and nonzero s
+    annihilating y have r*s = 0 mod n, tried one element pair at a time."""
+    anns = {x: sorted(annihilator(n, x) - {0}) for x in range(1, n)}
+    verts = [x for x in range(1, n) if anns[x]]
+    return {
+        (x, y)
+        for x, y in combinations(verts, 2)
+        if any(r * s % n == 0 for r in anns[x] for s in anns[y])
+    }
+
+
+def test_scan_equals_the_definition_pair_by_pair():
+    # the range holds 2*47, 2*53, 3*37 and 11*13, whose large empty classes
+    # leave pairs of annihilators with no witness at all
+    for n in range(2, 201):
+        g = build_bruteforce_wzd(n)
+        assert g.labels == tuple(x for x in range(1, n) if gcd(x, n) > 1), n
+        assert label_edge_set(g) == definition_edges(n), n
+
+
 @pytest.mark.parametrize("n", [5040, 8186, 66049])
 def test_scan_equals_structural_at_large_orders(n):
     # many classes; an empty class of 4092; large n and small order

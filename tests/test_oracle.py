@@ -151,6 +151,25 @@ def test_symmetric_eigenvalues_rejects_bad_input():
         symmetric_eigenvalues(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[np.nan]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[-np.inf]],
+        # symmetric, so only the finiteness test can refuse it before Jacobi
+        [[1.0, np.nan, 0.0], [np.nan, 2.0, 0.0], [0.0, 0.0, 3.0]],
+    ],
+)
+def test_symmetric_eigenvalues_rejects_non_finite_entries(monkeypatch, m):
+    def unreachable(k):
+        raise AssertionError("a sweep ran on a non-finite matrix")
+
+    monkeypatch.setattr(oracle, "_cached_jacobi_schedule", unreachable)
+    with pytest.raises(ContractViolation, match="non-finite"):
+        symmetric_eigenvalues(m)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=25), st.integers(min_value=0, max_value=10**6))
 def test_symmetric_eigenvalues_match_lapack(k, seed):
@@ -286,6 +305,50 @@ def test_reflect_classes_leaves_the_class_leaders_to_rotate():
     others = np.setdiff1d(np.arange(11), reps)
     expected = np.where(cls[others] == 0, 5.0, 11.0)
     assert np.max(np.abs(np.diagonal(r)[others] - expected)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [4, 13, 18, 150, 240, 360])
+def test_ordered_laplacian_is_the_laplacian_gathered_into_class_order(n):
+    # bit for bit, signed zeros included, what the reflection used to get
+    g = build_bruteforce_wzd(n)
+    order = np.argsort(_twin_classes(g.adjacency)[0], kind="stable")
+    lap = oracle._ordered_laplacian(g.adjacency, order)
+    want = laplacian_matrix(g)[np.ix_(order, order)].astype(np.float64)
+    assert lap.dtype == np.float64 and lap.tobytes() == want.tobytes()
+
+
+def twin_classes_reference(a: np.ndarray) -> dict[frozenset, bool]:
+    """Each twin class, as a set of vertices, to whether it is of true twins,
+    by comparing rows of A, then of A + I, as tuples."""
+    k = len(a)
+    open_rows = [tuple(row) for row in a.tolist()]
+    closed_rows = [tuple(row) for row in (a | np.eye(k, dtype=bool)).tolist()]
+    groups: dict[tuple, list[int]] = {}
+    for i in range(k):
+        if open_rows.count(open_rows[i]) > 1:
+            groups.setdefault((False, open_rows[i]), []).append(i)
+        else:
+            groups.setdefault((True, closed_rows[i]), []).append(i)
+    return {frozenset(members): true for (true, _), members in groups.items()}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_twin_classes_match_a_row_by_row_reference(seed):
+    # planted classes over a random host, orders that are and are not
+    # multiples of 8, so the diagonal bits of A + I land in every bit position
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 9))
+    host = np.triu(rng.random((m, m)) < 0.5, 1)
+    g, _, _ = planted_twin_graph(rng, host | host.T)
+    cls, reps, true_twin = _twin_classes(g.adjacency)
+    got = {
+        frozenset(np.flatnonzero(cls == c).tolist()): bool(true_twin[c])
+        for c in range(len(reps))
+    }
+    assert got == twin_classes_reference(g.adjacency)
+    # each class is led by its first vertex, and false twins come first
+    assert reps.tolist() == [int(np.flatnonzero(cls == c)[0]) for c in range(len(reps))]
+    assert true_twin.tolist() == sorted(true_twin.tolist())
 
 
 def test_jacobi_converges_in_one_sweep_on_reflected_wzd_laplacians():
@@ -522,6 +585,12 @@ def test_integrality_check_examples():
         integrality_check([0.0], 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_integrality_check_refuses_non_finite_eigenvalues(bad):
+    with pytest.raises(DomainError, match="not finite"):
+        integrality_check([1.0, bad], 1e-6)
+
+
 def test_verify_spectrum_pass_cases():
     rep18 = verify_spectrum(18)
     assert rep18.status == STATUS_PASS
@@ -694,8 +763,10 @@ def test_verify_spectrum_deflated_path_sees_a_perturbed_laplacian(monkeypatch, n
     # a multiple of I keeps the twin eigenvectors, so the check stays deflated
     order = wzd_spectrum_closed_form(n).order
     shift = 2 * NUMERIC_MATCH_TOL * order
-    real = oracle.laplacian_matrix
-    monkeypatch.setattr(oracle, "laplacian_matrix", lambda g: real(g) + shift * np.eye(order))
+    real = oracle._ordered_laplacian
+    monkeypatch.setattr(
+        oracle, "_ordered_laplacian", lambda adj, perm: real(adj, perm) + shift * np.eye(order)
+    )
     orders = jacobi_orders(monkeypatch)
     rep = verify_spectrum(n)
     assert rep.checks["numeric_match"] is False and rep.status == STATUS_FAIL
