@@ -27,6 +27,7 @@ from .oracle import (
     VerificationReport,
     char_poly_exact,
     integrality_check,
+    laplacian_eigenvalues,
     laplacian_matrix,
     poly_matches_spectrum,
     symmetric_eigenvalues,

@@ -34,6 +34,10 @@ JACOBI_MAX_SWEEPS = 100
 #: cache, one entry per order, takes about 2.3 MB, where one entry at order
 #: 4096 alone would take 270 MB.
 JACOBI_CACHED_ORDER = 64
+#: largest order ``laplacian_eigenvalues`` and a join's host hand to Jacobi.
+#: Raw Jacobi on cycle Laplacians, which have no twins, took 1.7 s at order
+#: 256, 4.4 s at 352 and 22 s at 512 (one Xeon core, one BLAS thread).
+JACOBI_MAX_ORDER = 256
 TRACE_REL_TOL = 1e-9
 SYMMETRY_REL_TOL = 1e-12
 
@@ -123,10 +127,8 @@ def symmetric_eigenvalues(m, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list[float]
     random orthogonal similarity or a random permutation needed as many;
     this order needs 4 at n = 480 and at most 6 for n <= 320.  A
     permutation similarity is exact in float64 and keeps the trace, and the
-    result is sorted, so the eigenvalues do not depend on it.
-
-    The schedule of each order up to ``JACOBI_CACHED_ORDER`` is built once
-    and then reused; above it, each call builds its own.
+    result is sorted, so the eigenvalues do not depend on it.  The schedule
+    of each order up to ``JACOBI_CACHED_ORDER`` is built once and reused.
     """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -227,22 +229,14 @@ def char_poly_exact(m: np.ndarray) -> ExactPolynomial:
     return ExactPolynomial(coeffs=tuple(coeffs))
 
 
-def _poly_mul_linear(coeffs: list[int], root: int) -> list[int]:
-    # multiply by (x - root)
-    out = [0] + coeffs
-    for i in range(len(coeffs)):
-        out[i] -= root * coeffs[i]
-    return out
-
-
 def poly_from_spectrum(s: SpectrumMultiset) -> ExactPolynomial:
     """Exact expansion of the product of (x - eigenvalue)^multiplicity."""
     if s.variant != EXACT:
         raise ContractViolation("exact spectrum required")
     coeffs = [1]
     for e, mult in s.items_sorted():
-        for _ in range(mult):
-            coeffs = _poly_mul_linear(coeffs, e)
+        for _ in range(mult):  # multiply by (x - e)
+            coeffs = [a - e * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
     return ExactPolynomial(coeffs=tuple(coeffs))
 
 
@@ -281,8 +275,17 @@ def _twin_classes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _reflect_blocks(a: np.ndarray, ordered: np.ndarray) -> np.ndarray:
-    """Apply to the float64 ``a``, in place, the class reflections of
-    ``reflect_classes`` for the sorted labels ``ordered``; return ``a``."""
+    """Q^T A Q, in place in the float64 ``a``, whose rows and columns are in
+    class order with the sorted labels ``ordered``; return ``a``.
+
+    Q applies one Householder reflection per class of c >= 2 indices, which
+    swaps the class's normalized indicator with the unit vector of its
+    leader, the class's first index.  The reflections act on disjoint
+    slices, so they commute, and each costs O(c k).  Q^T A Q has the
+    eigenvalues of A whatever the labels are.  When a class holds twins of a
+    Laplacian A, the rows of its other indices come out diagonal up to
+    rounding, because the differences inside the class are eigenvectors.
+    """
     k = len(ordered)
     cuts = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), k]
     for lo, hi in zip(cuts, cuts[1:]):
@@ -299,28 +302,6 @@ def _reflect_blocks(a: np.ndarray, ordered: np.ndarray) -> np.ndarray:
     return a
 
 
-def reflect_classes(m, cls) -> np.ndarray:
-    """Q^T M Q as float64, in class order, for the orthogonal Q built from the
-    classes ``cls``.
-
-    ``cls[i]`` labels index i.  Q first permutes the indices into class order,
-    ``np.argsort(cls, kind="stable")``: row and column i of the result belong
-    to index ``order[i]``, and each class is one contiguous block, led by its
-    first index.  Then Q applies one Householder reflection per class of
-    c >= 2 indices, which swaps the class's normalized indicator with the unit
-    vector of its leader; the reflections act on disjoint slices, so they
-    commute, and each costs O(c k).  Q^T M Q has the eigenvalues of M whatever
-    the labels are.  When a class holds twins of a Laplacian M, the rows of
-    its other indices come out diagonal up to rounding, because the
-    differences inside the class are eigenvectors of M.
-    """
-    cls = np.asarray(cls)
-    order = np.argsort(cls, kind="stable")
-    k = len(order)
-    a = np.asarray(m).take(order[:, None] * k + order).astype(np.float64)
-    return _reflect_blocks(a, cls[order])
-
-
 def _ordered_laplacian(adj: np.ndarray, order: np.ndarray) -> np.ndarray:
     """L = D - A of the bool adjacency ``adj`` as float64, rows and columns
     in ``order``: two one-byte gathers of A, with no int64 L and no k x k
@@ -331,8 +312,17 @@ def _ordered_laplacian(adj: np.ndarray, order: np.ndarray) -> np.ndarray:
     return lap
 
 
+def check_jacobi_order(name: str, order: int) -> None:
+    """Raise OrderCapError when ``name`` would hand Jacobi a matrix of
+    ``order`` above ``JACOBI_MAX_ORDER``."""
+    if order > JACOBI_MAX_ORDER:
+        raise OrderCapError(
+            f"{name} leaves Jacobi order {order}, above its limit of {JACOBI_MAX_ORDER}"
+        )
+
+
 def _deflated_eigenvalues(a: np.ndarray, sizes: np.ndarray) -> list[float]:
-    """Eigenvalues of ``a`` = Q^T L Q from ``reflect_classes``, ascending,
+    """Eigenvalues of ``a`` = Q^T L Q from ``_reflect_blocks``, ascending,
     for a symmetric L and classes of positive ``sizes`` in class order;
     ``a`` is overwritten.
 
@@ -352,7 +342,7 @@ def _deflated_eigenvalues(a: np.ndarray, sizes: np.ndarray) -> list[float]:
     (Golub & Van Loan, Matrix Computations, 4th ed., 8.1.2), the bound that
     makes Jacobi's own stopping test sound.  Otherwise all of the reflected
     ``a``, similar to L whatever the classes are, goes to
-    ``symmetric_eigenvalues``.
+    ``symmetric_eigenvalues``, unless ``check_jacobi_order`` refuses it.
     """
     k = a.shape[0]
     leaders = sizes.cumsum() - sizes
@@ -379,9 +369,26 @@ def _deflated_eigenvalues(a: np.ndarray, sizes: np.ndarray) -> list[float]:
         diag[rest] = symmetric_eigenvalues(block)
         diag.sort()
         return diag.tolist()
+    check_jacobi_order("the whole-matrix fallback", k)
     a[block_at] = block
     a.flat[:: k + 1] = diag
     return symmetric_eigenvalues(a)
+
+
+def laplacian_eigenvalues(adj: np.ndarray, twins=None) -> list[float]:
+    """Laplacian eigenvalues of the bool adjacency ``adj``, ascending: L in
+    class order of the m twin classes (``_ordered_laplacian``), reflected
+    (``_reflect_blocks``) and deflated (``_deflated_eigenvalues``), so that
+    Jacobi gets the (m - 1) x (m - 1) block of the leaders but the first.
+    ``twins`` is ``_twin_classes(adj)``, if the caller has it already.
+    Raises OrderCapError, before any sweep, above ``JACOBI_MAX_ORDER``: for
+    m - 1, before L is built.
+    """
+    cls, reps, _ = _twin_classes(adj) if twins is None else twins
+    check_jacobi_order("the twin reduction", len(reps) - 1)
+    perm = np.argsort(cls, kind="stable")
+    reflected = _reflect_blocks(_ordered_laplacian(adj, perm), cls[perm])
+    return _deflated_eigenvalues(reflected, np.bincount(cls))
 
 
 def twin_certificate(g: Graph, spectrum: SpectrumMultiset, twins=None) -> bool:
@@ -394,7 +401,8 @@ def twin_certificate(g: Graph, spectrum: SpectrumMultiset, twins=None) -> bool:
     spaces together span R^k.  The twin partition is equitable, L P = P Q,
     checked here exactly, so the other eigenvalues are those of the m x m
     quotient Q.  The twin eigenvalues are removed from ``spectrum`` and the
-    rest must equal the roots of det(xI - Q).
+    rest must equal the roots of det(xI - Q).  A Q above
+    ``CHAR_POLY_MAX_ORDER`` proves nothing, and gives False.
 
     Only ``g.adjacency`` is read: no gcd, divisor class or factorization.
     ``twins`` is ``_twin_classes(g.adjacency)``, if the caller has it already.
@@ -406,6 +414,8 @@ def twin_certificate(g: Graph, spectrum: SpectrumMultiset, twins=None) -> bool:
     if spectrum.order != k:
         return False
     cls, reps, true_twin = _twin_classes(a) if twins is None else twins
+    if len(reps) > CHAR_POLY_MAX_ORDER:
+        return False
     deg = a.sum(axis=1)
     p = np.zeros((k, len(reps)), dtype=np.int64)
     p[np.arange(k), cls] = 1
@@ -451,6 +461,15 @@ NUMERIC_MATCH_TOL = 1e-8
 INTEGRAL_TOL = 1e-6
 
 
+def eigenvalues_match(numeric, expected) -> bool:
+    """Whether the ascending ``numeric`` eigenvalues equal ``expected``
+    elementwise, within ``NUMERIC_MATCH_TOL`` times the order."""
+    tol = NUMERIC_MATCH_TOL * max(1, len(expected))
+    return len(numeric) == len(expected) and all(
+        abs(a - b) <= tol for a, b in zip(numeric, expected)
+    )
+
+
 @dataclass
 class VerificationReport:
     n: int
@@ -485,14 +504,9 @@ def verify_spectrum(
     near-integers.
 
     The twin classes of the brute-force adjacency are found once, for the
-    certificate and for the numeric check.  The numeric eigenvalues are those
-    of Q^T L Q, L reflected across the twin classes as by ``reflect_classes``,
-    with L built in float64 from the bool adjacency gathered into class order
-    (``_ordered_laplacian``).  Whatever the classes, it has the spectrum of
-    L; for twin classes only the block of the m class leaders keeps
-    off-diagonal mass, and ``_deflated_eigenvalues`` hands Jacobi the
-    (m - 1) x (m - 1) block of all leaders but the first, whose row the
-    constant vector clears, or the whole matrix when the rest is too large.
+    certificate and for the numeric eigenvalues of ``laplacian_eigenvalues``.
+    When it refuses the order Jacobi would get, the numeric and integrality
+    checks fail.
 
     Raises OrderCapError, before any graph is built, when the closed-form
     order is above ``graphcore.MAX_GRAPH_ORDER``, or when n is above
@@ -514,28 +528,19 @@ def verify_spectrum(
     charpoly_skipped = order_cap is not None and order > order_cap
     checks["charpoly_match"] = charpoly_skipped or twin_certificate(brute, closed, twins)
 
-    cls = twins[0]
-    perm = np.argsort(cls, kind="stable")
-    reflected = _reflect_blocks(_ordered_laplacian(brute.adjacency, perm), cls[perm])
-    numeric = _deflated_eigenvalues(reflected, np.bincount(cls))
+    try:
+        numeric = laplacian_eigenvalues(brute.adjacency, twins)
+    except OrderCapError:
+        numeric = None
     expanded = closed.expand()
-    if len(numeric) != len(expanded):
-        checks["numeric_match"] = False
-        checks["integral"] = False
-    else:
-        tol = NUMERIC_MATCH_TOL * max(1, order)
-        checks["numeric_match"] = all(
-            abs(a - b) <= tol for a, b in zip(numeric, expanded)
-        )
-        checks["integral"] = integrality_check(numeric, integral_tol)[0]
+    same_order = numeric is not None and len(numeric) == len(expanded)
+    checks["numeric_match"] = same_order and eigenvalues_match(numeric, expanded)
+    checks["integral"] = same_order and integrality_check(numeric, integral_tol)[0]
 
-    if order == 0:
-        status = STATUS_DEGENERATE if all(checks.values()) else STATUS_FAIL
-    else:
-        status = STATUS_PASS if all(checks.values()) else STATUS_FAIL
+    ok = STATUS_DEGENERATE if order == 0 else STATUS_PASS
     return VerificationReport(
         n=n,
-        status=status,
+        status=ok if all(checks.values()) else STATUS_FAIL,
         checks=checks,
         spectrum=closed,
         charpoly_skipped=charpoly_skipped,

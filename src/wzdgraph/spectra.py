@@ -136,11 +136,7 @@ def symmetric_weighted_laplacian(host: WeightedHostGraph) -> np.ndarray:
     Similar, by diag(sqrt(n_i)), to the zero-row-sum host matrix (diagonal
     D_i, off-diagonal -n_j on edges), and therefore has the same spectrum.
     """
-    k = host.order
-    L = np.zeros((k, k), dtype=np.float64)
-    d = host.neighbor_weight_sums()
-    for i in range(k):
-        L[i, i] = d[i]
+    L = np.diag(np.array(host.neighbor_weight_sums(), dtype=np.float64))
     for i, j in host.edges:
         L[i, j] = L[j, i] = -np.sqrt(host.weights[i] * host.weights[j])
     return L
@@ -160,7 +156,8 @@ def _host_spectrum_pairs(host: WeightedHostGraph) -> tuple[list, bool]:
 
     Edgeless hosts give {0^k}; complete hosts give {0, (sum of weights)^(k-1)}
     by the rank-one decomposition.  Anything else goes through the numeric
-    symmetric eigensolver.
+    symmetric eigensolver, and is refused with OrderCapError, before its
+    matrix is built, above ``oracle.JACOBI_MAX_ORDER`` vertices.
     """
     k = host.order
     if k == 0:
@@ -170,8 +167,9 @@ def _host_spectrum_pairs(host: WeightedHostGraph) -> tuple[list, bool]:
     if host.is_complete():
         total = sum(host.weights)
         return [(0, 1), (total, k - 1)], True
-    from .oracle import symmetric_eigenvalues  # deferred: oracle imports this module
+    from .oracle import check_jacobi_order, symmetric_eigenvalues  # deferred: oracle imports this
 
+    check_jacobi_order("a host neither complete nor edgeless", k)
     eigs = symmetric_eigenvalues(symmetric_weighted_laplacian(host))
     return [(e, 1) for e in eigs], False
 

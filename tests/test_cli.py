@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from wzdgraph import cli, graphcore
+from wzdgraph import cli, graphcore, oracle
 from wzdgraph.cli import _worker_count, main
 
 
@@ -643,3 +643,65 @@ def test_parser_is_built_once_and_each_call_reports_to_its_own_stderr(monkeypatc
         errs.append(err.getvalue())
     assert errs[0] == errs[1]
     assert errs[0].startswith("usage: wzd ") and "invalid choice: 'frobnicate'" in errs[0]
+
+
+def path_join(*parts):
+    """Join over the path host 0 - 1 - 2 ..., one (kind, order) per vertex."""
+    return {
+        "host": {
+            "labels": list(range(len(parts))),
+            "weights": [order for _, order in parts],
+            "edges": [[i, i + 1] for i in range(len(parts) - 1)],
+        },
+        "components": [{"kind": kind, "order": order} for kind, order in parts],
+    }
+
+
+@pytest.mark.parametrize("flags", [[], ["--check"]])
+def test_join_refuses_a_twin_free_component_above_the_jacobi_limit(
+    tmp_path, capsys, no_sweep, flags
+):
+    # P_258 has no twins, so its 258 classes leave Jacobi a block of 257
+    order = oracle.JACOBI_MAX_ORDER + 2
+    edges = [[i, i + 1] for i in range(order - 1)]
+    path = tmp_path / "p258.json"
+    path.write_text(json.dumps(one_component_join({"order": order, "edges": edges}, order)))
+    code, out, err = run_cli(capsys, "join", str(path), *flags)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: join component 0: the twin reduction leaves Jacobi order 257, "
+        "above its limit of 256\n"
+    )
+
+
+def test_join_refuses_a_path_host_above_the_jacobi_limit(tmp_path, capsys, monkeypatch, no_sweep):
+    def unbuilt(host):
+        raise AssertionError("the host matrix was built before the order check")
+
+    monkeypatch.setattr(cli.spectra, "symmetric_weighted_laplacian", unbuilt)
+    path = tmp_path / "host6000.json"
+    path.write_text(json.dumps(path_join(*[("complete", 1)] * 6000)))
+    code, out, err = run_cli(capsys, "join", str(path))
+    assert code == 2 and out == ""
+    assert err == (
+        "error: a host neither complete nor edgeless leaves Jacobi order 6000, "
+        "above its limit of 256\n"
+    )
+
+
+def test_join_check_runs_jacobi_on_the_twin_reduced_blocks_only(tmp_path, capsys, monkeypatch):
+    # the host matrix is 3 x 3, and the assembled join's three twin classes
+    # leave Jacobi a 2 x 2 block
+    orders = []
+    real = oracle.symmetric_eigenvalues
+
+    def spy(m, *args, **kwargs):
+        orders.append(len(m))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "symmetric_eigenvalues", spy)
+    path = tmp_path / "path1600.json"
+    path.write_text(json.dumps(path_join(("complete", 600), ("empty", 600), ("complete", 400))))
+    code, out, _ = run_cli(capsys, "join", str(path), "--check")
+    assert code == 0 and out.splitlines()[-1] == "check: ok (1600 vertices)"
+    assert orders and max(orders) <= 3

@@ -20,11 +20,11 @@ from wzdgraph.oracle import (
     laplacian_matrix,
     poly_from_spectrum,
     poly_matches_spectrum,
-    reflect_classes,
     symmetric_eigenvalues,
     twin_certificate,
     verify_spectrum,
     _deflated_eigenvalues,
+    _reflect_blocks,
     _round_robin_rounds,
     _twin_classes,
 )
@@ -264,6 +264,23 @@ def test_jacobi_sweep_bound_includes_the_last_sweep():
     assert np.max(np.abs(np.array(eigs) - expected)) < 1e-8 * len(expected)
     with pytest.raises(ConvergenceError):
         symmetric_eigenvalues(lap, max_sweeps=0)
+
+
+def reflect_classes(m, cls) -> np.ndarray:
+    """Q^T M Q as float64, in class order, for the orthogonal Q built from the
+    classes ``cls``: the reference form of ``_reflect_blocks``.
+
+    ``cls[i]`` labels index i.  Q first permutes the indices into class order,
+    ``np.argsort(cls, kind="stable")``: row and column i of the result belong
+    to index ``order[i]``, and each class is one contiguous block, led by its
+    first index.  Then Q applies ``_reflect_blocks``' one Householder
+    reflection per class of c >= 2 indices.
+    """
+    cls = np.asarray(cls)
+    order = np.argsort(cls, kind="stable")
+    k = len(order)
+    a = np.asarray(m).take(order[:, None] * k + order).astype(np.float64)
+    return _reflect_blocks(a, cls[order])
 
 
 @settings(max_examples=60, deadline=None)
@@ -836,3 +853,78 @@ def test_verify_report_json_schema():
     }
     assert payload["spectrum"]["order"] == 7
     assert "charpoly_skipped" not in payload
+
+
+def random_adjacency(rng, k: int) -> np.ndarray:
+    upper = np.triu(rng.random((k, k)) < rng.uniform(0.1, 0.9), 1)
+    return upper | upper.T
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.booleans(),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_laplacian_eigenvalues_match_jacobi_on_the_raw_laplacian(k, planted, seed):
+    # planted classes of 1..5 over a host of at most 8 vertices keep the order <= 40
+    rng = np.random.default_rng(seed)
+    if planted:
+        g = planted_twin_graph(rng, random_adjacency(rng, max(1, k // 5)))[0]
+    else:
+        g = Graph(labels=tuple(range(k)), adjacency=random_adjacency(rng, k))
+    eigs = oracle.laplacian_eigenvalues(g.adjacency)
+    ref = symmetric_eigenvalues(laplacian_matrix(g))
+    assert len(eigs) == len(ref) == g.vertex_count and eigs == sorted(eigs)
+    assert all(abs(a - b) <= 1e-9 * max(1, len(ref)) for a, b in zip(eigs, ref))
+
+
+def path_adjacency(k: int) -> np.ndarray:
+    return np.eye(k, k=1, dtype=bool) | np.eye(k, k=-1, dtype=bool)
+
+
+def test_laplacian_eigenvalues_refuses_a_leader_block_above_the_bound(monkeypatch, request):
+    # P_k has no twins for k >= 4, so its leader block is of order k - 1
+    monkeypatch.setattr(oracle, "JACOBI_MAX_ORDER", 4)
+    assert oracle.laplacian_eigenvalues(path_adjacency(5)) == pytest.approx(
+        np.linalg.eigvalsh(laplacian_matrix(Graph(tuple(range(5)), path_adjacency(5))))
+    )
+    request.getfixturevalue("no_sweep")
+    with pytest.raises(OrderCapError, match="^the twin reduction leaves Jacobi order 5, "
+                                             "above its limit of 4$"):
+        oracle.laplacian_eigenvalues(path_adjacency(6))
+
+
+def test_laplacian_eigenvalues_refuses_the_whole_matrix_fallback_above_the_bound(no_sweep):
+    # three classes that are not twins leave mass outside the leader block
+    k = oracle.JACOBI_MAX_ORDER + 44
+    wrong = np.arange(k) % 3, np.arange(3), np.zeros(3, dtype=bool)
+    with pytest.raises(OrderCapError, match=f"^the whole-matrix fallback leaves Jacobi order {k},"):
+        oracle.laplacian_eigenvalues(path_adjacency(k), wrong)
+
+
+def test_verify_spectrum_fails_a_twin_free_graph_above_the_jacobi_bound(monkeypatch, no_sweep):
+    # WΓ(Z_500) has 299 vertices; a path on them has 299 twin classes, so
+    # Jacobi would get order 298: the numeric checks fail, with no sweep run
+    def planted(n):
+        g = graphcore.build_bruteforce_wzd(n)
+        return Graph(labels=g.labels, adjacency=path_adjacency(len(g.labels)), modulus=n)
+
+    monkeypatch.setattr(oracle, "build_bruteforce_wzd", planted)
+    rep = verify_spectrum(500)
+    assert rep.status == STATUS_FAIL
+    # the certificate's quotient, of order 299, is above the charpoly limit
+    assert rep.checks["charpoly_match"] is False
+    assert rep.checks["numeric_match"] is False and rep.checks["integral"] is False
+
+
+def test_twin_certificate_proves_nothing_past_the_charpoly_limit(monkeypatch):
+    # P_65 has 65 twin classes, each of one vertex, so its partition is
+    # equitable and no twin eigenvalue is missing: only the charpoly is left
+    def unreachable(m):
+        raise AssertionError("the charpoly ran past its limit")
+
+    monkeypatch.setattr(oracle, "char_poly_exact", unreachable)
+    k = CHAR_POLY_MAX_ORDER + 1
+    g = Graph(labels=tuple(range(k)), adjacency=path_adjacency(k))
+    assert not twin_certificate(g, SpectrumMultiset.exact([(0, k)]))
