@@ -301,16 +301,20 @@ def _local_edges(entry: dict, order: int, index: int) -> list[tuple[int, int]]:
     return edges
 
 
-def _component_from_json(entry, index: int) -> spectra.SpectrumMultiset:
+def _component_from_json(
+    entry, index: int
+) -> tuple[spectra.SpectrumMultiset, graphcore.Graph | None]:
+    """Component ``index``'s spectrum, and the graph it was computed from
+    when ``entry`` is an edge list (None otherwise)."""
     if not isinstance(entry, dict):
         raise DomainError(f"component {index} is not an object")
     if "spectrum" in entry:
         pairs = _spectrum_pairs(entry["spectrum"]["entries"], index)
         if all(float(e).is_integer() for e, _ in pairs):
-            return spectra.SpectrumMultiset.exact((int(e), m) for e, m in pairs)
-        return spectra.SpectrumMultiset.floating(pairs)
+            return spectra.SpectrumMultiset.exact((int(e), m) for e, m in pairs), None
+        return spectra.SpectrumMultiset.floating(pairs), None
     if entry.get("kind") in ("complete", "empty"):
-        return spectra.component_spectrum(entry["order"], Kind(entry["kind"]))
+        return spectra.component_spectrum(entry["order"], Kind(entry["kind"])), None
     if "edges" not in entry or "order" not in entry:
         raise DomainError(f"component {index} needs a kind, a spectrum, or edges with an order")
     graphcore.check_graph_order(f"join component {index}", entry["order"])
@@ -319,7 +323,7 @@ def _component_from_json(entry, index: int) -> spectra.SpectrumMultiset:
         eigs = oracle.laplacian_eigenvalues(g.adjacency)
     except OrderCapError as exc:
         raise OrderCapError(f"join component {index}: {exc}") from None
-    return spectra.SpectrumMultiset.floating((e, 1) for e in eigs)
+    return spectra.SpectrumMultiset.floating((e, 1) for e in eigs), g
 
 
 def _component_graph(entry: dict, order: int, index: int) -> graphcore.Graph:
@@ -351,15 +355,15 @@ def cmd_join(path: str, fmt: str, check: bool) -> int:
             labels=labels, weights=tuple(host_spec["weights"]), edges=frozenset(edges)
         )
         comp_specs = payload["components"]
-        components = [
-            _component_from_json(entry, i) for i, entry in enumerate(comp_specs)
-        ]
-        result = spectra.join_spectrum(host, components, n=payload.get("n"))
+        parsed = [_component_from_json(entry, i) for i, entry in enumerate(comp_specs)]
+        result = spectra.join_spectrum(host, [spec for spec, _ in parsed], n=payload.get("n"))
         if check:
             graphcore.check_graph_order("the assembled join", sum(host.weights))
+            # join_spectrum has checked each component's order against its
+            # host weight, so an edge-list component's graph is reused as is
             parts = [
-                _component_graph(entry, host.weights[i], i)
-                for i, entry in enumerate(comp_specs)
+                g if g is not None else _component_graph(entry, host.weights[i], i)
+                for i, (entry, (_, g)) in enumerate(zip(comp_specs, parsed))
             ]
     except (OSError, json.JSONDecodeError, KeyError, TypeError,
             DomainError, ContractViolation) as exc:

@@ -38,6 +38,9 @@ JACOBI_CACHED_ORDER = 64
 #: Raw Jacobi on cycle Laplacians, which have no twins, took 1.7 s at order
 #: 256, 4.4 s at 352 and 22 s at 512 (one Xeon core, one BLAS thread).
 JACOBI_MAX_ORDER = 256
+#: rows per slice of a class reflection's rank-one update in
+#: ``_reflect_blocks``: the temporary is REFLECT_SLICE_ROWS x k, not c x k.
+REFLECT_SLICE_ROWS = 128
 TRACE_REL_TOL = 1e-9
 SYMMETRY_REL_TOL = 1e-12
 
@@ -281,7 +284,9 @@ def _reflect_blocks(a: np.ndarray, ordered: np.ndarray) -> np.ndarray:
     Q applies one Householder reflection per class of c >= 2 indices, which
     swaps the class's normalized indicator with the unit vector of its
     leader, the class's first index.  The reflections act on disjoint
-    slices, so they commute, and each costs O(c k).  Q^T A Q has the
+    slices, so they commute, and each costs O(c k).  Each rank-one update
+    is subtracted REFLECT_SLICE_ROWS rows at a time, after its whole
+    matrix-vector product, so no c x k temporary is made.  Q^T A Q has the
     eigenvalues of A whatever the labels are.  When a class holds twins of a
     Laplacian A, the rows of its other indices come out diagonal up to
     rounding, because the differences inside the class are eigenvectors.
@@ -296,9 +301,13 @@ def _reflect_blocks(a: np.ndarray, ordered: np.ndarray) -> np.ndarray:
         v[0] -= 1.0
         w = v * (2.0 / float(v @ v))
         rows = a[lo:hi]
-        rows -= w[:, None] * (v @ rows)
+        t = v @ rows
+        for i in range(0, hi - lo, REFLECT_SLICE_ROWS):
+            rows[i : i + REFLECT_SLICE_ROWS] -= w[i : i + REFLECT_SLICE_ROWS, None] * t
         cols = a[:, lo:hi]
-        cols -= (cols @ v)[:, None] * w
+        s = cols @ v
+        for i in range(0, k, REFLECT_SLICE_ROWS):
+            cols[i : i + REFLECT_SLICE_ROWS] -= s[i : i + REFLECT_SLICE_ROWS, None] * w
     return a
 
 

@@ -477,6 +477,30 @@ def test_join_with_explicit_component_edges(tmp_path, capsys):
     assert mults == [2, 1, 1]
 
 
+def test_join_check_builds_an_edge_list_component_once(tmp_path, capsys, monkeypatch):
+    # the graph the component's spectrum came from is the one assembled
+    built = []
+    real = graphcore.Graph.from_edges.__func__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args[0])
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(graphcore.Graph, "from_edges", classmethod(counting))
+    payload = {
+        "host": {"labels": [0, 1], "weights": [4, 2], "edges": [[0, 1]]},
+        "components": [
+            {"order": 4, "edges": [[0, 1], [1, 2], [2, 3]]},
+            {"kind": "empty", "order": 2},
+        ],
+    }
+    path = tmp_path / "p4.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run_cli(capsys, "join", str(path), "--check")
+    assert code == 0 and out.splitlines()[-1] == "check: ok (6 vertices)"
+    assert len(built) == 1
+
+
 def test_join_malformed_input(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

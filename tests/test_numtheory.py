@@ -1,6 +1,7 @@
 """Number-theory layer: examples plus the divisor-lattice identities."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -254,3 +255,109 @@ def test_factorize_calls_itself_once(monkeypatch, n):
     monkeypatch.setattr(numtheory, "factorize", counting)
     numtheory.factorize(n)
     assert calls == [n]
+
+
+def test_trial_primes_are_the_primes_below_the_trial_bound():
+    expected = tuple(p for p in range(numtheory.TRIAL_BOUND) if is_prime_trial(p))
+    assert numtheory.TRIAL_PRIMES == expected and len(expected) == 168
+    assert numtheory.TRIAL_PRODUCT == math.prod(expected)
+
+
+@pytest.mark.parametrize("t", range(1, 14))
+def test_mr_psi_are_strong_pseudoprimes_to_their_bases(t):
+    psi = numtheory.MR_PSI[t - 1]
+    assert all(strong_probable_prime(psi, a) for a in numtheory.MR_BASES[:t])
+    if t < 13:
+        assert is_prime(psi) is False
+        if psi < numtheory.MR_PSI[t]:
+            # psi_{t+1} is the least pseudoprime to one more base
+            assert not strong_probable_prime(psi, numtheory.MR_BASES[t])
+    else:
+        assert psi == PRIMALITY_LIMIT
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=2, max_value=10**18))
+def test_is_prime_matches_all_thirteen_bases(n):
+    # stopping at psi_t gives the verdict of the full 13-base test
+    small = [p for p in numtheory.MR_BASES if n % p == 0]
+    if small:
+        expected = small == [n]
+    else:
+        expected = all(strong_probable_prime(n, a) for a in numtheory.MR_BASES)
+    assert is_prime(n) == expected
+
+
+def test_factorize_matches_trial_division_on_products_of_primes_near_the_bound():
+    # primes in [900, 1100]: products of two below 1000 stop the walk once
+    # p * p > the gcd, cofactors below TRIAL_BOUND ** 2 are prime untested,
+    # and 1009 ** 2 goes through Miller-Rabin and rho
+    primes = [p for p in range(900, 1101) if is_prime_trial(p)]
+    for i, p in enumerate(primes):
+        for q in primes[i:]:
+            assert factorize(p * q).factors == factors_trial(p * q)
+
+
+def rho_divisor_one_step(m: int, budget: int) -> tuple[int, int]:
+    """``numtheory._rho_divisor`` with the product reduced after every step."""
+    steps = 0
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            steps += r
+            if steps > budget:
+                raise numtheory._rho_exhausted(m)
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                batch = min(numtheory.RHO_BATCH, r - k)
+                steps += batch
+                if steps > budget:
+                    raise numtheory._rho_exhausted(m)
+                for _ in range(batch):
+                    y = (y * y + c) % m
+                    q = q * (x - y) % m
+                g = math.gcd(q, m)
+                k += batch
+            r *= 2
+        if g == m:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(x - ys, m)
+                steps += 1
+        if g != m:
+            return g, steps
+
+
+def random_prime(rng: random.Random, lo: int, hi: int) -> int:
+    while True:
+        p = rng.randrange(lo, hi)
+        if is_prime(p):
+            return p
+
+
+def rho_outcome(rho, m: int, budget: int):
+    try:
+        return rho(m, budget)
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("budget", [numtheory.RHO_STEP_BUDGET, 1000])
+def test_rho_divisor_matches_the_one_step_reference(seed, budget):
+    # the same divisor after the same steps, and the same refusals
+    rng = random.Random(seed)
+    for _ in range(25):
+        p = random_prime(rng, 10**3, 10**7)
+        q = random_prime(rng, 10**3, 10**7)
+        m = p * q
+        assert rho_outcome(numtheory._rho_divisor, m, budget) == rho_outcome(
+            rho_divisor_one_step, m, budget
+        )

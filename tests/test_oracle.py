@@ -1,5 +1,8 @@
 """Verification layer: eigensolver, exact polynomials, and the full report."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -322,6 +325,54 @@ def test_reflect_classes_leaves_the_class_leaders_to_rotate():
     others = np.setdiff1d(np.arange(11), reps)
     expected = np.where(cls[others] == 0, 5.0, 11.0)
     assert np.max(np.abs(np.diagonal(r)[others] - expected)) < 1e-14
+
+
+def reflect_blocks_unsliced(a: np.ndarray, ordered: np.ndarray) -> np.ndarray:
+    """``_reflect_blocks`` with each rank-one update subtracted whole."""
+    k = len(ordered)
+    cuts = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), k]
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi - lo < 2:
+            continue
+        v = np.full(hi - lo, 1.0 / math.sqrt(hi - lo))
+        v[0] -= 1.0
+        w = v * (2.0 / float(v @ v))
+        rows = a[lo:hi]
+        rows -= w[:, None] * (v @ rows)
+        cols = a[:, lo:hi]
+        cols -= (cols @ v)[:, None] * w
+    return a
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reflect_blocks_slices_its_updates_bit_for_bit():
+    # WΓ(Z_586): the 292 even residues form one class, three slices of rows
+    adj = graphcore.build_structural_wzd(586).adjacency
+    cls = _twin_classes(adj)[0]
+    sizes = np.bincount(cls)
+    k, c = len(cls), int(sizes.max())
+    assert c == 292 and c > 2 * oracle.REFLECT_SLICE_ROWS
+    order = np.argsort(cls, kind="stable")
+    lap = oracle._ordered_laplacian(adj, order)
+    want = reflect_blocks_unsliced(lap.copy(), cls[order])
+    got = lap.copy()
+    peak = traced_peak(lambda: _reflect_blocks(got, cls[order]))
+    assert got.tobytes() == want.tobytes()
+    # no c x k temporary: beyond the buffers numpy's ufunc iterator takes
+    # for an outer broadcast of these rows (128 KB in numpy 2.x), the peak
+    # is under half of one
+    x, y = np.ones(oracle.REFLECT_SLICE_ROWS), np.ones(k)
+    buffers = traced_peak(lambda: x[:, None] * y) - x.size * y.size * 8
+    assert peak - buffers < c * k * 8 / 2
 
 
 @pytest.mark.parametrize("n", [4, 13, 18, 150, 240, 360])
