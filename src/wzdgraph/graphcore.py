@@ -4,7 +4,7 @@ WΓ(Z_n) is built two independent ways:
 
 * ``build_bruteforce_wzd`` scans the adjacency definition directly: x ~ y iff
   some nonzero r annihilating x and nonzero s annihilating y have rs = 0 mod n.
-  The annihilators come from the raw test r*x = 0 mod n, not from gcds.
+  Vertices and annihilators come from raw tests on the divisors of n, no gcd.
 * ``build_structural_wzd`` assembles the graph from its divisor-class
   partition: classes A_d = {x : gcd(x, n) = d} are pairwise completely joined,
   and each class induces either a complete or an empty subgraph.
@@ -19,7 +19,7 @@ import json
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd as _gcd
+from math import gcd as _gcd, isqrt
 
 from ._numpy import np
 from .errors import DomainError, OrderCapError
@@ -34,13 +34,9 @@ MAX_GRAPH_ORDER = 4096
 #: Largest n that ``build_bruteforce_wzd``, and so ``wzd verify``, scans.  A
 #: composite n has at least n/p - 1 >= sqrt(n) - 1 zero-divisors, p its least
 #: prime, so every composite above this bound is refused by the order limit
-#: already; the bound refuses the primes, whose scan would walk all of Z_n.
-#: It also keeps the scan's products r*x below n^2 < 2^63.
+#: already; the bound refuses the primes.  It keeps the scan's sqrt(n) divisor
+#: test short and its int64 products x*d below n^2 < 2^63.
 MAX_SCAN_MODULUS = (MAX_GRAPH_ORDER + 1) ** 2
-
-#: Cells of one numpy window in the definition scan: at most this many
-#: residues, or vertex x candidate products, at a time (8 MB of int64).
-SCAN_WINDOW_CELLS = 1 << 20
 
 #: Side of the square tiles in which ``Graph`` checks its adjacency for
 #: symmetry; a graph of order up to this is checked in one piece.
@@ -134,56 +130,58 @@ class DivisorClassPartition:
     classes: tuple[DivisorClass, ...]
 
 
+def _divisors(n: int) -> list[int]:
+    """Divisors of n, ascending: each d <= sqrt(n) with n mod d = 0, then n // d."""
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return low + [n // d for d in reversed(low) if d * d != n]
+
+
 def zero_divisors(n: int) -> list[int]:
     """Nonzero zero-divisors of Z_n, ascending; empty when n is prime.
 
-    One ``np.gcd`` per window of ``SCAN_WINDOW_CELLS`` residues; needs n < 2^63.
+    x != 0 is one iff some d | n, 1 < d < n, divides x: then x * n/d = 0; and
+    x*y = 0, y != 0 gives 1 < r0 <= y < n for r0 = min ann(x) - {0}, which
+    divides n (``_least_annihilators``), so d = n/r0 divides x.  Such a d is a
+    multiple of a minimal proper divisor, one that no smaller proper divisor
+    divides: the least proper divisor of n dividing d is one.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    found = []
-    for lo in range(1, n, SCAN_WINDOW_CELLS):
-        x = np.arange(lo, min(lo + SCAN_WINDOW_CELLS, n), dtype=np.int64)
-        found.append(x[np.gcd(x, n) > 1])
-    return np.concatenate(found).tolist()
+    minimal: list[int] = []
+    for d in _divisors(n)[1:-1]:
+        if all(d % m for m in minimal):
+            minimal.append(d)
+    return sorted({x for d in minimal for x in range(d, n, d)})
 
 
 def _least_annihilators(n: int, verts: list[int]) -> np.ndarray:
     """Least r >= 1 with r*x = 0 mod n, for each x of ``verts``, by the raw test.
 
-    Candidates r = 1, 2, ... are tested against all unresolved x at once, in
-    windows of at most ``SCAN_WINDOW_CELLS`` products; a resolved x drops out,
-    so the work is about the sum of n/gcd(x, n).  Needs n^2 < 2^63.
+    Only the divisors of n need the test: for the least r0 of ann(x) - {0},
+    gcd(r0, n) = a*r0 + b*n = a*r0 mod n lies in ann(x), so r0 = gcd(r0, n)
+    divides n.  Divisors ascend and the last, n, always hits, so the first hit
+    of each row of the k x tau(n) test (needs n^2 < 2^63) is r0.
     """
-    x = np.array(verts, dtype=np.int64)
-    least = np.zeros(len(x), dtype=np.int64)
-    todo = np.arange(len(x))
-    lo = 1
-    while todo.size:
-        width = max(1, SCAN_WINDOW_CELLS // todo.size)
-        r = np.arange(lo, min(lo + width, n + 1), dtype=np.int64)  # r = n always hits
-        prod = np.multiply.outer(x[todo], r)
-        hit = np.remainder(prod, n, out=prod) == 0
-        found = hit.any(axis=1)
-        least[todo[found]] = r[hit[found].argmax(axis=1)]
-        todo = todo[~found]
-        lo += len(r)
-    return least
+    divs = np.array(_divisors(n), dtype=np.int64)
+    hit = np.multiply.outer(np.array(verts, dtype=np.int64), divs) % n == 0
+    return divs[hit.argmax(axis=1)]
 
 
 def build_bruteforce_wzd(n: int) -> Graph:
     """WΓ(Z_n) by direct definition scan over annihilator element pairs.
 
     The annihilator of x is an additive subgroup of Z_n, so it is cyclic: the
-    multiples of its least positive element r0 (``_least_annihilators``,
-    found by the raw test r*x = 0 mod n, with no gcd or divisor lattice).
+    multiples of its least positive element r0 (``_least_annihilators``).
     Vertices are keyed on r0.  A witness is nonzero (else every pair would be
     adjacent), so it is a vertex, and r*x = 0 depends only on the two
     annihilators, as r kills x iff x kills r.  With Z[a, c] = (x_a * x_c = 0
     mod n) for one representative x_a per token, x ~ y iff the int64 cube
     Z Z Z (entries at most m^2 for m tokens) is positive at their tokens.
 
-    Raises OrderCapError above ``MAX_SCAN_MODULUS``.
+    No ``factorize``, ``numtheory.divisors`` or gcd: the scan stays independent
+    of ``build_structural_wzd``, which is what makes ``construction_equal`` a
+    check.  Raises OrderCapError above ``MAX_SCAN_MODULUS``, or above
+    ``MAX_GRAPH_ORDER`` vertices before the annihilator test.
     """
     if n > MAX_SCAN_MODULUS:
         raise OrderCapError(
@@ -191,6 +189,7 @@ def build_bruteforce_wzd(n: int) -> Graph:
             f"definition scan takes"
         )
     verts = zero_divisors(n)
+    check_graph_order(f"WΓ(Z_{n})", len(verts))
     least = _least_annihilators(n, verts)
     _, first, vert_tok = np.unique(least, return_index=True, return_inverse=True)
     rep = np.array(verts, dtype=np.int64)[first]

@@ -25,7 +25,7 @@ from wzdgraph.graphcore import (
     graphs_equal,
     zero_divisors,
 )
-from wzdgraph.numtheory import euler_phi, is_prime
+from wzdgraph.numtheory import euler_phi, factorize, is_prime
 
 COMPOSITES_300 = [n for n in range(4, 301) if not is_prime(n)]
 
@@ -151,10 +151,7 @@ def test_annihilator_domain_errors():
         annihilator(6, 6)
 
 
-@pytest.mark.parametrize("cells", [1, 7, graphcore.SCAN_WINDOW_CELLS])
-def test_least_annihilators_match_the_reference_sets(monkeypatch, cells):
-    # small windows make every n cross window boundaries
-    monkeypatch.setattr(graphcore, "SCAN_WINDOW_CELLS", cells)
+def test_least_annihilators_match_the_reference_sets():
     for n in range(2, 121):
         verts = zero_divisors(n)
         assert verts == [x for x in range(1, n) if gcd(x, n) > 1]
@@ -162,6 +159,33 @@ def test_least_annihilators_match_the_reference_sets(monkeypatch, cells):
         assert least == [min(annihilator(n, x) - {0}) for x in verts], n
         # the annihilator is the multiples of its least positive element
         assert all(annihilator(n, x) == set(range(0, n, r)) for x, r in zip(verts, least))
+    for n in [*range(2, 401), 5040, 8186, 4091**2]:
+        verts = zero_divisors(n)
+        # n - phi(n) - 1 distinct residues that share a factor with n: all of them
+        assert len(verts) == n - euler_phi(n) - 1 and verts == sorted(set(verts)), n
+        assert all(0 < x < n and gcd(x, n) > 1 for x in verts), n
+        least = graphcore._least_annihilators(n, verts).tolist()
+        assert least == [n // gcd(x, n) for x in verts], n
+
+
+def test_divisors_match_the_factorization():
+    # 257^2 and 4091^2 take the d * d == n branch
+    for n in [*range(2, 3001), 257**2, 4091**2]:
+        assert graphcore._divisors(n) == factorize(n).divisors(), n
+
+
+def test_bruteforce_refuses_orders_above_the_limit(monkeypatch):
+    def unreachable(n, verts):
+        raise AssertionError("the annihilators are scanned before the order check")
+
+    monkeypatch.setattr(graphcore, "MAX_GRAPH_ORDER", 11)
+    assert build_bruteforce_wzd(18).vertex_count == 11
+    monkeypatch.setattr(graphcore, "_least_annihilators", unreachable)
+    with pytest.raises(OrderCapError) as refused:
+        build_bruteforce_wzd(26)
+    with pytest.raises(OrderCapError) as by_classes:
+        divisor_classes(26)
+    assert str(refused.value) == str(by_classes.value)
 
 
 def definition_edges(n: int) -> set[tuple[int, int]]:

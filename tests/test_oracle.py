@@ -1,6 +1,7 @@
 """Verification layer: eigensolver, exact polynomials, and the full report."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -867,6 +868,14 @@ def test_verify_spectrum_refuses_primes_above_the_scan_bound(monkeypatch):
         assert wzd_spectrum_closed_form(n).order == 0
         with pytest.raises(OrderCapError, match=f"n = {n} is above 16785409"):
             verify_spectrum(n)
+
+
+def test_verify_spectrum_of_a_prime_below_the_scan_bound_is_cheap():
+    n = 16785407  # the largest prime below MAX_SCAN_MODULUS
+    assert n < graphcore.MAX_SCAN_MODULUS and wzd_spectrum_closed_form(n).order == 0
+    start = time.perf_counter()
+    assert verify_spectrum(n).status == STATUS_DEGENERATE
+    assert time.perf_counter() - start < 1.0
 
 
 def test_verify_spectrum_refuses_orders_above_the_limit(monkeypatch):
