@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd as _gcd, isqrt
 
 from ._numpy import np
+from ._record import Record
 from .errors import DomainError, OrderCapError
 from .numtheory import factorize
 
@@ -50,8 +50,7 @@ class Kind(Enum):
     EMPTY = "empty"
 
 
-@dataclass(frozen=True, eq=False)
-class Graph:
+class Graph(Record):
     """Simple undirected graph with a deterministic vertex order.
 
     ``labels`` are the vertex names (residues mod n, ascending, when the graph
@@ -61,16 +60,15 @@ class Graph:
     ``graphs_equal``.
     """
 
-    labels: tuple[int, ...]
-    adjacency: np.ndarray
-    modulus: int | None = None
+    __slots__ = ("labels", "adjacency", "modulus")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity: compare with graphs_equal
 
-    def __post_init__(self) -> None:
-        k = len(self.labels)
-        if len(set(self.labels)) != k:
+    def __init__(self, labels: tuple, adjacency: np.ndarray, modulus: int | None = None) -> None:
+        k = len(labels)
+        if len(set(labels)) != k:
             raise DomainError("duplicate vertex labels")
         # C order: the twin classes view each packed row as one value
-        adj = np.array(self.adjacency, order="C")
+        adj = np.array(adjacency, order="C")
         if adj.dtype != bool or adj.shape != (k, k):
             raise DomainError(
                 f"need a {k} x {k} boolean adjacency, got {adj.dtype} {adj.shape}"
@@ -85,7 +83,9 @@ class Graph:
                 if not np.array_equal(adj[i : i + t, j : j + t], adj[j : j + t, i : i + t].T):
                     raise DomainError("adjacency is not symmetric")
         adj.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "adjacency", adj)
+        object.__setattr__(self, "modulus", modulus)
 
     @classmethod
     def from_edges(cls, labels, index_pairs, modulus: int | None = None) -> Graph:
@@ -108,26 +108,30 @@ class Graph:
         return int(np.count_nonzero(self.adjacency)) // 2
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    divisor: int
-    members: tuple[int, ...]
-    kind: Kind
+class DivisorClass(Record):
+    __slots__ = ("divisor", "members", "kind")
+
+    def __init__(self, divisor: int, members: tuple[int, ...], kind: Kind) -> None:
+        object.__setattr__(self, "divisor", divisor)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "kind", kind)
 
     @property
     def size(self) -> int:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class DivisorClassPartition:
+class DivisorClassPartition(Record):
     """The sets A_d over proper divisors d of n, each tagged complete/empty.
 
     ``classes`` is empty when n is prime: there are no proper divisors.
     """
 
-    n: int
-    classes: tuple[DivisorClass, ...]
+    __slots__ = ("n", "classes")
+
+    def __init__(self, n: int, classes: tuple[DivisorClass, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "classes", classes)
 
 
 def _divisors(n: int) -> list[int]:
@@ -143,7 +147,9 @@ def zero_divisors(n: int) -> list[int]:
     x*y = 0, y != 0 gives 1 < r0 <= y < n for r0 = min ann(x) - {0}, which
     divides n (``_least_annihilators``), so d = n/r0 divides x.  Such a d is a
     multiple of a minimal proper divisor, one that no smaller proper divisor
-    divides: the least proper divisor of n dividing d is one.
+    divides: the least proper divisor of n dividing d is one.  The minimal
+    ones are the primes of n, so there are n - 1 - phi(n) zero-divisors, and
+    above ``MAX_GRAPH_ORDER`` OrderCapError is raised before any is listed.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
@@ -151,6 +157,10 @@ def zero_divisors(n: int) -> list[int]:
     for d in _divisors(n)[1:-1]:
         if all(d % m for m in minimal):
             minimal.append(d)
+    phi = n
+    for p in minimal or [n]:
+        phi -= phi // p
+    check_graph_order(f"WΓ(Z_{n})", n - 1 - phi)
     return sorted({x for d in minimal for x in range(d, n, d)})
 
 
@@ -181,7 +191,7 @@ def build_bruteforce_wzd(n: int) -> Graph:
     No ``factorize``, ``numtheory.divisors`` or gcd: the scan stays independent
     of ``build_structural_wzd``, which is what makes ``construction_equal`` a
     check.  Raises OrderCapError above ``MAX_SCAN_MODULUS``, or above
-    ``MAX_GRAPH_ORDER`` vertices before the annihilator test.
+    ``MAX_GRAPH_ORDER`` vertices before they are listed (``zero_divisors``).
     """
     if n > MAX_SCAN_MODULUS:
         raise OrderCapError(
@@ -189,7 +199,6 @@ def build_bruteforce_wzd(n: int) -> Graph:
             f"definition scan takes"
         )
     verts = zero_divisors(n)
-    check_graph_order(f"WΓ(Z_{n})", len(verts))
     least = _least_annihilators(n, verts)
     _, first, vert_tok = np.unique(least, return_index=True, return_inverse=True)
     rep = np.array(verts, dtype=np.int64)[first]

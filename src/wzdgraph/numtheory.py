@@ -12,10 +12,10 @@ digits splits in well under a second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd, isqrt, prod
 
+from ._record import Record
 from .errors import DomainError
 
 #: trial division takes the primes below TRIAL_BOUND; a cofactor left below
@@ -69,12 +69,14 @@ RHO_STEP_BUDGET = 1 << 19
 RHO_BATCH = 128
 
 
-@dataclass(frozen=True)
-class PrimeFactorization:
+class PrimeFactorization(Record):
     """n written as a product of prime powers, primes ascending."""
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "factors")
+
+    def __init__(self, n: int, factors: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "factors", factors)
 
     @property
     def totient(self) -> int:

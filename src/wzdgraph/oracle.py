@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from itertools import accumulate
 
 from ._numpy import np
+from ._record import Record
 from .errors import ContractViolation, ConvergenceError, DomainError, OrderCapError
 from .graphcore import (
     Graph,
@@ -45,18 +46,18 @@ TRACE_REL_TOL = 1e-9
 SYMMETRY_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ExactPolynomial:
+class ExactPolynomial(Record):
     """Monic polynomial with arbitrary-precision integer coefficients.
 
     ``coeffs[i]`` is the coefficient of x^i; the leading coefficient is 1.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if not self.coeffs or self.coeffs[-1] != 1:
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        if not coeffs or coeffs[-1] != 1:
             raise ContractViolation("polynomial must be monic")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
@@ -263,11 +264,9 @@ def _twin_classes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     twins.  Only ``a`` is read: no gcd, divisor class or factorization.
     """
     k = a.shape[0]
-    packed = np.packbits(a, axis=1)
-    plus = packed.copy()  # A + I: the diagonal bits set
+    rows = np.concatenate([np.packbits(a, axis=1)] * 2)
     i = np.arange(k)
-    plus[i, i >> 3] |= (0x80 >> (i & 7)).astype(np.uint8)
-    rows = np.concatenate([packed, plus])
+    rows[k + i, i >> 3] |= (0x80 >> (i & 7)).astype(np.uint8)  # A + I: the diagonal bits set
     keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
     labels = np.unique(keys, return_inverse=True)[1]  # one sort for A and A + I
     false_cls = labels[:k]
@@ -407,11 +406,13 @@ def twin_certificate(g: Graph, spectrum: SpectrumMultiset, twins=None) -> bool:
     eigenvalue d (false twins) or d + 1 (true twins), so a twin class of
     size c gives that eigenvalue c - 1 times.  The differences are
     orthogonal to the columns of the class-indicator matrix P, and the two
-    spaces together span R^k.  The twin partition is equitable, L P = P Q,
-    checked here exactly, so the other eigenvalues are those of the m x m
-    quotient Q.  The twin eigenvalues are removed from ``spectrum`` and the
-    rest must equal the roots of det(xI - Q).  A Q above
-    ``CHAR_POLY_MAX_ORDER`` proves nothing, and gives False.
+    spaces together span R^k.  The twin partition is equitable for A,
+    A P = P B, checked here exactly.  The degrees, the row sums of A P, are
+    then constant on each class, so L P = P Q for Q = D - B, D the degrees of
+    the classes, and the other eigenvalues are those of the m x m quotient
+    Q.  The twin eigenvalues are removed from ``spectrum`` and the rest must
+    equal the roots of det(xI - Q).  A Q above ``CHAR_POLY_MAX_ORDER``
+    proves nothing, and gives False.
 
     Only ``g.adjacency`` is read: no gcd, divisor class or factorization.
     ``twins`` is ``_twin_classes(g.adjacency)``, if the caller has it already.
@@ -425,16 +426,21 @@ def twin_certificate(g: Graph, spectrum: SpectrumMultiset, twins=None) -> bool:
     cls, reps, true_twin = _twin_classes(a) if twins is None else twins
     if len(reps) > CHAR_POLY_MAX_ORDER:
         return False
-    deg = a.sum(axis=1)
-    p = np.zeros((k, len(reps)), dtype=np.int64)
-    p[np.arange(k), cls] = 1
-    lp = deg[:, None] * p - a @ p
-    q = lp[reps]
-    if not np.array_equal(lp, q[cls]):
+    # (A P)[i, c] <= k counts the neighbours of i in class c, from the bool rows in
+    # slices, columns in class order: A @ P would cast A to k x k int64
+    sizes = np.bincount(cls).tolist()
+    order, starts = cls.argsort(kind="stable"), [0, *accumulate(sizes[:-1])]
+    ap = np.empty((k, len(reps)), dtype=np.int32)
+    for lo in range(0, k, REFLECT_SLICE_ROWS):
+        rows = a[lo : lo + REFLECT_SLICE_ROWS].take(order, axis=1)
+        ap[lo : lo + len(rows)] = np.add.reduceat(rows, starts, axis=1, dtype=np.int32)
+    b = ap[reps]
+    if not (ap == b[cls]).all():
         return False
+    deg = b.sum(axis=1)
+    q = np.diag(deg) - b
     residual = dict(spectrum.entries)
-    twin_eigs = deg[reps] + true_twin
-    for eig, size in zip(twin_eigs.tolist(), np.bincount(cls).tolist()):
+    for eig, size in zip((deg + true_twin).tolist(), sizes):
         left = residual.get(eig, 0) - (size - 1)
         if left < 0:
             return False
@@ -479,13 +485,18 @@ def eigenvalues_match(numeric, expected) -> bool:
     )
 
 
-@dataclass
-class VerificationReport:
-    n: int
-    status: str
-    checks: dict[str, bool]
-    spectrum: SpectrumMultiset
-    charpoly_skipped: bool = False
+class VerificationReport(Record):
+    __slots__ = ("n", "status", "checks", "spectrum", "charpoly_skipped")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None  # mutable
+
+    def __init__(
+        self, n: int, status: str, checks: dict, spectrum: SpectrumMultiset, charpoly_skipped=False
+    ) -> None:
+        self.n = n
+        self.status = status
+        self.checks = checks
+        self.spectrum = spectrum
+        self.charpoly_skipped = charpoly_skipped
 
     def to_json_dict(self) -> dict:
         out = {

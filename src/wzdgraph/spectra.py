@@ -14,9 +14,8 @@ one factorization of n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._numpy import np
+from ._record import Record
 from .errors import ContractViolation, DomainError
 from .graphcore import Kind
 from .numtheory import factorize
@@ -28,8 +27,7 @@ FLOAT = "float"
 MERGE_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class WeightedHostGraph:
+class WeightedHostGraph(Record):
     """Host graph whose vertex i carries a positive integer weight.
 
     For the WΓ(Z_n) specialization the labels are the proper divisors of n and
@@ -37,21 +35,22 @@ class WeightedHostGraph:
     symmetric adjacency, given as index pairs (i, j) with i < j.
     """
 
-    labels: tuple
-    weights: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ("labels", "weights", "edges")
 
-    def __post_init__(self) -> None:
-        k = len(self.labels)
-        if len(set(self.labels)) != k:
+    def __init__(self, labels: tuple, weights: tuple[int, ...], edges: frozenset) -> None:
+        k = len(labels)
+        if len(set(labels)) != k:
             raise ContractViolation("duplicate host labels")
-        if len(self.weights) != k:
+        if len(weights) != k:
             raise ContractViolation("one weight per host vertex required")
-        if any(type(w) is not int or w < 1 for w in self.weights):
+        if any(type(w) is not int or w < 1 for w in weights):
             raise ContractViolation("host weights must be integers >= 1")
-        for i, j in self.edges:
+        for i, j in edges:
             if not (0 <= i < j < k):
                 raise ContractViolation(f"bad host edge ({i}, {j})")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def order(self) -> int:
@@ -70,17 +69,19 @@ class WeightedHostGraph:
         return d
 
 
-@dataclass(frozen=True)
-class SpectrumMultiset:
+class SpectrumMultiset(Record):
     """Eigenvalue -> multiplicity map, exact-integer or floating.
 
     Exact spectra carry int eigenvalues; floating ones carry floats that were
     merged at ``MERGE_TOL``.  ``n`` tags spectra of WΓ(Z_n) with their modulus.
     """
 
-    entries: dict
-    variant: str = EXACT
-    n: int | None = None
+    __slots__ = ("entries", "variant", "n")
+
+    def __init__(self, entries: dict, variant: str = EXACT, n: int | None = None) -> None:
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "n", n)
 
     @property
     def order(self) -> int:

@@ -1,7 +1,9 @@
 """Graph construction: definition scan vs structural assembly, and exports."""
 
 import json
+import pickle
 import time
+import tracemalloc
 from itertools import combinations
 from math import gcd
 
@@ -15,6 +17,7 @@ from wzdgraph.cli import _component_graph
 from wzdgraph.errors import DomainError, OrderCapError
 from wzdgraph.graphcore import (
     GRAPH_FORMATS,
+    DivisorClass,
     Graph,
     Kind,
     assemble_join,
@@ -193,6 +196,21 @@ def test_bruteforce_refuses_orders_above_the_limit(monkeypatch):
     assert str(refused.value) == str(by_classes.value)
 
 
+def test_bruteforce_refuses_before_listing_the_vertices():
+    # 2^24 is below MAX_SCAN_MODULUS but has 2^23 - 1 zero-divisors: listing
+    # them first took 1.7 s and 593 MB
+    n = 2**24
+    assert n < graphcore.MAX_SCAN_MODULUS
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderCapError, match="has 8388607 vertices"):
+            build_bruteforce_wzd(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def definition_edges(n: int) -> set[tuple[int, int]]:
     """Reference: x ~ y iff some nonzero r annihilating x and nonzero s
     annihilating y have r*s = 0 mod n, tried one element pair at a time."""
@@ -339,6 +357,43 @@ def test_graph_rejects_malformed_adjacency():
     assert g.edge_count == 1
     with pytest.raises(ValueError):
         g.adjacency[0, 1] = False
+
+
+def test_graph_is_frozen_and_compares_by_identity():
+    ok = np.array([[False, True], [True, False]])
+    g = Graph((1, 2), ok, 3)
+    twin = Graph(labels=(1, 2), adjacency=ok, modulus=3)
+    assert g == g and g != twin and graphs_equal(g, twin)
+    assert hash(g) == object.__hash__(g)
+    assert len({g, twin}) == 2
+    assert repr(g) == (
+        "Graph(labels=(1, 2), adjacency=array([[False,  True],\n"
+        "       [ True, False]]), modulus=3)"
+    )
+    with pytest.raises(AttributeError):
+        g.modulus = 4
+    with pytest.raises(AttributeError):
+        del g.adjacency
+    copy = pickle.loads(pickle.dumps(g))
+    assert graphs_equal(copy, g) and copy.modulus == 3 and not copy.adjacency.flags.writeable
+
+
+def test_divisor_classes_are_frozen_records():
+    part = divisor_classes(12)
+    again = divisor_classes(12)
+    assert part == again and hash(part) == hash(again)
+    assert part != divisor_classes(18)
+    c = part.classes[0]
+    assert c == DivisorClass(2, (2, 10), Kind.COMPLETE) != DivisorClass(2, (2, 10), Kind.EMPTY)
+    assert hash(c) == hash(DivisorClass(divisor=2, members=(2, 10), kind=Kind.COMPLETE))
+    assert repr(c) == "DivisorClass(divisor=2, members=(2, 10), kind=<Kind.COMPLETE: 'complete'>)"
+    listed = ", ".join(map(repr, part.classes))
+    assert repr(part) == f"DivisorClassPartition(n=12, classes=({listed}))"
+    with pytest.raises(AttributeError):
+        c.kind = Kind.EMPTY
+    with pytest.raises(AttributeError):
+        del part.n
+    assert pickle.loads(pickle.dumps(part)) == part
 
 
 @pytest.mark.parametrize("k, i, j", [(600, 5, 590), (600, 590, 599), (3, 0, 2)])

@@ -1,6 +1,7 @@
 """Number-theory layer: examples plus the divisor-lattice identities."""
 
 import math
+import pickle
 import random
 
 import pytest
@@ -92,6 +93,21 @@ def test_factorize_roundtrip_and_invariants(n):
     assert primes == sorted(primes) and len(set(primes)) == len(primes)
     assert all(e >= 1 for _, e in f.factors)
     assert all(is_prime_trial(p) for p in primes)
+
+
+def test_prime_factorization_is_a_frozen_record():
+    f = factorize(360)
+    factors = ((2, 3), (3, 2), (5, 1))
+    same = numtheory.PrimeFactorization(n=360, factors=factors)
+    assert f == numtheory.PrimeFactorization(360, factors) == same
+    assert f != numtheory.PrimeFactorization(360, ()) and f != (360, factors)
+    assert hash(f) == hash(same)
+    assert repr(f) == "PrimeFactorization(n=360, factors=((2, 3), (3, 2), (5, 1)))"
+    with pytest.raises(AttributeError):
+        f.n = 7
+    with pytest.raises(AttributeError):
+        del f.factors
+    assert pickle.loads(pickle.dumps(f)) == f
 
 
 @pytest.mark.parametrize("n, expected", [(9, 6), (1, 1), (30, 8), (2, 1), (97, 96)])

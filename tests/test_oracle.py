@@ -1,6 +1,7 @@
 """Verification layer: eigensolver, exact polynomials, and the full report."""
 
 import math
+import pickle
 import time
 import tracemalloc
 
@@ -19,6 +20,7 @@ from wzdgraph.oracle import (
     STATUS_DEGENERATE,
     STATUS_FAIL,
     STATUS_PASS,
+    VerificationReport,
     char_poly_exact,
     integrality_check,
     laplacian_matrix,
@@ -535,6 +537,18 @@ def test_exact_polynomial_must_be_monic():
         ExactPolynomial(coeffs=())
 
 
+def test_exact_polynomial_is_a_frozen_record():
+    p = ExactPolynomial((0, -2, 1))
+    same = ExactPolynomial(coeffs=(0, -2, 1))
+    assert p == same and hash(p) == hash(same) and p != ExactPolynomial((2, -3, 1))
+    assert repr(p) == "ExactPolynomial(coeffs=(0, -2, 1))"
+    with pytest.raises(AttributeError):
+        p.coeffs = (1,)
+    with pytest.raises(AttributeError):
+        del p.coeffs
+    assert pickle.loads(pickle.dumps(p)) == p
+
+
 def test_root_multiplicity_and_evaluation():
     p = char_poly_exact(laplacian_matrix(build_bruteforce_wzd(18)))
     assert root_multiplicity(p.coeffs, 0) == 1
@@ -631,6 +645,18 @@ def test_twin_certificate_reads_a_fortran_ordered_adjacency(n):
     fortran = Graph(labels=g.labels, adjacency=np.asfortranarray(g.adjacency))
     assert fortran.adjacency.flags.c_contiguous
     assert twin_certificate(fortran, wzd_spectrum_closed_form(n))
+
+
+def test_twin_certificate_counts_neighbours_from_the_bool_rows():
+    # order 4093: A @ P on the int64 cast of A took 8 k^2 bytes
+    n = 8186
+    g = build_bruteforce_wzd(n)
+    closed = wzd_spectrum_closed_form(n)
+    k = g.vertex_count
+    assert k == 4093
+    proved = []
+    assert traced_peak(lambda: proved.append(twin_certificate(g, closed))) < k * k
+    assert proved == [True]
 
 
 def test_twin_certificate_rejects_floating_spectra():
@@ -913,6 +939,25 @@ def test_verify_report_json_schema():
     }
     assert payload["spectrum"]["order"] == 7
     assert "charpoly_skipped" not in payload
+
+
+def test_verification_report_is_a_mutable_unhashable_record():
+    rep = verify_spectrum(12)
+    same = VerificationReport(12, STATUS_PASS, dict(rep.checks), wzd_spectrum_closed_form(12))
+    assert rep == same and not rep.charpoly_skipped
+    assert rep == VerificationReport(
+        n=12, status=STATUS_PASS, checks=rep.checks, spectrum=rep.spectrum, charpoly_skipped=False
+    )
+    with pytest.raises(TypeError):
+        hash(rep)
+    assert repr(rep) == (
+        f"VerificationReport(n=12, status='PASS', checks={rep.checks!r}, "
+        f"spectrum={rep.spectrum!r}, charpoly_skipped=False)"
+    )
+    # the --jobs pool sends reports back pickled
+    assert pickle.loads(pickle.dumps(rep)) == rep
+    rep.status = STATUS_FAIL
+    assert rep != same
 
 
 def random_adjacency(rng, k: int) -> np.ndarray:

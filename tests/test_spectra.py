@@ -1,5 +1,6 @@
 """Closed-form spectra: the join engine and its WΓ(Z_n) specialization."""
 
+import pickle
 from itertools import combinations
 
 import numpy as np
@@ -310,6 +311,40 @@ def test_spectrum_json_schema():
             {"eigenvalue": 11, "multiplicity": 5},
         ],
     }
+
+
+def test_spectrum_multiset_is_a_frozen_record():
+    s = SpectrumMultiset({0: 1, 3: 2})
+    assert s == SpectrumMultiset(entries={0: 1, 3: 2}, variant=EXACT, n=None)
+    assert s != SpectrumMultiset({0: 1, 3: 2}, EXACT, 6)
+    assert s != SpectrumMultiset({0: 1, 3: 2}, FLOAT)
+    assert repr(s) == "SpectrumMultiset(entries={0: 1, 3: 2}, variant='exact', n=None)"
+    with pytest.raises(TypeError):
+        hash(s)  # the entries are a dict
+    with pytest.raises(AttributeError):
+        s.n = 6
+    with pytest.raises(AttributeError):
+        del s.entries
+    assert pickle.loads(pickle.dumps(s)) == s
+
+
+def test_weighted_host_graph_is_a_frozen_record():
+    host = WeightedHostGraph((2, 3), (1, 2), frozenset({(0, 1)}))
+    same = WeightedHostGraph(labels=(2, 3), weights=(1, 2), edges=frozenset({(0, 1)}))
+    assert host == same and hash(host) == hash(same)
+    assert host != WeightedHostGraph((2, 3), (1, 2), frozenset())
+    assert repr(host) == (
+        "WeightedHostGraph(labels=(2, 3), weights=(1, 2), edges=frozenset({(0, 1)}))"
+    )
+    with pytest.raises(AttributeError):
+        host.weights = (2, 2)
+    with pytest.raises(AttributeError):
+        del host.edges
+    assert pickle.loads(pickle.dumps(host)) == host
+    for labels, weights, edges in [((2, 2), (1, 2), ()), ((2, 3), (1,), ()),
+                                   ((2, 3), (1, 0), ()), ((2, 3), (1, 2), [(1, 0)])]:
+        with pytest.raises(ContractViolation):
+            WeightedHostGraph(labels, weights, frozenset(edges))
 
 
 def test_trace_counts_edges_twice():

@@ -1,4 +1,4 @@
-"""Start-up: numpy is loaded on first use.
+"""Start-up: numpy is loaded on first use, and dataclasses never.
 
 pytest's own process has imported numpy already, so every test here starts a
 fresh interpreter with ``subprocess``.
@@ -61,6 +61,19 @@ def test_verify_jobs_matches_the_serial_run_and_leaves_numpy_to_the_workers(caps
     assert "concurrent.futures" in modules
     assert main(["verify", "4..40"]) == 0
     assert pooled == capsys.readouterr().out
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # site may preload some of these: only what the import adds counts
+    code = ("import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import wzdgraph.cli\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    proc = python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    added = json.loads(proc.stdout)
+    assert "wzdgraph.cli" in added
+    assert not {"dataclasses", "inspect", "ast", "dis"} & set(added)
 
 
 def test_parser_is_built_on_first_use():
