@@ -12,7 +12,6 @@ oracles.
 from .errors import ContractViolation, ConvergenceError, DomainError, OrderCapError
 from .graphcore import (
     DivisorClass,
-    DivisorClassPartition,
     Graph,
     Kind,
     build_bruteforce_wzd,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -49,8 +50,8 @@ def _positive_float(text: str) -> float:
         x = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if x <= 0:
-        raise argparse.ArgumentTypeError("tolerance must be positive")
+    if not 0 < x < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text}")
     return x
 
 
@@ -140,20 +141,19 @@ def cmd_graph(n: int, fmt: str, classes: bool) -> int:
     if fmt == "text":
         note = " (no zero-divisors)" if g.vertex_count == 0 else ""
         print(f"WΓ(Z_{n}): {g.vertex_count} vertices, {g.edge_count} edges{note}")
-        if classes:
-            part = graphcore.divisor_classes(n)
-            if part.classes:
-                print("classes:")
-                for c in part.classes:
-                    members = " ".join(str(x) for x in c.members)
-                    print(f"  {c.divisor}: {_class_symbol(c)}  {{{members}}}")
+        listing = graphcore.divisor_classes(n) if classes else ()
+        if listing:
+            print("classes:")
+            for c in listing:
+                members = " ".join(str(x) for x in c.members)
+                print(f"  {c.divisor}: {_class_symbol(c)}  {{{members}}}")
         return 0
     if fmt == "json":
         text = graphcore.export_graph(g, "json")
         if classes:
             listing = [
                 {"divisor": c.divisor, "kind": c.kind.value, "members": list(c.members)}
-                for c in graphcore.divisor_classes(n).classes
+                for c in graphcore.divisor_classes(n)
             ]
             # the export is one JSON object ending in "}\n": append one more key
             text = f'{text[:-2]}, "classes": {json.dumps(listing)}}}\n'
@@ -313,12 +313,15 @@ def _component_from_json(
         if all(float(e).is_integer() for e, _ in pairs):
             return spectra.SpectrumMultiset.exact((int(e), m) for e, m in pairs), None
         return spectra.SpectrumMultiset.floating(pairs), None
-    if entry.get("kind") in ("complete", "empty"):
-        return spectra.component_spectrum(entry["order"], Kind(entry["kind"])), None
-    if "edges" not in entry or "order" not in entry:
-        raise DomainError(f"component {index} needs a kind, a spectrum, or edges with an order")
-    graphcore.check_graph_order(f"join component {index}", entry["order"])
-    g = _component_graph(entry, entry["order"], index)
+    order, kind = entry.get("order"), entry.get("kind")
+    if type(order) is not int or (kind not in ("complete", "empty") and "edges" not in entry):
+        raise DomainError(
+            f"component {index} needs a spectrum, or a kind or edges with an integer order"
+        )
+    if kind in ("complete", "empty"):
+        return spectra.component_spectrum(order, Kind(kind)), None
+    graphcore.check_graph_order(f"join component {index}", order)
+    g = _component_graph(entry, order, index)
     try:
         eigs = oracle.laplacian_eigenvalues(g.adjacency)
     except OrderCapError as exc:
@@ -365,8 +368,8 @@ def cmd_join(path: str, fmt: str, check: bool) -> int:
                 g if g is not None else _component_graph(entry, host.weights[i], i)
                 for i, (entry, (_, g)) in enumerate(zip(comp_specs, parsed))
             ]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError,
-            DomainError, ContractViolation) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
+            OverflowError, DomainError, ContractViolation) as exc:
         print(f"bad join input: {exc}", file=sys.stderr)
         return 2
 

@@ -88,7 +88,7 @@ class Graph(Record):
         object.__setattr__(self, "modulus", modulus)
 
     @classmethod
-    def from_edges(cls, labels, index_pairs, modulus: int | None = None) -> Graph:
+    def from_edges(cls, labels, index_pairs) -> Graph:
         """Graph on ``labels`` with edges given as index pairs (i, j), i < j."""
         k = len(labels)
         adj = np.zeros((k, k), dtype=bool)
@@ -97,7 +97,7 @@ class Graph(Record):
             if not (0 <= i < j < k):
                 raise DomainError(f"bad edge ({i}, {j}) for {k} vertices")
             adj[i, j] = adj[j, i] = True
-        return cls(labels=tuple(labels), adjacency=adj, modulus=modulus)
+        return cls(labels=tuple(labels), adjacency=adj)
 
     @property
     def vertex_count(self) -> int:
@@ -109,6 +109,9 @@ class Graph(Record):
 
 
 class DivisorClass(Record):
+    """The set A_d = {x : gcd(x, n) = d} of a proper divisor d of n, tagged
+    complete or empty by the subgraph it induces."""
+
     __slots__ = ("divisor", "members", "kind")
 
     def __init__(self, divisor: int, members: tuple[int, ...], kind: Kind) -> None:
@@ -119,19 +122,6 @@ class DivisorClass(Record):
     @property
     def size(self) -> int:
         return len(self.members)
-
-
-class DivisorClassPartition(Record):
-    """The sets A_d over proper divisors d of n, each tagged complete/empty.
-
-    ``classes`` is empty when n is prime: there are no proper divisors.
-    """
-
-    __slots__ = ("n", "classes")
-
-    def __init__(self, n: int, classes: tuple[DivisorClass, ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "classes", classes)
 
 
 def _divisors(n: int) -> list[int]:
@@ -218,8 +208,9 @@ def check_graph_order(name: str, order: int) -> None:
         )
 
 
-def divisor_classes(n: int) -> DivisorClassPartition:
-    """Partition of the nonzero zero-divisors of Z_n by gcd with n.
+def divisor_classes(n: int) -> tuple[DivisorClass, ...]:
+    """Partition of the nonzero zero-divisors of Z_n by gcd with n: one class
+    per proper divisor, ascending, and none when n is prime.
 
     Refuses, before the scan, more than ``MAX_GRAPH_ORDER`` zero-divisors.
     """
@@ -229,13 +220,13 @@ def divisor_classes(n: int) -> DivisorClassPartition:
     check_graph_order(f"WΓ(Z_{n})", n - f.totient - 1)
     proper = f.divisors()[1:-1]
     if not proper:  # n is prime
-        return DivisorClassPartition(n=n, classes=())
+        return ()
     members: dict[int, list[int]] = {d: [] for d in proper}
     # the zero-divisors are the multiples of n's primes: sum n/p residues, not n - 1
     for x in sorted({x for p, _ in f.factors for x in range(p, n, p)}):
         members[_gcd(x, n)].append(x)
     exact = f.exponent_one_primes()
-    classes = tuple(
+    return tuple(
         DivisorClass(
             divisor=d,
             members=tuple(members[d]),
@@ -243,7 +234,6 @@ def divisor_classes(n: int) -> DivisorClassPartition:
         )
         for d in sorted(members)
     )
-    return DivisorClassPartition(n=n, classes=classes)
 
 
 def build_structural_wzd(n: int) -> Graph:
@@ -253,14 +243,14 @@ def build_structural_wzd(n: int) -> Graph:
     or absent according to the class kind.  Vertex order matches
     ``build_bruteforce_wzd`` (ascending residues).
     """
-    part = divisor_classes(n)
-    if not part.classes:  # n is prime: no zero-divisors
+    classes = divisor_classes(n)
+    if not classes:  # n is prime: no zero-divisors
         return Graph(labels=(), adjacency=np.zeros((0, 0), dtype=bool), modulus=n)
-    members = np.concatenate([c.members for c in part.classes])
+    members = np.concatenate([c.members for c in classes])
     order = np.argsort(members)
     # class index of each vertex, vertices in ascending residue order
-    cls = np.repeat(np.arange(len(part.classes)), [c.size for c in part.classes])[order]
-    complete = np.array([c.kind is Kind.COMPLETE for c in part.classes])
+    cls = np.repeat(np.arange(len(classes)), [c.size for c in classes])[order]
+    complete = np.array([c.kind is Kind.COMPLETE for c in classes])
     adj = (cls[:, None] != cls[None, :]) | complete[cls][:, None]
     np.fill_diagonal(adj, False)
     return Graph(labels=tuple(members[order].tolist()), adjacency=adj, modulus=n)

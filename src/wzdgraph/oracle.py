@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import accumulate
 
 from ._numpy import np
 from ._record import Record
@@ -111,7 +110,7 @@ def _jacobi_schedule(k: int) -> tuple[tuple, np.ndarray]:
 _cached_jacobi_schedule = functools.lru_cache(maxsize=JACOBI_CACHED_ORDER)(_jacobi_schedule)
 
 
-def symmetric_eigenvalues(m, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list[float]:
+def symmetric_eigenvalues(m) -> list[float]:
     """All eigenvalues of a real symmetric matrix, ascending, by cyclic Jacobi.
 
     Pivots follow a round-robin cyclic ordering; rotations within a round act
@@ -119,7 +118,7 @@ def symmetric_eigenvalues(m, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list[float]
     update.  Converged when the off-diagonal Frobenius mass drops below
     ``JACOBI_CONV_FACTOR * (1 + max |diagonal|)``.  Raises ContractViolation
     for non-symmetric or non-finite input, and ConvergenceError if
-    ``max_sweeps`` sweeps do not suffice or the trace drifts.  ``m`` is unchanged.
+    ``JACOBI_MAX_SWEEPS`` sweeps do not suffice or the trace drifts.  ``m`` is unchanged.
 
     The indices are first put in a middle-out order of the diagonal: the
     upper half of a stable sort on even positions, ascending from the
@@ -159,16 +158,16 @@ def symmetric_eigenvalues(m, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list[float]
     trace_in = float(np.trace(a))
     schedule = _cached_jacobi_schedule if k <= JACOBI_CACHED_ORDER else _jacobi_schedule
     rounds, upper = schedule(k)
-    # pass i tests convergence after i sweeps, so max_sweeps sweeps may run
-    for done in range(max_sweeps + 1):
+    # pass i tests convergence after i sweeps, so JACOBI_MAX_SWEEPS sweeps may run
+    for done in range(JACOBI_MAX_SWEEPS + 1):
         target = JACOBI_CONV_FACTOR * (1.0 + float(np.max(np.abs(diag))))
         # summed directly off the strict triangle: the subtraction form
         # trace(A^2) - trace(diag^2) cancels catastrophically near convergence
         off_sq = 2.0 * float(np.sum(np.square(a.take(upper))))
         if math.sqrt(off_sq) < target:
             break
-        if done == max_sweeps:
-            raise ConvergenceError(f"Jacobi did not converge in {max_sweeps} sweeps")
+        if done == JACOBI_MAX_SWEEPS:
+            raise ConvergenceError(f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps")
         skip = target / k
         for p, q, flat in rounds:
             apq = a.take(flat)
@@ -259,8 +258,9 @@ def _twin_classes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Twin classes of the k x k bool adjacency ``a``.
 
     Vertices with equal rows of A are false twins, and the remaining ones
-    with equal rows of A + I are true twins.  Returns the class index of each
-    vertex, the first vertex of each class, and whether each class is of true
+    with equal rows of A + I are true twins.  Returns ``(order, sizes,
+    true_twin)``: the vertices in class order, each class contiguous and led
+    by its first vertex, then per class its size and whether it is of true
     twins.  Only ``a`` is read: no gcd, divisor class or factorization.
     """
     k = a.shape[0]
@@ -272,13 +272,14 @@ def _twin_classes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     false_cls = labels[:k]
     false_twin = np.bincount(false_cls)[false_cls] > 1
     key = np.where(false_twin, false_cls, 2 * k + labels[k:])
-    _, reps, cls = np.unique(key, return_index=True, return_inverse=True)
-    return cls, reps, ~false_twin[reps]
+    order = np.argsort(key, kind="stable")  # stable: each class led by its first vertex
+    _, starts, sizes = np.unique(key[order], return_index=True, return_counts=True)
+    return order, sizes, ~false_twin[order[starts]]
 
 
-def _reflect_blocks(a: np.ndarray, ordered: np.ndarray) -> np.ndarray:
+def _reflect_blocks(a: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Q^T A Q, in place in the float64 ``a``, whose rows and columns are in
-    class order with the sorted labels ``ordered``; return ``a``.
+    class order, classes of ``sizes`` one after another; return ``a``.
 
     Q applies one Householder reflection per class of c >= 2 indices, which
     swaps the class's normalized indicator with the unit vector of its
@@ -286,12 +287,12 @@ def _reflect_blocks(a: np.ndarray, ordered: np.ndarray) -> np.ndarray:
     slices, so they commute, and each costs O(c k).  Each rank-one update
     is subtracted REFLECT_SLICE_ROWS rows at a time, after its whole
     matrix-vector product, so no c x k temporary is made.  Q^T A Q has the
-    eigenvalues of A whatever the labels are.  When a class holds twins of a
+    eigenvalues of A whatever the classes are.  When a class holds twins of a
     Laplacian A, the rows of its other indices come out diagonal up to
     rounding, because the differences inside the class are eigenvectors.
     """
-    k = len(ordered)
-    cuts = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), k]
+    k = a.shape[0]
+    cuts = [0, *np.cumsum(sizes).tolist()]
     for lo, hi in zip(cuts, cuts[1:]):
         if hi - lo < 2:
             continue
@@ -392,11 +393,9 @@ def laplacian_eigenvalues(adj: np.ndarray, twins=None) -> list[float]:
     Raises OrderCapError, before any sweep, above ``JACOBI_MAX_ORDER``: for
     m - 1, before L is built.
     """
-    cls, reps, _ = _twin_classes(adj) if twins is None else twins
-    check_jacobi_order("the twin reduction", len(reps) - 1)
-    perm = np.argsort(cls, kind="stable")
-    reflected = _reflect_blocks(_ordered_laplacian(adj, perm), cls[perm])
-    return _deflated_eigenvalues(reflected, np.bincount(cls))
+    order, sizes, _ = _twin_classes(adj) if twins is None else twins
+    check_jacobi_order("the twin reduction", len(sizes) - 1)
+    return _deflated_eigenvalues(_reflect_blocks(_ordered_laplacian(adj, order), sizes), sizes)
 
 
 def twin_certificate(g: Graph, spectrum: SpectrumMultiset, twins=None) -> bool:
@@ -423,24 +422,23 @@ def twin_certificate(g: Graph, spectrum: SpectrumMultiset, twins=None) -> bool:
     k = a.shape[0]
     if spectrum.order != k:
         return False
-    cls, reps, true_twin = _twin_classes(a) if twins is None else twins
-    if len(reps) > CHAR_POLY_MAX_ORDER:
+    order, sizes, true_twin = _twin_classes(a) if twins is None else twins
+    if len(sizes) > CHAR_POLY_MAX_ORDER:
         return False
-    # (A P)[i, c] <= k counts the neighbours of i in class c, from the bool rows in
-    # slices, columns in class order: A @ P would cast A to k x k int64
-    sizes = np.bincount(cls).tolist()
-    order, starts = cls.argsort(kind="stable"), [0, *accumulate(sizes[:-1])]
-    ap = np.empty((k, len(reps)), dtype=np.int32)
+    # (A P)[i, c] <= k counts the neighbours of i in class c, rows and columns
+    # in class order, from the bool rows in slices: A @ P would cast A to k x k int64
+    starts = sizes.cumsum() - sizes
+    ap = np.empty((k, len(sizes)), dtype=np.int32)
     for lo in range(0, k, REFLECT_SLICE_ROWS):
-        rows = a[lo : lo + REFLECT_SLICE_ROWS].take(order, axis=1)
+        rows = a.take(order[lo : lo + REFLECT_SLICE_ROWS], 0).take(order, 1)
         ap[lo : lo + len(rows)] = np.add.reduceat(rows, starts, axis=1, dtype=np.int32)
-    b = ap[reps]
-    if not (ap == b[cls]).all():
+    b = ap[starts]
+    if not (ap == np.repeat(b, sizes, 0)).all():
         return False
     deg = b.sum(axis=1)
     q = np.diag(deg) - b
     residual = dict(spectrum.entries)
-    for eig, size in zip((deg + true_twin).tolist(), sizes):
+    for eig, size in zip((deg + true_twin).tolist(), sizes.tolist()):
         left = residual.get(eig, 0) - (size - 1)
         if left < 0:
             return False
@@ -448,24 +446,18 @@ def twin_certificate(g: Graph, spectrum: SpectrumMultiset, twins=None) -> bool:
     return poly_matches_spectrum(char_poly_exact(q), SpectrumMultiset.exact(residual.items()))
 
 
-def integrality_check(eigs, tol: float) -> tuple[bool, list[int]]:
-    """Whether every eigenvalue sits within tol of an integer; plus roundings.
+def integrality_check(eigs, tol: float) -> bool:
+    """Whether every eigenvalue sits within ``tol`` of an integer.
 
-    Rounding is to the nearest integer, halves away from zero.  Raises
-    DomainError for a non-finite eigenvalue.
+    Raises DomainError unless 0 < tol < inf, and for a non-finite eigenvalue.
     """
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
-    rounded = []
-    ok = True
-    for e in eigs:
-        if not math.isfinite(e):
-            raise DomainError(f"eigenvalue {e} is not finite")
-        r = math.floor(e + 0.5) if e >= 0 else math.ceil(e - 0.5)
-        rounded.append(int(r))
-        if abs(e - r) > tol:
-            ok = False
-    return ok, rounded
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tolerance must be finite and positive, got {tol}")
+    e = np.asarray(eigs, dtype=np.float64)
+    bad = e[~np.isfinite(e)]
+    if bad.size:
+        raise DomainError(f"eigenvalue {bad[0]} is not finite")
+    return bool((np.abs(e - np.rint(e)) <= tol).all())
 
 
 STATUS_PASS = "PASS"
@@ -480,8 +472,8 @@ def eigenvalues_match(numeric, expected) -> bool:
     """Whether the ascending ``numeric`` eigenvalues equal ``expected``
     elementwise, within ``NUMERIC_MATCH_TOL`` times the order."""
     tol = NUMERIC_MATCH_TOL * max(1, len(expected))
-    return len(numeric) == len(expected) and all(
-        abs(a - b) <= tol for a, b in zip(numeric, expected)
+    return len(numeric) == len(expected) and bool(
+        (np.abs(np.subtract(numeric, expected)) <= tol).all()
     )
 
 
@@ -555,7 +547,7 @@ def verify_spectrum(
     expanded = closed.expand()
     same_order = numeric is not None and len(numeric) == len(expanded)
     checks["numeric_match"] = same_order and eigenvalues_match(numeric, expanded)
-    checks["integral"] = same_order and integrality_check(numeric, integral_tol)[0]
+    checks["integral"] = same_order and integrality_check(numeric, integral_tol)
 
     ok = STATUS_DEGENERATE if order == 0 else STATUS_PASS
     return VerificationReport(

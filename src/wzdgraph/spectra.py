@@ -14,6 +14,8 @@ one factorization of n.
 
 from __future__ import annotations
 
+import math
+
 from ._numpy import np
 from ._record import Record
 from .errors import ContractViolation, DomainError
@@ -121,10 +123,10 @@ class SpectrumMultiset(Record):
         return cls(entries=entries, variant=EXACT, n=n)
 
     @classmethod
-    def floating(cls, pairs, n: int | None = None, tol: float = MERGE_TOL) -> "SpectrumMultiset":
+    def floating(cls, pairs, n: int | None = None) -> "SpectrumMultiset":
         merged: list[list] = []
         for e, m in sorted((float(e), m) for e, m in pairs if m):
-            if merged and abs(e - merged[-1][0]) <= tol:
+            if merged and abs(e - merged[-1][0]) <= MERGE_TOL:
                 merged[-1][1] += m
             else:
                 merged.append([e, m])
@@ -136,10 +138,12 @@ def symmetric_weighted_laplacian(host: WeightedHostGraph) -> np.ndarray:
 
     Similar, by diag(sqrt(n_i)), to the zero-row-sum host matrix (diagonal
     D_i, off-diagonal -n_j on edges), and therefore has the same spectrum.
+    The product n_i n_j is a Python int, so it may pass 2^63; OverflowError
+    is raised past the float range.
     """
     L = np.diag(np.array(host.neighbor_weight_sums(), dtype=np.float64))
     for i, j in host.edges:
-        L[i, j] = L[j, i] = -np.sqrt(host.weights[i] * host.weights[j])
+        L[i, j] = L[j, i] = -math.sqrt(host.weights[i] * host.weights[j])
     return L
 
 

@@ -137,7 +137,7 @@ def test_graph_json_with_classes_is_the_export_plus_the_listing(capsys, n):
     export = json.loads(graphcore.export_graph(graphcore.build_structural_wzd(n), "json"))
     listing = [
         {"divisor": c.divisor, "kind": c.kind.value, "members": list(c.members)}
-        for c in graphcore.divisor_classes(n).classes
+        for c in graphcore.divisor_classes(n)
     ]
     payload = json.loads(out)
     assert list(payload) == ["modulus", "vertices", "edges", "classes"]
@@ -316,6 +316,16 @@ def test_verify_refuses_primes_above_the_scan_bound(capsys, n):
 def test_verify_empty_range_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "verify", "3..2")
     assert code == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "1e400", "0", "-0.5"])
+def test_verify_refuses_a_tolerance_that_is_not_finite_and_positive(capsys, tol):
+    # a NaN tolerance used to pass the integrality check of every n
+    code, out, err = run_cli(capsys, "verify", "12..12", "--tol", tol)
+    assert code == 2 and out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"wzd verify: error: argument --tol: tolerance must be finite and positive, got {tol}"
+    ]
 
 
 def test_verify_max_order_skips_charpoly(capsys):
@@ -637,6 +647,79 @@ def test_join_rejects_bad_host(tmp_path, capsys, labels, weights):
     code, out, err = run_cli(capsys, "join", str(path))
     assert code == 2 and out == ""
     assert err.startswith("bad join input: ") and err.count("\n") == 1
+
+
+def test_join_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"host": "\xff"}')
+    code, out, err = run_cli(capsys, "join", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("bad join input: 'utf-8' codec can't decode") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "component",
+    [{"kind": "complete", "order": 3.0}, {"kind": "empty", "order": True},
+     {"order": True, "edges": []}],
+    ids=["float-kind-order", "bool-kind-order", "bool-edges-order"],
+)
+@pytest.mark.parametrize("flags", [[], ["--check"]])
+def test_join_refuses_a_component_order_that_is_not_an_int(tmp_path, capsys, component, flags):
+    # 3.0 was taken, and printed a multiplicity of 2.0; True was taken as 1
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(one_component_join(component, int(component["order"]))))
+    code, out, err = run_cli(capsys, "join", str(path), *flags)
+    assert code == 2 and out == ""
+    assert err == (
+        "bad join input: component 0 needs a spectrum, or a kind or edges with an integer order\n"
+    )
+
+
+def test_join_takes_host_weight_products_past_int64(tmp_path, capsys):
+    # a path host of weights 10^10, 10^10, 1: its host matrix needs sqrt(10^20)
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(path_join(("complete", 10**10), ("empty", 10**10), ("complete", 1))))
+    code, out, _ = run_cli(capsys, "join", str(path), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["variant"] == "float" and payload["order"] == 2 * 10**10 + 1
+    # weights past the float range are refused in one line
+    path.write_text(json.dumps(path_join(("complete", 10**400), ("complete", 1), ("empty", 1))))
+    code, out, err = run_cli(capsys, "join", str(path))
+    assert code == 2 and out == ""
+    assert err == "bad join input: int too large to convert to float\n"
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        ([], "a2fff14789fe2b59463ab88acccdb255077c79b850ebff111197b64cc3ff0b08"),
+        (["--check"], "951df8468573d57d135f15e28795b5ac096ff2b0eebd6df9363d288b541eafe0"),
+        (["--format", "json"], "5c12c085a543c4f7802778e132717aca01c7bc500a7d6a1edf199db559519ddd"),
+        (["--format", "json", "--check"],
+         "5c12c085a543c4f7802778e132717aca01c7bc500a7d6a1edf199db559519ddd"),
+    ],
+)
+def test_join_floating_output_is_byte_identical_to_its_recorded_digest(
+    tmp_path, capsys, flags, digest
+):
+    # sha256 of stdout as first recorded: edge-list components P_4 and K_2 and
+    # the kind K_3 over the path host a - b - c, so the component spectra,
+    # the host spectrum and the check all go through Jacobi in float64
+    payload = {
+        "host": {"labels": ["a", "b", "c"], "weights": [4, 3, 2],
+                 "edges": [["a", "b"], ["b", "c"]]},
+        "components": [
+            {"order": 4, "edges": [[0, 1], [1, 2], [2, 3]]},
+            {"kind": "complete", "order": 3},
+            {"order": 2, "edges": [[0, 1]]},
+        ],
+    }
+    path = tmp_path / "path-host.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run_cli(capsys, "join", str(path), *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_output_determinism(capsys):

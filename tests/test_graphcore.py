@@ -53,7 +53,8 @@ def graph_from_json(text: str) -> Graph:
     labels = tuple(payload["vertices"])
     index = {u: i for i, u in enumerate(labels)}
     pairs = (sorted((index[u], index[v])) for u, v in payload["edges"])
-    return Graph.from_edges(labels, pairs, modulus=payload.get("modulus"))
+    g = Graph.from_edges(labels, pairs)
+    return Graph(labels=labels, adjacency=g.adjacency, modulus=payload.get("modulus"))
 
 
 def label_edges(g: Graph) -> list[tuple[int, int]]:
@@ -259,8 +260,8 @@ def test_bruteforce_wzd_prime_is_empty():
 
 
 def test_divisor_classes_n18_matches_known_decomposition():
-    part = divisor_classes(18)
-    got = {(c.divisor, c.members, c.kind) for c in part.classes}
+    classes = divisor_classes(18)
+    got = {(c.divisor, c.members, c.kind) for c in classes}
     assert got == {
         (2, (2, 4, 8, 10, 14, 16), Kind.EMPTY),
         (3, (3, 15), Kind.COMPLETE),
@@ -270,30 +271,28 @@ def test_divisor_classes_n18_matches_known_decomposition():
 
 
 def test_divisor_classes_small_cases():
-    part4 = divisor_classes(4)
-    assert [(c.divisor, c.members, c.kind) for c in part4.classes] == [
+    assert [(c.divisor, c.members, c.kind) for c in divisor_classes(4)] == [
         (2, (2,), Kind.COMPLETE)
     ]
-    part6 = divisor_classes(6)
-    assert [(c.divisor, c.members, c.kind) for c in part6.classes] == [
+    assert [(c.divisor, c.members, c.kind) for c in divisor_classes(6)] == [
         (2, (2, 4), Kind.EMPTY),
         (3, (3,), Kind.EMPTY),
     ]
 
 
 def test_divisor_classes_degenerate_for_primes():
-    part = divisor_classes(7)
-    assert part.classes == ()
+    classes = divisor_classes(7)
+    assert classes == ()
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(COMPOSITES_300))
 def test_divisor_classes_partition_properties(n):
-    part = divisor_classes(n)
-    all_members = [x for c in part.classes for x in c.members]
+    classes = divisor_classes(n)
+    all_members = [x for c in classes for x in c.members]
     assert sorted(all_members) == zero_divisors(n)
     assert len(set(all_members)) == len(all_members)
-    for c in part.classes:
+    for c in classes:
         assert c.size == euler_phi(n // c.divisor)
         assert list(c.members) == [x for x in range(1, n) if gcd(x, n) == c.divisor]
 
@@ -303,10 +302,10 @@ def test_divisor_classes_scan_only_the_multiples_of_the_primes():
     # per residue took 3.8 s
     n = 4091**2
     start = time.perf_counter()
-    part = divisor_classes(n)
+    classes = divisor_classes(n)
     assert time.perf_counter() - start < 1.0
-    assert [(c.divisor, c.kind) for c in part.classes] == [(4091, Kind.COMPLETE)]
-    assert part.classes[0].members == tuple(range(4091, n, 4091))
+    assert [(c.divisor, c.kind) for c in classes] == [(4091, Kind.COMPLETE)]
+    assert classes[0].members == tuple(range(4091, n, 4091))
 
 
 def test_structural_wzd_small_cases():
@@ -379,21 +378,19 @@ def test_graph_is_frozen_and_compares_by_identity():
 
 
 def test_divisor_classes_are_frozen_records():
-    part = divisor_classes(12)
+    classes = divisor_classes(12)
     again = divisor_classes(12)
-    assert part == again and hash(part) == hash(again)
-    assert part != divisor_classes(18)
-    c = part.classes[0]
+    assert classes == again and hash(classes) == hash(again)
+    assert classes != divisor_classes(18)
+    c = classes[0]
     assert c == DivisorClass(2, (2, 10), Kind.COMPLETE) != DivisorClass(2, (2, 10), Kind.EMPTY)
     assert hash(c) == hash(DivisorClass(divisor=2, members=(2, 10), kind=Kind.COMPLETE))
     assert repr(c) == "DivisorClass(divisor=2, members=(2, 10), kind=<Kind.COMPLETE: 'complete'>)"
-    listed = ", ".join(map(repr, part.classes))
-    assert repr(part) == f"DivisorClassPartition(n=12, classes=({listed}))"
     with pytest.raises(AttributeError):
         c.kind = Kind.EMPTY
     with pytest.raises(AttributeError):
-        del part.n
-    assert pickle.loads(pickle.dumps(part)) == part
+        del c.members
+    assert pickle.loads(pickle.dumps(classes)) == classes
 
 
 @pytest.mark.parametrize("k, i, j", [(600, 5, 590), (600, 590, 599), (3, 0, 2)])
@@ -506,7 +503,7 @@ def test_export_matches_reference_on_generic_graphs(fmt):
 
 def test_divisor_classes_refuses_orders_above_the_limit(monkeypatch):
     monkeypatch.setattr(graphcore, "MAX_GRAPH_ORDER", 11)
-    assert sum(c.size for c in divisor_classes(18).classes) == 11
+    assert sum(c.size for c in divisor_classes(18)) == 11
     with pytest.raises(OrderCapError, match="13 vertices, above the limit of 11"):
         divisor_classes(26)
     with pytest.raises(OrderCapError):
@@ -528,16 +525,16 @@ def test_assemble_join_star():
 def test_assemble_join_matches_structural_builder():
     # the divisor classes of 18 as components reproduce the graph exactly,
     # whether each class comes as a kind or as an explicit edge list
-    part = divisor_classes(18)
-    host_edges = set(combinations(range(len(part.classes)), 2))
+    classes = divisor_classes(18)
+    host_edges = set(combinations(range(len(classes)), 2))
     direct = build_structural_wzd(18)
-    members = [x for c in part.classes for x in c.members]
+    members = [x for c in classes for x in c.members]
     position = {u: i for i, u in enumerate(direct.labels)}
     order = [position[u] for u in members]
     # the structural graph relabelled into class order, as the join numbers it
     expected = direct.adjacency[np.ix_(order, order)]
     as_kind, as_edges = [], []
-    for i, c in enumerate(part.classes):
+    for i, c in enumerate(classes):
         complete = c.kind is Kind.COMPLETE
         as_kind.append(_component_graph({"kind": c.kind.value}, c.size, i))
         local = [list(e) for e in combinations(range(c.size), 2)] if complete else []

@@ -255,21 +255,39 @@ def test_jacobi_schedule_cache_holds_no_order_above_its_bound():
 
 
 @pytest.mark.parametrize("n", [240, 420])
-def test_jacobi_converges_in_few_sweeps_on_wzd_laplacians(n):
+def test_jacobi_converges_in_few_sweeps_on_wzd_laplacians(monkeypatch, n):
     # in ascending vertex order these took 12 and 17 sweeps
-    eigs = symmetric_eigenvalues(laplacian_matrix(build_bruteforce_wzd(n)), max_sweeps=7)
+    monkeypatch.setattr(oracle, "JACOBI_MAX_SWEEPS", 7)
+    eigs = symmetric_eigenvalues(laplacian_matrix(build_bruteforce_wzd(n)))
     expected = wzd_spectrum_closed_form(n).expand()
     assert np.max(np.abs(np.array(eigs) - expected)) < 1e-8 * len(expected)
 
 
-def test_jacobi_sweep_bound_includes_the_last_sweep():
-    # n = 150 converges in its 5th sweep, so max_sweeps=5 must be enough
+def test_jacobi_sweep_bound_includes_the_last_sweep(monkeypatch):
+    # n = 150 converges in its 5th sweep, so a bound of 5 sweeps must be enough
     lap = laplacian_matrix(build_bruteforce_wzd(150))
-    eigs = symmetric_eigenvalues(lap, max_sweeps=5)
+    monkeypatch.setattr(oracle, "JACOBI_MAX_SWEEPS", 5)
+    eigs = symmetric_eigenvalues(lap)
     expected = wzd_spectrum_closed_form(150).expand()
     assert np.max(np.abs(np.array(eigs) - expected)) < 1e-8 * len(expected)
-    with pytest.raises(ConvergenceError):
-        symmetric_eigenvalues(lap, max_sweeps=0)
+    monkeypatch.setattr(oracle, "JACOBI_MAX_SWEEPS", 0)
+    with pytest.raises(ConvergenceError, match="in 0 sweeps"):
+        symmetric_eigenvalues(lap)
+
+
+def class_layout(cls) -> tuple:
+    """``_twin_classes``' layout ``(order, sizes, true_twin)`` of the classes
+    of any labels ``cls``, with no class of true twins: ``cls[i]`` labels index
+    i, ``order = np.argsort(cls, kind="stable")``, and the classes come in
+    ascending label order."""
+    sizes = np.unique(cls, return_counts=True)[1]
+    return np.argsort(cls, kind="stable"), sizes, np.zeros(len(sizes), dtype=bool)
+
+
+def class_labels(twins) -> np.ndarray:
+    """The class index of each vertex, from ``_twin_classes``' layout."""
+    order, sizes, _ = twins
+    return np.repeat(np.arange(len(sizes)), sizes)[np.argsort(order)]
 
 
 def reflect_classes(m, cls) -> np.ndarray:
@@ -282,11 +300,10 @@ def reflect_classes(m, cls) -> np.ndarray:
     first index.  Then Q applies ``_reflect_blocks``' one Householder
     reflection per class of c >= 2 indices.
     """
-    cls = np.asarray(cls)
-    order = np.argsort(cls, kind="stable")
+    order, sizes, _ = class_layout(cls)
     k = len(order)
     a = np.asarray(m).take(order[:, None] * k + order).astype(np.float64)
-    return _reflect_blocks(a, cls[order])
+    return _reflect_blocks(a, sizes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -313,12 +330,14 @@ def test_reflect_classes_keeps_the_spectrum_of_any_grouping(k, labels, seed):
 def test_reflect_classes_leaves_the_class_leaders_to_rotate():
     # WΓ(Z_18): A_2 (6 false twins) and one class of 5 universal vertices
     g = build_bruteforce_wzd(18)
-    cls, reps, true_twin = _twin_classes(g.adjacency)
-    assert np.bincount(cls).tolist() == [6, 5] and true_twin.tolist() == [False, True]
-    # the result is in class order, each class opened by its leader; put it
-    # back in vertex order
-    order = np.argsort(cls, kind="stable")
-    assert order[[0, 6]].tolist() == reps.tolist()
+    twins = _twin_classes(g.adjacency)
+    order, sizes, true_twin = twins
+    assert sizes.tolist() == [6, 5] and true_twin.tolist() == [False, True]
+    # the result is in class order, each class opened by its leader, its
+    # first vertex; put it back in vertex order
+    cls = class_labels(twins)
+    reps = order[[0, 6]]
+    assert reps.tolist() == [int(np.flatnonzero(cls == c)[0]) for c in (0, 1)]
     back = np.argsort(order)
     r = reflect_classes(laplacian_matrix(g), cls)[np.ix_(back, back)]
     off = r - np.diag(np.diagonal(r))
@@ -330,10 +349,9 @@ def test_reflect_classes_leaves_the_class_leaders_to_rotate():
     assert np.max(np.abs(np.diagonal(r)[others] - expected)) < 1e-14
 
 
-def reflect_blocks_unsliced(a: np.ndarray, ordered: np.ndarray) -> np.ndarray:
+def reflect_blocks_unsliced(a: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """``_reflect_blocks`` with each rank-one update subtracted whole."""
-    k = len(ordered)
-    cuts = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), k]
+    cuts = [0, *np.cumsum(sizes).tolist()]
     for lo, hi in zip(cuts, cuts[1:]):
         if hi - lo < 2:
             continue
@@ -360,15 +378,13 @@ def traced_peak(fn) -> int:
 def test_reflect_blocks_slices_its_updates_bit_for_bit():
     # WΓ(Z_586): the 292 even residues form one class, three slices of rows
     adj = graphcore.build_structural_wzd(586).adjacency
-    cls = _twin_classes(adj)[0]
-    sizes = np.bincount(cls)
-    k, c = len(cls), int(sizes.max())
+    order, sizes, _ = _twin_classes(adj)
+    k, c = len(order), int(sizes.max())
     assert c == 292 and c > 2 * oracle.REFLECT_SLICE_ROWS
-    order = np.argsort(cls, kind="stable")
     lap = oracle._ordered_laplacian(adj, order)
-    want = reflect_blocks_unsliced(lap.copy(), cls[order])
+    want = reflect_blocks_unsliced(lap.copy(), sizes)
     got = lap.copy()
-    peak = traced_peak(lambda: _reflect_blocks(got, cls[order]))
+    peak = traced_peak(lambda: _reflect_blocks(got, sizes))
     assert got.tobytes() == want.tobytes()
     # no c x k temporary: beyond the buffers numpy's ufunc iterator takes
     # for an outer broadcast of these rows (128 KB in numpy 2.x), the peak
@@ -382,7 +398,7 @@ def test_reflect_blocks_slices_its_updates_bit_for_bit():
 def test_ordered_laplacian_is_the_laplacian_gathered_into_class_order(n):
     # bit for bit, signed zeros included, what the reflection used to get
     g = build_bruteforce_wzd(n)
-    order = np.argsort(_twin_classes(g.adjacency)[0], kind="stable")
+    order = _twin_classes(g.adjacency)[0]
     lap = oracle._ordered_laplacian(g.adjacency, order)
     want = laplacian_matrix(g)[np.ix_(order, order)].astype(np.float64)
     assert lap.dtype == np.float64 and lap.tobytes() == want.tobytes()
@@ -411,27 +427,27 @@ def test_twin_classes_match_a_row_by_row_reference(seed):
     m = int(rng.integers(1, 9))
     host = np.triu(rng.random((m, m)) < 0.5, 1)
     g, _, _ = planted_twin_graph(rng, host | host.T)
-    cls, reps, true_twin = _twin_classes(g.adjacency)
-    got = {
-        frozenset(np.flatnonzero(cls == c).tolist()): bool(true_twin[c])
-        for c in range(len(reps))
-    }
-    assert got == twin_classes_reference(g.adjacency)
-    # each class is led by its first vertex, and false twins come first
-    assert reps.tolist() == [int(np.flatnonzero(cls == c)[0]) for c in range(len(reps))]
+    order, sizes, true_twin = _twin_classes(g.adjacency)
+    assert sorted(order.tolist()) == list(range(g.vertex_count)) and sizes.sum() == len(order)
+    blocks = np.split(order, np.cumsum(sizes)[:-1])
+    got = {frozenset(b.tolist()): bool(t) for b, t in zip(blocks, true_twin)}
+    assert len(got) == len(sizes) and got == twin_classes_reference(g.adjacency)
+    # each class ascends, so it is led by its first vertex, and false twins come first
+    assert all((np.diff(b) > 0).all() for b in blocks)
     assert true_twin.tolist() == sorted(true_twin.tolist())
 
 
-def test_jacobi_converges_in_one_sweep_on_reflected_wzd_laplacians():
+def test_jacobi_converges_in_one_sweep_on_reflected_wzd_laplacians(monkeypatch):
     # up to 6 sweeps on the raw Laplacians; skipping the reflection fails
     # this at the first n that needs more than one
+    monkeypatch.setattr(oracle, "JACOBI_MAX_SWEEPS", 1)
     for n in range(4, 601):
         closed = wzd_spectrum_closed_form(n)
         if closed.order == 0:
             continue
         g = build_bruteforce_wzd(n)
-        r = reflect_classes(laplacian_matrix(g), _twin_classes(g.adjacency)[0])
-        eigs = symmetric_eigenvalues(r, max_sweeps=1)
+        r = reflect_classes(laplacian_matrix(g), class_labels(_twin_classes(g.adjacency)))
+        eigs = symmetric_eigenvalues(r)
         err = np.max(np.abs(np.array(eigs) - closed.expand()))
         assert err <= NUMERIC_MATCH_TOL * closed.order, n
 
@@ -665,19 +681,38 @@ def test_twin_certificate_rejects_floating_spectra():
 
 
 def test_integrality_check_examples():
-    ok, rounded = integrality_check([0.0, 4.9999999, 11.0000001], 1e-6)
-    assert ok and rounded == [0, 5, 11]
+    assert integrality_check([0.0, 4.9999999, 11.0000001], 1e-6) is True
+    assert integrality_check([0.5], 1e-6) is False
+    assert integrality_check([-0.5], 1e-6) is False
+    assert integrality_check([3.0, -2.0000002], 1e-6) is True
+    assert integrality_check([], 1e-6) is True
 
-    ok, rounded = integrality_check([0.5], 1e-6)
-    assert not ok and rounded == [1]  # halves round away from zero
 
-    ok, rounded = integrality_check([-0.5], 1e-6)
-    assert not ok and rounded == [-1]
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(-50, 50), max_size=30),
+    st.lists(st.floats(-2e-6, 2e-6), max_size=30),
+    st.sampled_from([1e-6, 1e-8, 0.5]),
+)
+def test_numeric_checks_agree_with_their_loop_references(ints, offsets, tol):
+    # halves included: the distance to the nearest integer does not depend
+    # on which way a half rounds
+    numeric = [i + d for i, d in zip(ints, offsets)]
+    expected = ints[: len(numeric)]
+    bound = NUMERIC_MATCH_TOL * max(1, len(expected))
+    assert oracle.eigenvalues_match(numeric, expected) is all(
+        abs(a - b) <= bound for a, b in zip(numeric, expected)
+    )
+    eigs = numeric + [i + 0.5 for i in ints[:2]]
+    nearest = [math.floor(e + 0.5) if e >= 0 else math.ceil(e - 0.5) for e in eigs]
+    assert integrality_check(eigs, tol) is all(abs(e - r) <= tol for e, r in zip(eigs, nearest))
 
-    assert integrality_check([], 1e-6) == (True, [])
 
-    with pytest.raises(DomainError):
-        integrality_check([0.0], 0.0)
+@pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan, np.inf])
+def test_integrality_check_refuses_a_tolerance_outside_zero_to_infinity(tol):
+    # a NaN tolerance passed every eigenvalue: nan <= 0 and |e - r| > nan are both False
+    with pytest.raises(DomainError, match="^tolerance must be finite and positive"):
+        integrality_check([0.4, 1.5], tol)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -766,8 +801,8 @@ def test_verify_spectrum_runs_jacobi_on_the_leader_block_only(monkeypatch):
 @pytest.mark.parametrize("n", [18, 150, 240])
 def test_deflation_zeroes_the_first_leaders_row_and_column(monkeypatch, n):
     g = build_bruteforce_wzd(n)
-    cls = _twin_classes(g.adjacency)[0]
-    a = reflect_classes(laplacian_matrix(g), cls)
+    twins = _twin_classes(g.adjacency)
+    a = reflect_classes(laplacian_matrix(g), class_labels(twins))
     scale = float(np.abs(a).max())
     blocks = []
     real = oracle.symmetric_eigenvalues
@@ -777,7 +812,7 @@ def test_deflation_zeroes_the_first_leaders_row_and_column(monkeypatch, n):
         return blocks[-1]
 
     monkeypatch.setattr(oracle, "symmetric_eigenvalues", spy)
-    eigs = _deflated_eigenvalues(a, np.bincount(cls))
+    eigs = _deflated_eigenvalues(a, twins[1])
     # the deflated path leaves the first leader's row and column in place
     # and sets only the other leaders' block and the diagonal aside
     row, col = a[0, 1:], a[1:, 0]
@@ -837,8 +872,7 @@ def test_verify_spectrum_wrong_grouping_takes_the_fallback_and_passes(monkeypatc
     # whole k x k matrix goes to Jacobi, and the verdict stands; each n has an
     # empty class (in a complete graph every grouping is one of twins)
     def wrong(a):
-        k = a.shape[0]
-        return np.arange(k) % 3, np.arange(min(k, 3)), np.zeros(min(k, 3), dtype=bool)
+        return class_layout(np.arange(a.shape[0]) % 3)
 
     orders = jacobi_orders(monkeypatch)
     monkeypatch.setattr(oracle, "_twin_classes", wrong)
@@ -1003,7 +1037,7 @@ def test_laplacian_eigenvalues_refuses_a_leader_block_above_the_bound(monkeypatc
 def test_laplacian_eigenvalues_refuses_the_whole_matrix_fallback_above_the_bound(no_sweep):
     # three classes that are not twins leave mass outside the leader block
     k = oracle.JACOBI_MAX_ORDER + 44
-    wrong = np.arange(k) % 3, np.arange(3), np.zeros(3, dtype=bool)
+    wrong = class_layout(np.arange(k) % 3)
     with pytest.raises(OrderCapError, match=f"^the whole-matrix fallback leaves Jacobi order {k},"):
         oracle.laplacian_eigenvalues(path_adjacency(k), wrong)
 

@@ -120,6 +120,20 @@ def test_symmetric_weighted_laplacian_example():
     assert np.allclose(np.sort(np.linalg.eigvalsh(M)), [0.0, 3.0])
 
 
+def test_symmetric_weighted_laplacian_takes_weight_products_past_int64():
+    # 10^10 * 10^10 >= 2^63: numpy's sqrt of that Python int was refused
+    host = make_host([10**10, 10**10, 1], [(0, 1), (1, 2)])
+    M = symmetric_weighted_laplacian(host)
+    assert M.tolist() == [
+        [1e10, -1e10, 0.0],
+        [-1e10, 1e10 + 1, -1e5],
+        [0.0, -1e5, 1e10],
+    ]
+    # past the float range the product cannot be converted at all
+    with pytest.raises(OverflowError):
+        symmetric_weighted_laplacian(make_host([10**200, 10**200], [(0, 1)]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=6),
@@ -157,8 +171,8 @@ def test_join_spectrum_single_vertex_host():
 
 
 def test_join_spectrum_upsilon18():
-    part = divisor_classes(18)
-    comps = [component_spectrum(c.size, c.kind) for c in part.classes]
+    classes = divisor_classes(18)
+    comps = [component_spectrum(c.size, c.kind) for c in classes]
     s = join_spectrum(host_upsilon(18), comps)
     assert s.entries == {0: 1, 5: 5, 11: 5}
 
@@ -254,8 +268,8 @@ def test_closed_form_matches_sum_over_host_weights(n):
 def test_specialization_coherence_full_range():
     # the generic join over the divisor host reproduces the direct formula
     for n in COMPOSITES_300:
-        part = divisor_classes(n)
-        comps = [component_spectrum(c.size, c.kind) for c in part.classes]
+        classes = divisor_classes(n)
+        comps = [component_spectrum(c.size, c.kind) for c in classes]
         joined = join_spectrum(host_upsilon(n), comps)
         assert joined.entries == wzd_spectrum_closed_form(n).entries, n
 
