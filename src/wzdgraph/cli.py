@@ -308,6 +308,8 @@ def _component_from_json(
     when ``entry`` is an edge list (None otherwise)."""
     if not isinstance(entry, dict):
         raise DomainError(f"component {index} is not an object")
+    if sum(key in entry for key in ("spectrum", "kind", "edges")) != 1:
+        raise DomainError(f"component {index} needs exactly one of a spectrum, a kind or edges")
     if "spectrum" in entry:
         pairs = _spectrum_pairs(entry["spectrum"]["entries"], index)
         if all(float(e).is_integer() for e, _ in pairs):
@@ -321,7 +323,7 @@ def _component_from_json(
     if kind in ("complete", "empty"):
         return spectra.component_spectrum(order, Kind(kind)), None
     graphcore.check_graph_order(f"join component {index}", order)
-    g = _component_graph(entry, order, index)
+    g = graphcore.Graph.from_edges(range(order), _local_edges(entry, order, index))
     try:
         eigs = oracle.laplacian_eigenvalues(g.adjacency)
     except OrderCapError as exc:
@@ -330,9 +332,7 @@ def _component_from_json(
 
 
 def _component_graph(entry: dict, order: int, index: int) -> graphcore.Graph:
-    """Component ``index`` of ``order`` vertices, from its edge list or its kind."""
-    if "edges" in entry:
-        return graphcore.Graph.from_edges(range(order), _local_edges(entry, order, index))
+    """Component ``index`` of ``order`` vertices, from its kind."""
     kind = entry.get("kind")
     if kind not in ("complete", "empty"):
         raise DomainError(f"component {index} has no edge list; cannot assemble the join")

@@ -1,7 +1,10 @@
 """Independent verification: explicit Laplacians, a dense Jacobi eigensolver,
-an exact twin-quotient certificate, and the per-n verification report.
+the twin quotient, and the per-n verification report.
 
-The exact path is authoritative: when the numeric and exact results disagree,
+Twin classes are equitable, so a Laplacian spectrum is the twin eigenvalues
+plus those of the m x m quotient (Brouwer & Haemers, Spectra of Graphs,
+2.3); the exact certificate and the numeric eigenvalues both read it.  The
+exact path is authoritative: when the numeric and exact results disagree,
 the report fails and shows the exact spectrum.
 """
 
@@ -34,13 +37,11 @@ JACOBI_MAX_SWEEPS = 100
 #: cache, one entry per order, takes about 2.3 MB, where one entry at order
 #: 4096 alone would take 270 MB.
 JACOBI_CACHED_ORDER = 64
-#: largest order ``laplacian_eigenvalues`` and a join's host hand to Jacobi.
-#: Raw Jacobi on cycle Laplacians, which have no twins, took 1.7 s at order
-#: 256, 4.4 s at 352 and 22 s at 512 (one Xeon core, one BLAS thread).
+#: largest order handed to Jacobi: m - 1 for a twin quotient of m classes,
+#: or a join's host order.  Raw Jacobi on cycle Laplacians, which have no
+#: twins, took 1.7 s at order 256, 4.4 s at 352 and 22 s at 512 (one Xeon
+#: core, one BLAS thread).
 JACOBI_MAX_ORDER = 256
-#: rows per slice of a class reflection's rank-one update in
-#: ``_reflect_blocks``: the temporary is REFLECT_SLICE_ROWS x k, not c x k.
-REFLECT_SLICE_ROWS = 128
 TRACE_REL_TOL = 1e-9
 SYMMETRY_REL_TOL = 1e-12
 
@@ -277,48 +278,25 @@ def _twin_classes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, sizes, ~false_twin[order[starts]]
 
 
-def _reflect_blocks(a: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Q^T A Q, in place in the float64 ``a``, whose rows and columns are in
-    class order, classes of ``sizes`` one after another; return ``a``.
-
-    Q applies one Householder reflection per class of c >= 2 indices, which
-    swaps the class's normalized indicator with the unit vector of its
-    leader, the class's first index.  The reflections act on disjoint
-    slices, so they commute, and each costs O(c k).  Each rank-one update
-    is subtracted REFLECT_SLICE_ROWS rows at a time, after its whole
-    matrix-vector product, so no c x k temporary is made.  Q^T A Q has the
-    eigenvalues of A whatever the classes are.  When a class holds twins of a
-    Laplacian A, the rows of its other indices come out diagonal up to
-    rounding, because the differences inside the class are eigenvectors.
+def _class_counts(a: np.ndarray, twins) -> np.ndarray | None:
+    """B[C, D], the neighbours in class D of each vertex of class C, as an
+    m x m int32 array in class order, for the ``twins`` of the bool
+    adjacency ``a``; None when a member's row of A (false twins) or of A + I
+    (true twins) is not its leader's.  That exact check, on the packed rows
+    one class at a time, makes the classes equitable, so B is read from the
+    m leader rows alone.
     """
-    k = a.shape[0]
-    cuts = [0, *np.cumsum(sizes).tolist()]
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi - lo < 2:
-            continue
-        # v = u - e_lo with u = 1/sqrt(c) on the class; H = I - 2 v v^T / v^T v
-        v = np.full(hi - lo, 1.0 / math.sqrt(hi - lo))
-        v[0] -= 1.0
-        w = v * (2.0 / float(v @ v))
-        rows = a[lo:hi]
-        t = v @ rows
-        for i in range(0, hi - lo, REFLECT_SLICE_ROWS):
-            rows[i : i + REFLECT_SLICE_ROWS] -= w[i : i + REFLECT_SLICE_ROWS, None] * t
-        cols = a[:, lo:hi]
-        s = cols @ v
-        for i in range(0, k, REFLECT_SLICE_ROWS):
-            cols[i : i + REFLECT_SLICE_ROWS] -= s[i : i + REFLECT_SLICE_ROWS, None] * w
-    return a
-
-
-def _ordered_laplacian(adj: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """L = D - A of the bool adjacency ``adj`` as float64, rows and columns
-    in ``order``: two one-byte gathers of A, with no int64 L and no k x k
-    index array, equal entry for entry to ``laplacian_matrix`` so ordered."""
-    a = adj.take(order, 0).take(order, 1)
-    lap = np.subtract(0.0, a, dtype=np.float64)  # 0 - A: no negative zeros
-    lap.flat[:: len(order) + 1] = a.sum(axis=1)
-    return lap
+    order, sizes, true_twin = twins
+    starts = sizes.cumsum() - sizes
+    packed = np.packbits(a, axis=1)
+    for lo, c, true in zip(starts.tolist(), sizes.tolist(), true_twin.tolist()):
+        members = order[lo : lo + c]
+        rows = packed[members]
+        if true:  # A + I: each member's own bit set
+            rows[np.arange(c), members >> 3] |= (0x80 >> (members & 7)).astype(np.uint8)
+        if (rows != rows[0]).any():
+            return None
+    return np.add.reduceat(a.take(order[starts], 0).take(order, 1), starts, axis=1, dtype=np.int32)
 
 
 def check_jacobi_order(name: str, order: int) -> None:
@@ -330,110 +308,45 @@ def check_jacobi_order(name: str, order: int) -> None:
         )
 
 
-def _deflated_eigenvalues(a: np.ndarray, sizes: np.ndarray) -> list[float]:
-    """Eigenvalues of ``a`` = Q^T L Q from ``_reflect_blocks``, ascending,
-    for a symmetric L and classes of positive ``sizes`` in class order;
-    ``a`` is overwritten.
-
-    A Laplacian has L 1 = 0, and the class reflections take 1 to
-    sum_C sqrt(|C|) e_leader(C).  One more Householder reflection of the
-    leader rows and columns takes sqrt(s) / ||sqrt(s)|| to the first leader,
-    whose row and column then vanish, as the other rows of each twin class
-    do.  With one class that vector is the first leader's already, and the
-    reflection is skipped.
-
-    E is everything off the diagonal outside the block B of the other m - 1
-    leaders, and ||E||_F is summed directly over E's entries.  When it is
-    under half of Jacobi's own stopping target
-    ``JACOBI_CONV_FACTOR * (1 + max |diagonal|)``, the eigenvalues are the
-    other rows' diagonal plus ``symmetric_eigenvalues(B)``: by Weyl's
-    inequality each moves by at most ||E||_2 <= ||E||_F when E is dropped
-    (Golub & Van Loan, Matrix Computations, 4th ed., 8.1.2), the bound that
-    makes Jacobi's own stopping test sound.  Otherwise all of the reflected
-    ``a``, similar to L whatever the classes are, goes to
-    ``symmetric_eigenvalues``, unless ``check_jacobi_order`` refuses it.
+def _quotient_eigenvalues(twins, b: np.ndarray) -> list[float]:
+    """Laplacian eigenvalues, ascending, of a graph with twin classes
+    ``twins`` and class counts ``b``: D - B is similar to the symmetric S =
+    D - sqrt(B o B^T), whose null vector sqrt(sizes) one Householder
+    reflection takes to the first class, and Jacobi gets the other m - 1.
+    A class of size c adds its degree d, or d + 1 for true twins, c - 1
+    times.  Raises OrderCapError, before any sweep, above ``JACOBI_MAX_ORDER``.
     """
-    k = a.shape[0]
-    leaders = sizes.cumsum() - sizes
+    _, sizes, true_twin = twins
+    check_jacobi_order("the twin reduction", len(sizes) - 1)
+    deg = b.sum(axis=1)
+    s = np.diag(deg) - np.sqrt(np.multiply(b, b.T, dtype=np.int64))
     if len(sizes) > 1:
-        # v = u - e_first with u = sqrt(s / k), a unit vector: sum(s) = k
-        v = np.sqrt(sizes / k)
+        # v = u - e_0 with u = sqrt(sizes / k), a unit vector: sum(sizes) = k
+        v = np.sqrt(sizes / sizes.sum())
         v[0] -= 1.0
         w = v * (2.0 / float(v @ v))
-        rows = a[leaders]
-        rows -= w[:, None] * (v @ rows)
-        a[leaders] = rows
-        cols = a[:, leaders]
-        cols -= (cols @ v)[:, None] * w
-        a[:, leaders] = cols
-    rest = leaders[1:]
-    block_at = rest[:, None], rest
-    diag = a.diagonal().copy()
-    block = a[block_at]
-    target = JACOBI_CONV_FACTOR * (1.0 + float(np.abs(diag).max(initial=0.0)))
-    a[block_at] = 0.0
-    a.flat[:: k + 1] = 0.0
-    if math.sqrt(float(np.vdot(a, a))) < 0.5 * target:
-        # the other leaders' diagonal entries give way to B's eigenvalues
-        diag[rest] = symmetric_eigenvalues(block)
-        diag.sort()
-        return diag.tolist()
-    check_jacobi_order("the whole-matrix fallback", k)
-    a[block_at] = block
-    a.flat[:: k + 1] = diag
-    return symmetric_eigenvalues(a)
+        s -= w[:, None] * (v @ s)
+        s -= (s @ v)[:, None] * w
+    block = symmetric_eigenvalues(s[1:, 1:])
+    eigs = np.concatenate([s.diagonal()[:1], block, np.repeat(deg + true_twin, sizes - 1)])
+    eigs.sort()
+    return eigs.tolist()
 
 
-def laplacian_eigenvalues(adj: np.ndarray, twins=None) -> list[float]:
-    """Laplacian eigenvalues of the bool adjacency ``adj``, ascending: L in
-    class order of the m twin classes (``_ordered_laplacian``), reflected
-    (``_reflect_blocks``) and deflated (``_deflated_eigenvalues``), so that
-    Jacobi gets the (m - 1) x (m - 1) block of the leaders but the first.
-    ``twins`` is ``_twin_classes(adj)``, if the caller has it already.
-    Raises OrderCapError, before any sweep, above ``JACOBI_MAX_ORDER``: for
-    m - 1, before L is built.
+def laplacian_eigenvalues(adj: np.ndarray) -> list[float]:
+    """Laplacian eigenvalues of the bool adjacency ``adj``, ascending, from
+    its twin quotient.  Raises OrderCapError above ``JACOBI_MAX_ORDER``
+    before the classes are counted.
     """
-    order, sizes, _ = _twin_classes(adj) if twins is None else twins
-    check_jacobi_order("the twin reduction", len(sizes) - 1)
-    return _deflated_eigenvalues(_reflect_blocks(_ordered_laplacian(adj, order), sizes), sizes)
+    twins = _twin_classes(adj)
+    check_jacobi_order("the twin reduction", len(twins[1]) - 1)
+    return _quotient_eigenvalues(twins, _class_counts(adj, twins))
 
 
-def twin_certificate(g: Graph, spectrum: SpectrumMultiset, twins=None) -> bool:
-    """Exact proof that the Laplacian spectrum of ``g`` is ``spectrum``.
-
-    For twins x and y of degree d, e_x - e_y is an eigenvector of L with
-    eigenvalue d (false twins) or d + 1 (true twins), so a twin class of
-    size c gives that eigenvalue c - 1 times.  The differences are
-    orthogonal to the columns of the class-indicator matrix P, and the two
-    spaces together span R^k.  The twin partition is equitable for A,
-    A P = P B, checked here exactly.  The degrees, the row sums of A P, are
-    then constant on each class, so L P = P Q for Q = D - B, D the degrees of
-    the classes, and the other eigenvalues are those of the m x m quotient
-    Q.  The twin eigenvalues are removed from ``spectrum`` and the rest must
-    equal the roots of det(xI - Q).  A Q above ``CHAR_POLY_MAX_ORDER``
-    proves nothing, and gives False.
-
-    Only ``g.adjacency`` is read: no gcd, divisor class or factorization.
-    ``twins`` is ``_twin_classes(g.adjacency)``, if the caller has it already.
-    """
-    if spectrum.variant != EXACT:
-        raise ContractViolation("exact spectrum required")
-    a = g.adjacency
-    k = a.shape[0]
-    if spectrum.order != k:
-        return False
-    order, sizes, true_twin = _twin_classes(a) if twins is None else twins
-    if len(sizes) > CHAR_POLY_MAX_ORDER:
-        return False
-    # (A P)[i, c] <= k counts the neighbours of i in class c, rows and columns
-    # in class order, from the bool rows in slices: A @ P would cast A to k x k int64
-    starts = sizes.cumsum() - sizes
-    ap = np.empty((k, len(sizes)), dtype=np.int32)
-    for lo in range(0, k, REFLECT_SLICE_ROWS):
-        rows = a.take(order[lo : lo + REFLECT_SLICE_ROWS], 0).take(order, 1)
-        ap[lo : lo + len(rows)] = np.add.reduceat(rows, starts, axis=1, dtype=np.int32)
-    b = ap[starts]
-    if not (ap == np.repeat(b, sizes, 0)).all():
+def _quotient_certificate(spectrum: SpectrumMultiset, twins, b: np.ndarray) -> bool:
+    """``twin_certificate`` from the twin classes and their counts ``b``."""
+    _, sizes, true_twin = twins
+    if spectrum.order != sizes.sum() or len(sizes) > CHAR_POLY_MAX_ORDER:
         return False
     deg = b.sum(axis=1)
     q = np.diag(deg) - b
@@ -444,6 +357,28 @@ def twin_certificate(g: Graph, spectrum: SpectrumMultiset, twins=None) -> bool:
             return False
         residual[eig] = left
     return poly_matches_spectrum(char_poly_exact(q), SpectrumMultiset.exact(residual.items()))
+
+
+def twin_certificate(g: Graph, spectrum: SpectrumMultiset) -> bool:
+    """Exact proof that the Laplacian spectrum of ``g`` is ``spectrum``.
+
+    For twins x and y of degree d, e_x - e_y is an eigenvector of L with
+    eigenvalue d (false twins) or d + 1 (true twins), so a twin class of
+    size c gives that eigenvalue c - 1 times.  The differences are
+    orthogonal to the columns of the class-indicator matrix P, and the two
+    spaces together span R^k.  ``_class_counts`` checks the twins exactly,
+    and twin classes are equitable, A P = P B, so L P = P Q for Q = D - B,
+    D the degrees of the classes: the other eigenvalues are those of the
+    m x m quotient Q.  The twin eigenvalues are removed from ``spectrum``
+    and the rest must equal the roots of det(xI - Q).  A Q above
+    ``CHAR_POLY_MAX_ORDER`` proves nothing, and gives False.  Only
+    ``g.adjacency`` is read: no gcd, divisor class or factorization.
+    """
+    if spectrum.variant != EXACT:
+        raise ContractViolation("exact spectrum required")
+    twins = _twin_classes(g.adjacency)
+    b = _class_counts(g.adjacency, twins)
+    return b is not None and _quotient_certificate(spectrum, twins, b)
 
 
 def integrality_check(eigs, tol: float) -> bool:
@@ -515,10 +450,10 @@ def verify_spectrum(
     the closed form elementwise; and all numeric eigenvalues are
     near-integers.
 
-    The twin classes of the brute-force adjacency are found once, for the
-    certificate and for the numeric eigenvalues of ``laplacian_eigenvalues``.
-    When it refuses the order Jacobi would get, the numeric and integrality
-    checks fail.
+    The twin quotient of the brute-force adjacency is counted once, for the
+    certificate and the numeric eigenvalues.  When its classes are not
+    twins, or Jacobi would get an order above ``JACOBI_MAX_ORDER``, the
+    checks that need it fail.
 
     Raises OrderCapError, before any graph is built, when the closed-form
     order is above ``graphcore.MAX_GRAPH_ORDER``, or when n is above
@@ -537,11 +472,14 @@ def verify_spectrum(
     checks["trace_edges"] = closed.trace() == 2 * brute.edge_count
 
     twins = _twin_classes(brute.adjacency)
+    counts = _class_counts(brute.adjacency, twins)
     charpoly_skipped = order_cap is not None and order > order_cap
-    checks["charpoly_match"] = charpoly_skipped or twin_certificate(brute, closed, twins)
+    checks["charpoly_match"] = charpoly_skipped or (
+        counts is not None and _quotient_certificate(closed, twins, counts)
+    )
 
     try:
-        numeric = laplacian_eigenvalues(brute.adjacency, twins)
+        numeric = None if counts is None else _quotient_eigenvalues(twins, counts)
     except OrderCapError:
         numeric = None
     expanded = closed.expand()

@@ -445,19 +445,14 @@ def test_join_check_passes(tmp_path, capsys):
     assert out.splitlines()[-1] == "check: ok (3 vertices)"
 
 
-def test_join_check_detects_mismatch(tmp_path, capsys):
-    # claimed spectrum says the first component is edgeless, its edges say K_2
+def test_join_check_detects_mismatch(tmp_path, capsys, monkeypatch):
+    # a component spectrum that disagrees with the graph --check assembles:
+    # K_2 predicted as if it were edgeless
+    exact = cli.spectra.SpectrumMultiset.exact
+    monkeypatch.setattr(cli.spectra, "component_spectrum", lambda order, kind: exact([(0, order)]))
     payload = {
         "host": {"labels": [0, 1], "weights": [2, 1], "edges": [[0, 1]]},
-        "components": [
-            {
-                "spectrum": {
-                    "entries": [{"eigenvalue": 0, "multiplicity": 2}]
-                },
-                "edges": [[0, 1]],
-            },
-            {"kind": "complete", "order": 1},
-        ],
+        "components": [{"kind": "complete", "order": 2}, {"kind": "complete", "order": 1}],
     }
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
@@ -563,13 +558,20 @@ def test_join_rejects_malformed_spectrum_entries(tmp_path, capsys, text):
         (one_component_join("K3", 3), []),
         (one_component_join({"order": 3, "edges": [[0, 1, 2]]}, 3), []),
         (one_component_join({"order": 3, "edges": [[0, 0]]}, 3), []),
-        (one_component_join({**spectrum_component((0, 2)), "edges": [["a", "b"]]}, 2), ["--check"]),
-        (one_component_join({**spectrum_component((0, 2)), "edges": 5}, 2), ["--check"]),
+        (one_component_join({"order": 2, "edges": [["a", "b"]]}, 2), ["--check"]),
+        (one_component_join({"order": 2, "edges": 5}, 2), ["--check"]),
         ({"host": {"labels": [0, 1], "weights": [1, 1], "edges": [[0, 1, 1]]},
           "components": [{"kind": "empty", "order": 1}] * 2}, []),
+        # a kind with edges printed the kind's spectrum, and --check then
+        # assembled the edges and reported a mismatch with exit 1
+        (one_component_join({"kind": "complete", "order": 3, "edges": []}, 3), []),
+        (one_component_join({"kind": "complete", "order": 3, "edges": []}, 3), ["--check"]),
+        (one_component_join({**spectrum_component((0, 1)), "kind": "empty", "order": 1}, 1), []),
+        (one_component_join({"order": 1}, 1), []),
     ],
     ids=["component-not-object", "edge-triple", "edge-loop", "string-edge-check",
-         "edges-not-a-list-check", "host-edge-triple"],
+         "edges-not-a-list-check", "host-edge-triple", "kind-and-edges", "kind-and-edges-check",
+         "spectrum-and-kind", "no-spectrum-kind-or-edges"],
 )
 def test_join_rejects_malformed_edges_and_components(tmp_path, capsys, payload, flags):
     path = tmp_path / "bad_edges.json"

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wzdgraph import graphcore
-from wzdgraph.cli import _component_graph
+from wzdgraph.cli import _component_from_json, _component_graph
 from wzdgraph.errors import DomainError, OrderCapError
 from wzdgraph.graphcore import (
     GRAPH_FORMATS,
@@ -538,7 +538,7 @@ def test_assemble_join_matches_structural_builder():
         complete = c.kind is Kind.COMPLETE
         as_kind.append(_component_graph({"kind": c.kind.value}, c.size, i))
         local = [list(e) for e in combinations(range(c.size), 2)] if complete else []
-        as_edges.append(_component_graph({"edges": local}, c.size, i))
+        as_edges.append(_component_from_json({"order": c.size, "edges": local}, i)[1])
     mixed = [g if i % 2 else h for i, (g, h) in enumerate(zip(as_kind, as_edges))]
     for parts in (as_kind, as_edges, mixed):
         joined = assemble_join(host_edges, parts)

@@ -29,8 +29,6 @@ from wzdgraph.oracle import (
     symmetric_eigenvalues,
     twin_certificate,
     verify_spectrum,
-    _deflated_eigenvalues,
-    _reflect_blocks,
     _round_robin_rounds,
     _twin_classes,
 )
@@ -292,18 +290,32 @@ def class_labels(twins) -> np.ndarray:
 
 def reflect_classes(m, cls) -> np.ndarray:
     """Q^T M Q as float64, in class order, for the orthogonal Q built from the
-    classes ``cls``: the reference form of ``_reflect_blocks``.
+    classes ``cls``: the twin lemma, dense, whose eigenvalues the quotient
+    path appends without a reflection.
 
     ``cls[i]`` labels index i.  Q first permutes the indices into class order,
     ``np.argsort(cls, kind="stable")``: row and column i of the result belong
     to index ``order[i]``, and each class is one contiguous block, led by its
-    first index.  Then Q applies ``_reflect_blocks``' one Householder
-    reflection per class of c >= 2 indices.
+    first index.  Then Q applies one Householder reflection per class of
+    c >= 2 indices, which swaps the class's normalized indicator with the
+    unit vector of its leader.
     """
     order, sizes, _ = class_layout(cls)
     k = len(order)
     a = np.asarray(m).take(order[:, None] * k + order).astype(np.float64)
-    return _reflect_blocks(a, sizes)
+    cuts = [0, *np.cumsum(sizes).tolist()]
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi - lo < 2:
+            continue
+        # v = u - e_lo with u = 1/sqrt(c) on the class; H = I - 2 v v^T / v^T v
+        v = np.full(hi - lo, 1.0 / math.sqrt(hi - lo))
+        v[0] -= 1.0
+        w = v * (2.0 / float(v @ v))
+        rows = a[lo:hi]
+        rows -= w[:, None] * (v @ rows)
+        cols = a[:, lo:hi]
+        cols -= (cols @ v)[:, None] * w
+    return a
 
 
 @settings(max_examples=60, deadline=None)
@@ -349,22 +361,6 @@ def test_reflect_classes_leaves_the_class_leaders_to_rotate():
     assert np.max(np.abs(np.diagonal(r)[others] - expected)) < 1e-14
 
 
-def reflect_blocks_unsliced(a: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``_reflect_blocks`` with each rank-one update subtracted whole."""
-    cuts = [0, *np.cumsum(sizes).tolist()]
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi - lo < 2:
-            continue
-        v = np.full(hi - lo, 1.0 / math.sqrt(hi - lo))
-        v[0] -= 1.0
-        w = v * (2.0 / float(v @ v))
-        rows = a[lo:hi]
-        rows -= w[:, None] * (v @ rows)
-        cols = a[:, lo:hi]
-        cols -= (cols @ v)[:, None] * w
-    return a
-
-
 def traced_peak(fn) -> int:
     """Peak bytes that tracemalloc sees allocated while ``fn()`` runs."""
     tracemalloc.start()
@@ -375,33 +371,56 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_reflect_blocks_slices_its_updates_bit_for_bit():
-    # WΓ(Z_586): the 292 even residues form one class, three slices of rows
-    adj = graphcore.build_structural_wzd(586).adjacency
-    order, sizes, _ = _twin_classes(adj)
-    k, c = len(order), int(sizes.max())
-    assert c == 292 and c > 2 * oracle.REFLECT_SLICE_ROWS
-    lap = oracle._ordered_laplacian(adj, order)
-    want = reflect_blocks_unsliced(lap.copy(), sizes)
-    got = lap.copy()
-    peak = traced_peak(lambda: _reflect_blocks(got, sizes))
-    assert got.tobytes() == want.tobytes()
-    # no c x k temporary: beyond the buffers numpy's ufunc iterator takes
-    # for an outer broadcast of these rows (128 KB in numpy 2.x), the peak
-    # is under half of one
-    x, y = np.ones(oracle.REFLECT_SLICE_ROWS), np.ones(k)
-    buffers = traced_peak(lambda: x[:, None] * y) - x.size * y.size * 8
-    assert peak - buffers < c * k * 8 / 2
+def test_twin_quotient_eigenvalues_take_under_half_of_k_squared_bytes():
+    # WΓ(Z_8186), order 4093: verify's numeric path builds no k x k float
+    # matrix (8 k^2 bytes), only the packed rows, one class of them at a
+    # time, and the m x k leader rows
+    n = 8186
+    adj = build_bruteforce_wzd(n).adjacency
+    k = len(adj)
+    twins = _twin_classes(adj)
+    eigs = []
+    peak = traced_peak(
+        lambda: eigs.append(oracle._quotient_eigenvalues(twins, oracle._class_counts(adj, twins)))
+    )
+    assert peak < k * k / 2
+    closed = wzd_spectrum_closed_form(n).expand()
+    assert np.max(np.abs(np.array(eigs[0]) - closed)) <= NUMERIC_MATCH_TOL * k
 
 
 @pytest.mark.parametrize("n", [4, 13, 18, 150, 240, 360])
-def test_ordered_laplacian_is_the_laplacian_gathered_into_class_order(n):
-    # bit for bit, signed zeros included, what the reflection used to get
-    g = build_bruteforce_wzd(n)
-    order = _twin_classes(g.adjacency)[0]
-    lap = oracle._ordered_laplacian(g.adjacency, order)
-    want = laplacian_matrix(g)[np.ix_(order, order)].astype(np.float64)
-    assert lap.dtype == np.float64 and lap.tobytes() == want.tobytes()
+def test_class_counts_are_every_members_neighbours_in_each_class(n):
+    a = build_bruteforce_wzd(n).adjacency
+    twins = _twin_classes(a)
+    order, sizes, _ = twins
+    b = oracle._class_counts(a, twins)
+    assert b.dtype == np.int32 and b.shape == (len(sizes), len(sizes))
+    blocks = np.split(order, np.cumsum(sizes)[:-1])
+    for c, members in enumerate(blocks):
+        for v in members.tolist():
+            assert [int(a[v, d].sum()) for d in blocks] == b[c].tolist(), (n, v)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_class_counts_refuse_classes_that_are_not_of_twins(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 9))
+    host = np.triu(rng.random((m, m)) < 0.5, 1)
+    g, _, _ = planted_twin_graph(rng, host | host.T)
+    a = g.adjacency
+    order, sizes, true_twin = twins = _twin_classes(a)
+    assert oracle._class_counts(a, twins) is not None
+    # false twins differ in A + I, true twins in A: the other kind is refused
+    for c in np.flatnonzero(sizes > 1):
+        flipped = true_twin.copy()
+        flipped[c] = not flipped[c]
+        assert oracle._class_counts(a, (order, sizes, flipped)) is None, c
+    # two classes merged into one are twins of neither kind
+    if len(sizes) > 1:
+        merged = np.concatenate([[sizes[0] + sizes[1]], sizes[2:]])
+        for true in (False, True):
+            kinds = np.concatenate([[true], true_twin[2:]])
+            assert oracle._class_counts(a, (order, merged, kinds)) is None, true
 
 
 def twin_classes_reference(a: np.ndarray) -> dict[frozenset, bool]:
@@ -438,16 +457,14 @@ def test_twin_classes_match_a_row_by_row_reference(seed):
 
 
 def test_jacobi_converges_in_one_sweep_on_reflected_wzd_laplacians(monkeypatch):
-    # up to 6 sweeps on the raw Laplacians; skipping the reflection fails
-    # this at the first n that needs more than one
+    # Jacobi gets the block of the quotient Laplacian S reflected across
+    # sqrt(sizes), of order at most 4 here; raw Laplacians took up to 6 sweeps
     monkeypatch.setattr(oracle, "JACOBI_MAX_SWEEPS", 1)
     for n in range(4, 601):
         closed = wzd_spectrum_closed_form(n)
         if closed.order == 0:
             continue
-        g = build_bruteforce_wzd(n)
-        r = reflect_classes(laplacian_matrix(g), class_labels(_twin_classes(g.adjacency)))
-        eigs = symmetric_eigenvalues(r)
+        eigs = oracle.laplacian_eigenvalues(build_bruteforce_wzd(n).adjacency)
         err = np.max(np.abs(np.array(eigs) - closed.expand()))
         assert err <= NUMERIC_MATCH_TOL * closed.order, n
 
@@ -800,27 +817,37 @@ def test_verify_spectrum_runs_jacobi_on_the_leader_block_only(monkeypatch):
 
 @pytest.mark.parametrize("n", [18, 150, 240])
 def test_deflation_zeroes_the_first_leaders_row_and_column(monkeypatch, n):
-    g = build_bruteforce_wzd(n)
-    twins = _twin_classes(g.adjacency)
-    a = reflect_classes(laplacian_matrix(g), class_labels(twins))
-    scale = float(np.abs(a).max())
+    a = build_bruteforce_wzd(n).adjacency
+    twins = _twin_classes(a)
+    sizes = twins[1]
+    m = len(sizes)
+    b = oracle._class_counts(a, twins)
+    # S = D - sqrt(B o B^T) is symmetric and similar to the quotient D - B
+    q = np.diag(b.sum(axis=1)) - b
+    s = np.diag(b.sum(axis=1)) - np.sqrt(b * b.T)
+    assert np.array_equal(s, s.T)
+    assert np.allclose(np.sort(np.linalg.eigvals(q).real), np.linalg.eigvalsh(s), atol=1e-9)
+    # the reflection that takes sqrt(sizes) to the first class, dense
+    v = np.sqrt(sizes / sizes.sum()) - np.eye(m)[0]
+    h = np.eye(m) - 2.0 * np.outer(v, v) / (v @ v)
+    hsh = h @ s @ h
+    scale = float(np.abs(s).max())
     blocks = []
     real = oracle.symmetric_eigenvalues
 
-    def spy(m):
-        blocks.append(real(m))
-        return blocks[-1]
+    def spy(block):
+        blocks.append(np.array(block))
+        return real(block)
 
     monkeypatch.setattr(oracle, "symmetric_eigenvalues", spy)
-    eigs = _deflated_eigenvalues(a, twins[1])
-    # the deflated path leaves the first leader's row and column in place
-    # and sets only the other leaders' block and the diagonal aside
-    row, col = a[0, 1:], a[1:, 0]
-    assert np.abs(row).max() < 1e-12 * scale and np.abs(col).max() < 1e-12 * scale
+    eigs = oracle.laplacian_eigenvalues(a)
+    # the first class's row and column vanish, and Jacobi gets the rest
+    assert np.abs(hsh[0]).max() < 1e-12 * scale and np.abs(hsh[:, 0]).max() < 1e-12 * scale
+    assert len(blocks) == 1 and np.abs(blocks[0] - hsh[1:, 1:]).max() < 1e-12 * scale
     # WΓ(Z_n) is connected, so 0 is a simple eigenvalue.  The block keeps the
-    # m - 1 others of the quotient, and the twin rows hold d or d + 1 >= 1,
-    # so the diagonal entry that gives 0 is the first leader's.
-    assert len(blocks) == 1 and min(blocks[0]) > 0.5
+    # m - 1 others of the quotient, and the twins give d or d + 1 >= 1, so
+    # the eigenvalue that gives 0 is the first class's diagonal entry.
+    assert min(real(blocks[0])) > 0.5
     assert abs(eigs[0]) < 1e-12 and eigs[1] > 0.5
     closed = wzd_spectrum_closed_form(n).expand()
     assert np.max(np.abs(np.array(eigs) - closed)) <= NUMERIC_MATCH_TOL * len(closed)
@@ -835,41 +862,21 @@ def test_verify_spectrum_one_twin_class_runs_jacobi_on_an_empty_block(monkeypatc
     assert orders == [0]
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=25),
-    st.integers(min_value=1, max_value=8),
-    st.booleans(),
-    st.integers(min_value=0, max_value=10**6),
-)
-def test_deflated_eigenvalues_of_any_weighted_laplacian_and_grouping(k, labels, singletons, seed):
-    # a random grouping mixes non-twins and takes the whole-matrix fallback;
-    # singletons leave only the constant vector, so the deflated path runs
-    rng = np.random.default_rng(seed)
-    w = rng.uniform(0.0, 3.0, size=(k, k)) * (rng.random((k, k)) < 0.6)
-    w = np.triu(w, 1)
-    w = w + w.T
-    lap = np.diag(w.sum(axis=1)) - w
-    cls = np.arange(k)[::-1] if singletons else rng.integers(0, labels, size=k) * 5 - 2
-    sizes = np.unique(cls, return_counts=True)[1]
-    eigs = _deflated_eigenvalues(reflect_classes(lap, cls), sizes)
-    ref = np.linalg.eigvalsh(lap)
-    scale = max(1.0, float(np.abs(ref).max()))
-    assert len(eigs) == k and eigs == sorted(eigs)
-    assert np.max(np.abs(np.array(eigs) - ref)) < 1e-9 * scale
-
-
 def test_verify_spectrum_twin_classes_found_once(monkeypatch):
+    # the classes are found and counted once, for the certificate and the numeric path
     calls = []
-    real = oracle._twin_classes
-    monkeypatch.setattr(oracle, "_twin_classes", lambda a: calls.append(1) or real(a))
+    for name in ("_twin_classes", "_class_counts"):
+        real = getattr(oracle, name)
+        monkeypatch.setattr(
+            oracle, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
     assert verify_spectrum(240).status == STATUS_PASS
-    assert len(calls) == 1
+    assert calls == ["_twin_classes", "_class_counts"]
 
 
-def test_verify_spectrum_wrong_grouping_takes_the_fallback_and_passes(monkeypatch):
-    # classes mixing non-twins leave mass outside the leader block, so the
-    # whole k x k matrix goes to Jacobi, and the verdict stands; each n has an
+def test_verify_spectrum_wrong_grouping_fails_both_spectrum_checks(monkeypatch):
+    # classes mixing non-twins fail the exact row check, so there is no
+    # quotient: no Jacobi, no certificate and no traceback; each n has an
     # empty class (in a complete graph every grouping is one of twins)
     def wrong(a):
         return class_layout(np.arange(a.shape[0]) % 3)
@@ -877,29 +884,31 @@ def test_verify_spectrum_wrong_grouping_takes_the_fallback_and_passes(monkeypatc
     orders = jacobi_orders(monkeypatch)
     monkeypatch.setattr(oracle, "_twin_classes", wrong)
     for n in (18, 150, 240):
-        del orders[:]
-        rep = verify_spectrum(n, order_cap=1)
-        assert rep.status == STATUS_PASS, n
-        assert orders == [wzd_spectrum_closed_form(n).order], n
-    # the certificate reads the same grouping, and its exact L P = P Q refuses it
-    rep = verify_spectrum(18)
-    assert rep.status == STATUS_FAIL and rep.checks["charpoly_match"] is False
-    assert rep.checks["numeric_match"] is True
+        rep = verify_spectrum(n)
+        assert rep.status == STATUS_FAIL, n
+        assert rep.checks["construction_equal"] and rep.checks["trace_edges"], n
+        assert rep.checks["charpoly_match"] is False and rep.checks["numeric_match"] is False, n
+        assert rep.checks["integral"] is False, n
+    # with the certificate skipped, the numeric checks still fail
+    rep = verify_spectrum(18, order_cap=1)
+    assert rep.status == STATUS_FAIL and rep.checks["charpoly_match"] is True
+    assert rep.checks["numeric_match"] is False
+    assert orders == []
 
 
 @pytest.mark.parametrize("n", [18, 150])
 def test_verify_spectrum_deflated_path_sees_a_perturbed_laplacian(monkeypatch, n):
-    # a multiple of I keeps the twin eigenvectors, so the check stays deflated
+    # the deflated quotient Laplacian that Jacobi gets, shifted by a multiple
+    # of I just past the tolerance: the twin eigenvalues stay exact
     order = wzd_spectrum_closed_form(n).order
     shift = 2 * NUMERIC_MATCH_TOL * order
-    real = oracle._ordered_laplacian
-    monkeypatch.setattr(
-        oracle, "_ordered_laplacian", lambda adj, perm: real(adj, perm) + shift * np.eye(order)
-    )
     orders = jacobi_orders(monkeypatch)
+    spy = oracle.symmetric_eigenvalues
+    monkeypatch.setattr(oracle, "symmetric_eigenvalues", lambda m: spy(m + shift * np.eye(len(m))))
     rep = verify_spectrum(n)
     assert rep.checks["numeric_match"] is False and rep.status == STATUS_FAIL
-    assert orders and orders[0] < order
+    assert rep.checks["charpoly_match"] is True
+    assert orders and 0 < orders[0] < order
 
 
 def test_verify_spectrum_sees_a_planted_wrong_least_annihilator(monkeypatch):
@@ -1032,14 +1041,6 @@ def test_laplacian_eigenvalues_refuses_a_leader_block_above_the_bound(monkeypatc
     with pytest.raises(OrderCapError, match="^the twin reduction leaves Jacobi order 5, "
                                              "above its limit of 4$"):
         oracle.laplacian_eigenvalues(path_adjacency(6))
-
-
-def test_laplacian_eigenvalues_refuses_the_whole_matrix_fallback_above_the_bound(no_sweep):
-    # three classes that are not twins leave mass outside the leader block
-    k = oracle.JACOBI_MAX_ORDER + 44
-    wrong = class_layout(np.arange(k) % 3)
-    with pytest.raises(OrderCapError, match=f"^the whole-matrix fallback leaves Jacobi order {k},"):
-        oracle.laplacian_eigenvalues(path_adjacency(k), wrong)
 
 
 def test_verify_spectrum_fails_a_twin_free_graph_above_the_jacobi_bound(monkeypatch, no_sweep):
