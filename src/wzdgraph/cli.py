@@ -193,7 +193,7 @@ def _worker_count(jobs: int, tasks: int) -> int:
 
 def cmd_verify(lo: int, hi: int, fmt: str, tol: float, jobs: int, cap: int | None) -> int:
     work = [(n, tol, cap) for n in range(lo, hi + 1)]
-    workers = _worker_count(jobs, len(work))
+    workers = _worker_count(jobs, len(work)) if jobs > 1 else 1
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
@@ -213,20 +213,14 @@ def _print_reports(
     reports: Iterable[oracle.VerificationReport], lo: int, hi: int, fmt: str
 ) -> int:
     """Print each report as it arrives, in order, then the text summary."""
-    fails = 0
-    passes = 0
-    degenerate = 0
+    tally = dict.fromkeys((oracle.STATUS_PASS, oracle.STATUS_DEGENERATE, oracle.STATUS_FAIL), 0)
     for rep in reports:
         if fmt == "json":
             print(json.dumps(rep.to_json_dict()), flush=True)
         else:
             print(_verify_line(rep), flush=True)
-        if rep.status == oracle.STATUS_FAIL:
-            fails += 1
-        elif rep.status == oracle.STATUS_DEGENERATE:
-            degenerate += 1
-        else:
-            passes += 1
+        tally[rep.status] += 1
+    passes, degenerate, fails = tally.values()
     if fmt == "text":
         print(
             f"checked {hi - lo + 1} values in {lo}..{hi}: "

@@ -138,16 +138,14 @@ def symmetric_eigenvalues(m) -> list[float]:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractViolation(f"need a square matrix, got shape {a.shape}")
     k = a.shape[0]
-    if k == 0:
-        return []
+    if k < 2 and np.isfinite(a).all():  # no rotation: the entry, if any, is the eigenvalue
+        return a.ravel().tolist()
     scale = float(np.max(np.abs(a)))
     if not math.isfinite(scale):
         raise ContractViolation("matrix has a non-finite entry")
     if float(np.max(np.abs(a - a.T))) > SYMMETRY_REL_TOL * (1.0 + scale):
         raise ContractViolation("matrix is not symmetric")
     a = (a + a.T) / 2.0
-    if k == 1:
-        return [float(a[0, 0])]
 
     by_diag = np.argsort(np.diagonal(a), kind="stable")
     order = np.empty(k, dtype=np.intp)
@@ -255,48 +253,57 @@ def poly_matches_spectrum(p: ExactPolynomial, s: SpectrumMultiset) -> bool:
     return poly_from_spectrum(s).coeffs == p.coeffs
 
 
-def _twin_classes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Twin classes of the k x k bool adjacency ``a``.
+def _packed_rows(a: np.ndarray) -> np.ndarray:
+    """The rows of the k x k bool adjacency A, then those of A + I, packed
+    eight to a byte as a 2k x ceil(k / 8) uint8 array: the one copy of A
+    that ``_twin_classes`` sorts and ``_class_counts`` checks."""
+    k = a.shape[0]
+    rows = np.concatenate([np.packbits(a, axis=1)] * 2)
+    i = np.arange(k)
+    rows[k + i, i >> 3] |= (0x80 >> (i & 7)).astype(np.uint8)  # A + I: the diagonal bits set
+    return rows
+
+
+def _twin_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Twin classes of a graph from its ``_packed_rows``.
 
     Vertices with equal rows of A are false twins, and the remaining ones
     with equal rows of A + I are true twins.  Returns ``(order, sizes,
     true_twin)``: the vertices in class order, each class contiguous and led
     by its first vertex, then per class its size and whether it is of true
-    twins.  Only ``a`` is read: no gcd, divisor class or factorization.
+    twins.  Only the rows are read: no gcd, divisor class or factorization.
     """
-    k = a.shape[0]
-    rows = np.concatenate([np.packbits(a, axis=1)] * 2)
-    i = np.arange(k)
-    rows[k + i, i >> 3] |= (0x80 >> (i & 7)).astype(np.uint8)  # A + I: the diagonal bits set
+    k = rows.shape[0] // 2
     keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
     labels = np.unique(keys, return_inverse=True)[1]  # one sort for A and A + I
     false_cls = labels[:k]
     false_twin = np.bincount(false_cls)[false_cls] > 1
     key = np.where(false_twin, false_cls, 2 * k + labels[k:])
     order = np.argsort(key, kind="stable")  # stable: each class led by its first vertex
-    _, starts, sizes = np.unique(key[order], return_index=True, return_counts=True)
-    return order, sizes, ~false_twin[order[starts]]
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))  # where the sorted keys change
+    return order, np.diff(starts, append=k), ~false_twin[order[starts]]
 
 
-def _class_counts(a: np.ndarray, twins) -> np.ndarray | None:
+def _class_counts(rows: np.ndarray, twins) -> np.ndarray | None:
     """B[C, D], the neighbours in class D of each vertex of class C, as an
-    m x m int32 array in class order, for the ``twins`` of the bool
-    adjacency ``a``; None when a member's row of A (false twins) or of A + I
-    (true twins) is not its leader's.  That exact check, on the packed rows
-    one class at a time, makes the classes equitable, so B is read from the
-    m leader rows alone.
+    m x m int32 array in class order, for the ``twins`` of the graph whose
+    ``_packed_rows`` are ``rows``; None when a member's row of A (false
+    twins) or of A + I (true twins) is not its leader's.  That exact check,
+    on the packed rows of one class of two or more at a time, makes the
+    classes equitable, so B is read from the m leader rows of A alone.
     """
     order, sizes, true_twin = twins
+    k = len(order)
     starts = sizes.cumsum() - sizes
-    packed = np.packbits(a, axis=1)
     for lo, c, true in zip(starts.tolist(), sizes.tolist(), true_twin.tolist()):
-        members = order[lo : lo + c]
-        rows = packed[members]
-        if true:  # A + I: each member's own bit set
-            rows[np.arange(c), members >> 3] |= (0x80 >> (members & 7)).astype(np.uint8)
-        if (rows != rows[0]).any():
-            return None
-    return np.add.reduceat(a.take(order[starts], 0).take(order, 1), starts, axis=1, dtype=np.int32)
+        if c > 1:
+            members = order[lo : lo + c] + k * true  # rows of A + I for true twins
+            diff = rows.take(members[1:], 0)
+            diff ^= rows[members[0]]
+            if diff.any():
+                return None
+    leaders = np.unpackbits(rows.take(order[starts], 0), axis=1, count=k)
+    return np.add.reduceat(leaders.take(order, 1), starts, axis=1, dtype=np.int32)
 
 
 def check_jacobi_order(name: str, order: int) -> None:
@@ -308,9 +315,9 @@ def check_jacobi_order(name: str, order: int) -> None:
         )
 
 
-def _quotient_eigenvalues(twins, b: np.ndarray) -> list[float]:
-    """Laplacian eigenvalues, ascending, of a graph with twin classes
-    ``twins`` and class counts ``b``: D - B is similar to the symmetric S =
+def _quotient_eigenvalues(twins, b: np.ndarray) -> np.ndarray:
+    """Laplacian eigenvalues, an ascending float64 array, of a graph with twin
+    classes ``twins`` and class counts ``b``: D - B is similar to the symmetric S =
     D - sqrt(B o B^T), whose null vector sqrt(sizes) one Householder
     reflection takes to the first class, and Jacobi gets the other m - 1.
     A class of size c adds its degree d, or d + 1 for true twins, c - 1
@@ -330,7 +337,7 @@ def _quotient_eigenvalues(twins, b: np.ndarray) -> list[float]:
     block = symmetric_eigenvalues(s[1:, 1:])
     eigs = np.concatenate([s.diagonal()[:1], block, np.repeat(deg + true_twin, sizes - 1)])
     eigs.sort()
-    return eigs.tolist()
+    return eigs
 
 
 def laplacian_eigenvalues(adj: np.ndarray) -> list[float]:
@@ -338,13 +345,29 @@ def laplacian_eigenvalues(adj: np.ndarray) -> list[float]:
     its twin quotient.  Raises OrderCapError above ``JACOBI_MAX_ORDER``
     before the classes are counted.
     """
-    twins = _twin_classes(adj)
+    rows = _packed_rows(adj)
+    twins = _twin_classes(rows)
     check_jacobi_order("the twin reduction", len(twins[1]) - 1)
-    return _quotient_eigenvalues(twins, _class_counts(adj, twins))
+    return _quotient_eigenvalues(twins, _class_counts(rows, twins)).tolist()
 
 
 def _quotient_certificate(spectrum: SpectrumMultiset, twins, b: np.ndarray) -> bool:
-    """``twin_certificate`` from the twin classes and their counts ``b``."""
+    """Exact proof that ``spectrum`` is the Laplacian spectrum of a graph
+    with twin classes ``twins`` and ``_class_counts`` ``b``.
+
+    For twins x and y of degree d, e_x - e_y is an eigenvector of L with
+    eigenvalue d (false twins) or d + 1 (true twins), so a twin class of
+    size c gives that eigenvalue c - 1 times.  The differences are
+    orthogonal to the columns of the class-indicator matrix P, and the two
+    spaces together span R^k.  ``_class_counts`` checks the twins exactly,
+    and twin classes are equitable, A P = P B, so L P = P Q for Q = D - B,
+    D the degrees of the classes: the other eigenvalues are those of the
+    m x m quotient Q.  The twin eigenvalues are removed from ``spectrum``
+    and the rest must equal the roots of det(xI - Q).  A Q above
+    ``CHAR_POLY_MAX_ORDER`` proves nothing, and gives False.
+    """
+    if spectrum.variant != EXACT:
+        raise ContractViolation("exact spectrum required")
     _, sizes, true_twin = twins
     if spectrum.order != sizes.sum() or len(sizes) > CHAR_POLY_MAX_ORDER:
         return False
@@ -357,28 +380,6 @@ def _quotient_certificate(spectrum: SpectrumMultiset, twins, b: np.ndarray) -> b
             return False
         residual[eig] = left
     return poly_matches_spectrum(char_poly_exact(q), SpectrumMultiset.exact(residual.items()))
-
-
-def twin_certificate(g: Graph, spectrum: SpectrumMultiset) -> bool:
-    """Exact proof that the Laplacian spectrum of ``g`` is ``spectrum``.
-
-    For twins x and y of degree d, e_x - e_y is an eigenvector of L with
-    eigenvalue d (false twins) or d + 1 (true twins), so a twin class of
-    size c gives that eigenvalue c - 1 times.  The differences are
-    orthogonal to the columns of the class-indicator matrix P, and the two
-    spaces together span R^k.  ``_class_counts`` checks the twins exactly,
-    and twin classes are equitable, A P = P B, so L P = P Q for Q = D - B,
-    D the degrees of the classes: the other eigenvalues are those of the
-    m x m quotient Q.  The twin eigenvalues are removed from ``spectrum``
-    and the rest must equal the roots of det(xI - Q).  A Q above
-    ``CHAR_POLY_MAX_ORDER`` proves nothing, and gives False.  Only
-    ``g.adjacency`` is read: no gcd, divisor class or factorization.
-    """
-    if spectrum.variant != EXACT:
-        raise ContractViolation("exact spectrum required")
-    twins = _twin_classes(g.adjacency)
-    b = _class_counts(g.adjacency, twins)
-    return b is not None and _quotient_certificate(spectrum, twins, b)
 
 
 def integrality_check(eigs, tol: float) -> bool:
@@ -453,7 +454,9 @@ def verify_spectrum(
     The twin quotient of the brute-force adjacency is counted once, for the
     certificate and the numeric eigenvalues.  When its classes are not
     twins, or Jacobi would get an order above ``JACOBI_MAX_ORDER``, the
-    checks that need it fail.
+    checks that need it fail.  With no vertex in the closed form or the
+    scan, as for a prime, the three spectral checks hold vacuously and are
+    not run.
 
     Raises OrderCapError, before any graph is built, when the closed-form
     order is above ``graphcore.MAX_GRAPH_ORDER``, or when n is above
@@ -470,22 +473,25 @@ def verify_spectrum(
 
     checks = {"construction_equal": graphs_equal(brute, structural)}
     checks["trace_edges"] = closed.trace() == 2 * brute.edge_count
-
-    twins = _twin_classes(brute.adjacency)
-    counts = _class_counts(brute.adjacency, twins)
     charpoly_skipped = order_cap is not None and order > order_cap
-    checks["charpoly_match"] = charpoly_skipped or (
-        counts is not None and _quotient_certificate(closed, twins, counts)
-    )
 
-    try:
-        numeric = None if counts is None else _quotient_eigenvalues(twins, counts)
-    except OrderCapError:
-        numeric = None
-    expanded = closed.expand()
-    same_order = numeric is not None and len(numeric) == len(expanded)
-    checks["numeric_match"] = same_order and eigenvalues_match(numeric, expanded)
-    checks["integral"] = same_order and integrality_check(numeric, integral_tol)
+    if order == 0 == brute.vertex_count:  # no vertex: the spectral checks hold vacuously
+        checks.update(charpoly_match=True, numeric_match=True, integral=True)
+    else:
+        rows = _packed_rows(brute.adjacency)
+        twins = _twin_classes(rows)
+        counts = _class_counts(rows, twins)
+        checks["charpoly_match"] = charpoly_skipped or (
+            counts is not None and _quotient_certificate(closed, twins, counts)
+        )
+        try:
+            numeric = None if counts is None else _quotient_eigenvalues(twins, counts)
+        except OrderCapError:
+            numeric = None
+        expanded = closed.expand()
+        same_order = numeric is not None and len(numeric) == len(expanded)
+        checks["numeric_match"] = same_order and eigenvalues_match(numeric, expanded)
+        checks["integral"] = same_order and integrality_check(numeric, integral_tol)
 
     ok = STATUS_DEGENERATE if order == 0 else STATUS_PASS
     return VerificationReport(

@@ -14,6 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from test_graphcore import build_zero_divisor_graph, is_spanning_subgraph
+from test_oracle import twin_certificate
 from wzdgraph.graphcore import (
     Graph,
     Kind,
@@ -30,7 +31,6 @@ from wzdgraph.oracle import (
     laplacian_matrix,
     poly_matches_spectrum,
     symmetric_eigenvalues,
-    twin_certificate,
     verify_spectrum,
 )
 from wzdgraph.spectra import (

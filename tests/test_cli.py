@@ -263,6 +263,40 @@ def test_worker_count_is_clamped(monkeypatch):
     assert _worker_count(8, 50) == 1
 
 
+def test_verify_with_one_job_does_not_count_the_cpus(capsys, monkeypatch):
+    def unreachable():
+        raise AssertionError("--jobs 1 asked for the CPU count")
+
+    monkeypatch.setattr(os, "cpu_count", unreachable)
+    code, out, _ = run_cli(capsys, "verify", "4..9", "--jobs", "1")
+    assert code == 0 and out.endswith("checked 6 values in 4..9: 4 pass, 2 degenerate, 0 fail\n")
+
+
+def test_verify_prime_runs_no_spectral_stage(capsys, monkeypatch):
+    # a prime's graph has no vertex: its report rests on the two builders
+    # and the trace, and the JSON is byte for byte what it was when every
+    # stage ran on the empty graph
+    def unreachable(*args):
+        raise AssertionError("a spectral stage ran on a prime")
+
+    for name in ("_twin_classes", "char_poly_exact", "symmetric_eigenvalues"):
+        monkeypatch.setattr(oracle, name, unreachable)
+    primes = [p for p in range(2, 1001) if all(p % d for d in range(2, p))] + [16785407]
+    assert len(primes) == 169
+    out = []
+    for p in primes:
+        code, text, _ = run_cli(capsys, "verify", f"{p}..{p}", "--format", "json")
+        assert code == 0, p
+        out.append(text)
+    assert out[-1] == (
+        '{"n": 16785407, "status": "DEGENERATE-EMPTY", "checks": {"construction_equal": true, '
+        '"trace_edges": true, "charpoly_match": true, "numeric_match": true, "integral": true}, '
+        '"spectrum": {"n": 16785407, "variant": "exact", "order": 0, "entries": []}}\n'
+    )
+    digest = "1d1d982048c756ba3b55d423310897dd9031534cef2c085a61b81975f50c0114"
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == digest
+
+
 def test_verify_refuses_orders_above_the_limit(capsys):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", "100000..100000")

@@ -27,7 +27,6 @@ from wzdgraph.oracle import (
     poly_from_spectrum,
     poly_matches_spectrum,
     symmetric_eigenvalues,
-    twin_certificate,
     verify_spectrum,
     _round_robin_rounds,
     _twin_classes,
@@ -159,6 +158,7 @@ def test_symmetric_eigenvalues_rejects_bad_input():
     "m",
     [
         [[np.nan]],
+        [[np.inf]],
         [[np.inf, 0.0], [0.0, 1.0]],
         [[-np.inf]],
         # symmetric, so only the finiteness test can refuse it before Jacobi
@@ -342,7 +342,7 @@ def test_reflect_classes_keeps_the_spectrum_of_any_grouping(k, labels, seed):
 def test_reflect_classes_leaves_the_class_leaders_to_rotate():
     # WΓ(Z_18): A_2 (6 false twins) and one class of 5 universal vertices
     g = build_bruteforce_wzd(18)
-    twins = _twin_classes(g.adjacency)
+    twins = _twin_classes(oracle._packed_rows(g.adjacency))
     order, sizes, true_twin = twins
     assert sizes.tolist() == [6, 5] and true_twin.tolist() == [False, True]
     # the result is in class order, each class opened by its leader, its
@@ -378,11 +378,14 @@ def test_twin_quotient_eigenvalues_take_under_half_of_k_squared_bytes():
     n = 8186
     adj = build_bruteforce_wzd(n).adjacency
     k = len(adj)
-    twins = _twin_classes(adj)
+    twins = _twin_classes(oracle._packed_rows(adj))
     eigs = []
-    peak = traced_peak(
-        lambda: eigs.append(oracle._quotient_eigenvalues(twins, oracle._class_counts(adj, twins)))
-    )
+
+    def numeric_path():
+        rows = oracle._packed_rows(adj)
+        eigs.append(oracle._quotient_eigenvalues(twins, oracle._class_counts(rows, twins)))
+
+    peak = traced_peak(numeric_path)
     assert peak < k * k / 2
     closed = wzd_spectrum_closed_form(n).expand()
     assert np.max(np.abs(np.array(eigs[0]) - closed)) <= NUMERIC_MATCH_TOL * k
@@ -391,9 +394,10 @@ def test_twin_quotient_eigenvalues_take_under_half_of_k_squared_bytes():
 @pytest.mark.parametrize("n", [4, 13, 18, 150, 240, 360])
 def test_class_counts_are_every_members_neighbours_in_each_class(n):
     a = build_bruteforce_wzd(n).adjacency
-    twins = _twin_classes(a)
+    rows = oracle._packed_rows(a)
+    twins = _twin_classes(rows)
     order, sizes, _ = twins
-    b = oracle._class_counts(a, twins)
+    b = oracle._class_counts(rows, twins)
     assert b.dtype == np.int32 and b.shape == (len(sizes), len(sizes))
     blocks = np.split(order, np.cumsum(sizes)[:-1])
     for c, members in enumerate(blocks):
@@ -407,20 +411,20 @@ def test_class_counts_refuse_classes_that_are_not_of_twins(seed):
     m = int(rng.integers(2, 9))
     host = np.triu(rng.random((m, m)) < 0.5, 1)
     g, _, _ = planted_twin_graph(rng, host | host.T)
-    a = g.adjacency
-    order, sizes, true_twin = twins = _twin_classes(a)
-    assert oracle._class_counts(a, twins) is not None
+    rows = oracle._packed_rows(g.adjacency)
+    order, sizes, true_twin = twins = _twin_classes(rows)
+    assert oracle._class_counts(rows, twins) is not None
     # false twins differ in A + I, true twins in A: the other kind is refused
     for c in np.flatnonzero(sizes > 1):
         flipped = true_twin.copy()
         flipped[c] = not flipped[c]
-        assert oracle._class_counts(a, (order, sizes, flipped)) is None, c
+        assert oracle._class_counts(rows, (order, sizes, flipped)) is None, c
     # two classes merged into one are twins of neither kind
     if len(sizes) > 1:
         merged = np.concatenate([[sizes[0] + sizes[1]], sizes[2:]])
         for true in (False, True):
             kinds = np.concatenate([[true], true_twin[2:]])
-            assert oracle._class_counts(a, (order, merged, kinds)) is None, true
+            assert oracle._class_counts(rows, (order, merged, kinds)) is None, true
 
 
 def twin_classes_reference(a: np.ndarray) -> dict[frozenset, bool]:
@@ -446,7 +450,7 @@ def test_twin_classes_match_a_row_by_row_reference(seed):
     m = int(rng.integers(1, 9))
     host = np.triu(rng.random((m, m)) < 0.5, 1)
     g, _, _ = planted_twin_graph(rng, host | host.T)
-    order, sizes, true_twin = _twin_classes(g.adjacency)
+    order, sizes, true_twin = _twin_classes(oracle._packed_rows(g.adjacency))
     assert sorted(order.tolist()) == list(range(g.vertex_count)) and sizes.sum() == len(order)
     blocks = np.split(order, np.cumsum(sizes)[:-1])
     got = {frozenset(b.tolist()): bool(t) for b, t in zip(blocks, true_twin)}
@@ -619,6 +623,16 @@ def planted_twin_graph(rng, host):
     return Graph(labels=tuple(range(len(cls))), adjacency=a), sizes, kinds
 
 
+def twin_certificate(g: Graph, spectrum: SpectrumMultiset) -> bool:
+    """``verify_spectrum``'s exact certificate on any graph ``g``: its twin
+    classes and their counts, then ``_quotient_certificate``, which raises
+    ContractViolation for a floating ``spectrum``."""
+    rows = oracle._packed_rows(g.adjacency)
+    twins = _twin_classes(rows)
+    b = oracle._class_counts(rows, twins)
+    return b is not None and oracle._quotient_certificate(spectrum, twins, b)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_twin_certificate_on_planted_twins(seed):
     rng = np.random.default_rng(seed)
@@ -763,8 +777,23 @@ def test_verify_spectrum_degenerate_prime(monkeypatch):
         rep = verify_spectrum(p)
         assert rep.status == STATUS_DEGENERATE and all(rep.checks.values()), p
         assert rep.spectrum.order == 0
-        # the empty graph has no leader block: Jacobi gets 0 x 0
-        assert orders == [0], p
+        # the empty graph has no vertex: the spectral checks hold vacuously
+        # and Jacobi does not run
+        assert orders == [], p
+
+
+def test_verify_spectrum_order_zero_with_vertices_fails(monkeypatch):
+    # a closed form of order 0 over a scan that finds vertices runs every
+    # stage, and the spectral checks see the mismatch
+    real = oracle.wzd_spectrum_closed_form
+    monkeypatch.setattr(oracle, "wzd_spectrum_closed_form", lambda n: real(97))
+    for n in (18, 49, 150):
+        rep = verify_spectrum(n)
+        assert rep.status == STATUS_FAIL and rep.spectrum.order == 0, n
+        assert rep.checks["construction_equal"] is True, n
+        assert rep.checks["trace_edges"] is False, n
+        assert rep.checks["charpoly_match"] is False, n
+        assert rep.checks["numeric_match"] is False and rep.checks["integral"] is False, n
 
 
 def test_verify_spectrum_rejects_tiny_n():
@@ -808,8 +837,9 @@ def test_verify_spectrum_runs_jacobi_on_the_leader_block_only(monkeypatch):
     for n in range(4, 201):
         del orders[:]
         assert verify_spectrum(n).status != STATUS_FAIL, n
-        leaders = len(_twin_classes(build_bruteforce_wzd(n).adjacency)[1])
-        assert orders == [max(leaders - 1, 0)], n
+        leaders = len(_twin_classes(oracle._packed_rows(build_bruteforce_wzd(n).adjacency))[1])
+        # a prime's graph has no vertex and no class: Jacobi does not run
+        assert orders == ([leaders - 1] if leaders else []), n
         blocks += leaders
         total += wzd_spectrum_closed_form(n).order
     assert blocks * 10 < total
@@ -818,10 +848,11 @@ def test_verify_spectrum_runs_jacobi_on_the_leader_block_only(monkeypatch):
 @pytest.mark.parametrize("n", [18, 150, 240])
 def test_deflation_zeroes_the_first_leaders_row_and_column(monkeypatch, n):
     a = build_bruteforce_wzd(n).adjacency
-    twins = _twin_classes(a)
+    rows = oracle._packed_rows(a)
+    twins = _twin_classes(rows)
     sizes = twins[1]
     m = len(sizes)
-    b = oracle._class_counts(a, twins)
+    b = oracle._class_counts(rows, twins)
     # S = D - sqrt(B o B^T) is symmetric and similar to the quotient D - B
     q = np.diag(b.sum(axis=1)) - b
     s = np.diag(b.sum(axis=1)) - np.sqrt(b * b.T)
@@ -856,7 +887,7 @@ def test_deflation_zeroes_the_first_leaders_row_and_column(monkeypatch, n):
 @pytest.mark.parametrize("n", [49, 121])
 def test_verify_spectrum_one_twin_class_runs_jacobi_on_an_empty_block(monkeypatch, n):
     # WΓ(Z_(p^2)) is complete on p - 1 vertices: one class of true twins
-    assert len(_twin_classes(build_bruteforce_wzd(n).adjacency)[1]) == 1
+    assert len(_twin_classes(oracle._packed_rows(build_bruteforce_wzd(n).adjacency))[1]) == 1
     orders = jacobi_orders(monkeypatch)
     assert verify_spectrum(n).status == STATUS_PASS
     assert orders == [0]
@@ -878,8 +909,8 @@ def test_verify_spectrum_wrong_grouping_fails_both_spectrum_checks(monkeypatch):
     # classes mixing non-twins fail the exact row check, so there is no
     # quotient: no Jacobi, no certificate and no traceback; each n has an
     # empty class (in a complete graph every grouping is one of twins)
-    def wrong(a):
-        return class_layout(np.arange(a.shape[0]) % 3)
+    def wrong(rows):
+        return class_layout(np.arange(rows.shape[0] // 2) % 3)
 
     orders = jacobi_orders(monkeypatch)
     monkeypatch.setattr(oracle, "_twin_classes", wrong)
