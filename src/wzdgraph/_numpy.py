@@ -2,9 +2,9 @@
 
 ``np`` is numpy itself when it was imported already, and otherwise a module
 that ``importlib.util.LazyLoader`` loads the first time one of its attributes
-is read.  So ``wzd spectrum`` and ``wzd table``, which need only integers,
-never run numpy's code, and ``graph``, ``verify`` and ``join`` load it at
-their first array.  Inside this package numpy is imported only as
+is read.  So ``wzd spectrum``, ``wzd table`` and ``wzd graph``, which need
+only integers, never run numpy's code, and ``verify`` and ``join`` load it
+at their first array.  Inside this package numpy is imported only as
 ``from ._numpy import np``: a plain ``import numpy`` reads ``__spec__`` from
 the lazy module, and that read loads it at once.
 

@@ -137,32 +137,32 @@ def cmd_spectrum(n: int, fmt: str) -> int:
 
 
 def cmd_graph(n: int, fmt: str, classes: bool) -> int:
-    g = graphcore.build_structural_wzd(n)
+    # before the --classes check: an order refusal comes first
+    parts = graphcore.divisor_classes(n)
     if fmt == "text":
-        note = " (no zero-divisors)" if g.vertex_count == 0 else ""
-        print(f"WΓ(Z_{n}): {g.vertex_count} vertices, {g.edge_count} edges{note}")
-        listing = graphcore.divisor_classes(n) if classes else ()
-        if listing:
+        k = sum(c.size for c in parts)
+        # x < y are adjacent unless both lie in one empty class
+        edges = math.comb(k, 2) - sum(math.comb(c.size, 2) for c in parts if c.kind is Kind.EMPTY)
+        note = " (no zero-divisors)" if k == 0 else ""
+        print(f"WΓ(Z_{n}): {k} vertices, {edges} edges{note}")
+        if classes and parts:
             print("classes:")
-            for c in listing:
+            for c in parts:
                 members = " ".join(str(x) for x in c.members)
                 print(f"  {c.divisor}: {_class_symbol(c)}  {{{members}}}")
         return 0
-    if fmt == "json":
-        text = graphcore.export_graph(g, "json")
-        if classes:
-            listing = [
-                {"divisor": c.divisor, "kind": c.kind.value, "members": list(c.members)}
-                for c in graphcore.divisor_classes(n)
-            ]
-            # the export is one JSON object ending in "}\n": append one more key
-            text = f'{text[:-2]}, "classes": {json.dumps(listing)}}}\n'
-        sys.stdout.write(text)
-        return 0
-    if classes:
+    if classes and fmt != "json":
         print(f"--classes is not supported with --format {fmt}", file=sys.stderr)
         return 2
-    sys.stdout.write(graphcore.export_graph(g, fmt))
+    text = graphcore.export_graph(n, parts, fmt)
+    if classes:
+        listing = [
+            {"divisor": c.divisor, "kind": c.kind.value, "members": list(c.members)}
+            for c in parts
+        ]
+        # the export is one JSON object ending in "}\n": append one more key
+        text = f'{text[:-2]}, "classes": {json.dumps(listing)}}}\n'
+    sys.stdout.write(text)
     return 0
 
 

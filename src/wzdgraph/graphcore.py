@@ -10,12 +10,12 @@ WΓ(Z_n) is built two independent ways:
   and each class induces either a complete or an empty subgraph.
 
 Agreement of the two routes over a sweep of n is one of the package's core
-verification checks.
+verification checks.  ``export_graph`` writes WΓ(Z_n) from its divisor
+classes alone, with neither builder.
 """
 
 from __future__ import annotations
 
-import json
 import operator
 from enum import Enum
 from math import gcd as _gcd, isqrt
@@ -26,9 +26,9 @@ from .errors import DomainError, OrderCapError
 from .numtheory import factorize
 
 #: Largest order n - phi(n) - 1 that ``divisor_classes`` and ``verify_spectrum``,
-#: and so ``wzd graph`` and ``wzd verify``, accept.  Memory grows as its
+#: and so ``wzd graph`` and ``wzd verify``, accept.  An export grows as its
 #: square: at order 4090 (n = 4091^2, complete, 8-digit labels)
-#: ``wzd graph --format dot`` peaks at about 0.6 GB.
+#: ``wzd graph --format dot`` peaks at about 0.56 GB.
 MAX_GRAPH_ORDER = 4096
 
 #: Largest n that ``build_bruteforce_wzd``, and so ``wzd verify``, scans.  A
@@ -189,6 +189,8 @@ def build_bruteforce_wzd(n: int) -> Graph:
             f"definition scan takes"
         )
     verts = zero_divisors(n)
+    if not verts:  # n is prime
+        return Graph(labels=(), adjacency=np.zeros((0, 0), dtype=bool), modulus=n)
     least = _least_annihilators(n, verts)
     _, first, vert_tok = np.unique(least, return_index=True, return_inverse=True)
     rep = np.array(verts, dtype=np.int64)[first]
@@ -291,37 +293,46 @@ _EDGE_FORMATS = {
 }
 
 
-def export_graph(g: Graph, fmt: str) -> str:
-    """Deterministic serialization in DOT, JSON, or CSV edge-list form.
+def export_graph(n: int, classes: tuple[DivisorClass, ...], fmt: str) -> str:
+    """WΓ(Z_n) in DOT, JSON or CSV edge-list form, from ``divisor_classes(n)``.
 
-    Vertices are listed in ``g.labels`` order and edges as label pairs
-    (u, v), u < v, sorted.  CSV lists one ``u,v`` edge line per edge, then
-    any isolated vertices as single-field lines so the vertex set
-    round-trips.  Edges are written row by row from the upper triangle, one
-    ``str.join`` per row; row-major order is sorted order once the labels
-    ascend, so a graph whose labels do not is permuted into label order.
+    Vertices ascend and edges are pairs (u, v), u < v, sorted.  Classes are
+    completely joined and each is complete or empty, so x < y are adjacent
+    unless both lie in one empty class: the later neighbours of the vertex at
+    position i are the vertices after it or, for the j-th member of an empty
+    class, the class's non-members from the (i - j)-th on.  Each row is one
+    ``str.join`` of a list slice.  CSV lists one ``u,v`` line per edge, then
+    the isolated vertices as single-field lines so the vertex set
+    round-trips; there are any only when the graph has no edge (n = 4).
     """
     if fmt not in GRAPH_FORMATS:
         raise DomainError(f"unknown graph format {fmt!r}; expected one of {GRAPH_FORMATS}")
     prefix, suffix, between = _EDGE_FORMATS[fmt]
-    names = [str(u) for u in g.labels]
-    adj, row_names = g.adjacency, np.array(names, dtype=object)
-    if any(a >= b for a, b in zip(g.labels, g.labels[1:])):
-        order = sorted(range(len(names)), key=g.labels.__getitem__)
-        adj, row_names = adj[np.ix_(order, order)], row_names[order]
-    rows = []
-    for i, u in enumerate(row_names.tolist()):
-        later = row_names[i + 1 :][adj[i, i + 1 :]].tolist()
+    labels = sorted(x for c in classes for x in c.members)
+    names = [str(x) for x in labels]
+    # each member of an empty class -> its class's non-members, and its place j
+    outside: dict[int, tuple[list[str], int]] = {}
+    for c in classes:
+        if c.kind is Kind.EMPTY:
+            inside = set(c.members)
+            rest = [u for x, u in zip(labels, names) if x not in inside]
+            outside.update((x, (rest, j)) for j, x in enumerate(c.members))
+    rows: list[str] = []  # head, edges, end per row: one join copies the text once
+    for i, (x, u) in enumerate(zip(labels, names)):
+        if x in outside:
+            rest, j = outside[x]
+            later = rest[i - j :]
+        else:
+            later = names[i + 1 :]
         if later:
             head = prefix.format(u)
-            rows.append(head + (suffix + between + head).join(later) + suffix)
+            rows += (head, (suffix + between + head).join(later), suffix + between)
+    if rows:
+        rows[-1] = suffix  # no separator after the last edge
     if fmt == "dot":
-        name = f"wzd_{g.modulus}" if g.modulus is not None else "g"
         vertices = [f"  {u};\n" for u in names]
-        return "".join([f"graph {name} {{\n", *vertices, *rows, "}\n"])
+        return "".join([f"graph wzd_{n} {{\n", *vertices, *rows, "}\n"])
     if fmt == "json":
-        vertices = ", ".join(names)
-        head = f'{{"modulus": {json.dumps(g.modulus)}, "vertices": [{vertices}], "edges": ['
-        return "".join([head, ", ".join(rows), "]}\n"])
-    isolated = np.flatnonzero(~g.adjacency.any(axis=1)).tolist()
-    return "".join([*rows, *(names[i] + "\n" for i in isolated)])
+        head = f'{{"modulus": {n}, "vertices": [{", ".join(names)}], "edges": ['
+        return "".join([head, *rows, "]}\n"])
+    return "".join(rows or [u + "\n" for u in names])

@@ -134,7 +134,7 @@ def test_graph_json_with_classes(capsys):
 def test_graph_json_with_classes_is_the_export_plus_the_listing(capsys, n):
     code, out, _ = run_cli(capsys, "graph", str(n), "--format", "json", "--classes")
     assert code == 0
-    export = json.loads(graphcore.export_graph(graphcore.build_structural_wzd(n), "json"))
+    export = json.loads(graphcore.export_graph(n, graphcore.divisor_classes(n), "json"))
     listing = [
         {"divisor": c.divisor, "kind": c.kind.value, "members": list(c.members)}
         for c in graphcore.divisor_classes(n)
@@ -142,6 +142,38 @@ def test_graph_json_with_classes_is_the_export_plus_the_listing(capsys, n):
     payload = json.loads(out)
     assert list(payload) == ["modulus", "vertices", "edges", "classes"]
     assert payload == {**export, "classes": listing}
+
+
+@pytest.mark.parametrize(
+    ("argv", "digest"),
+    [
+        (("8186", "--format", "csv"),
+         "33393ad80a5c57bb44855a1000fd92517428828164a2bb338c71c93f54904af6"),
+        (("1200", "--format", "json"),
+         "a368d0337ea4591779e655d8035671fa9a9a33f07c021e86e1ad2f51f1c5cc09"),
+        (("5040", "--format", "json", "--classes"),
+         "1cd45bbe48a73c5a1a450e0ea4ba965347bb18b98bf2b8e97952940e33a7d129"),
+    ],
+    ids=["8186-csv", "1200-json", "5040-json-classes"],
+)
+def test_graph_export_is_byte_identical_to_its_recorded_digest(capsys, argv, digest):
+    # sha256 of stdout as recorded when the export was written from the
+    # k x k adjacency: an empty class of 4092, many classes, and the listing
+    code, out, _ = run_cli(capsys, "graph", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_graph_text_counts_are_the_definition_scans(capsys):
+    # the counts come from the classes alone: C(k, 2) less C(|A_d|, 2) per
+    # empty class; the scan counts them on the graph it built
+    for n in range(2, 1500):
+        code, out, _ = run_cli(capsys, "graph", str(n))
+        g = graphcore.build_bruteforce_wzd(n)
+        note = " (no zero-divisors)" if g.vertex_count == 0 else ""
+        assert code == 0 and out == (
+            f"WΓ(Z_{n}): {g.vertex_count} vertices, {g.edge_count} edges{note}\n"
+        ), n
 
 
 def test_graph_refuses_orders_above_the_limit(capsys):

@@ -48,8 +48,20 @@ def test_spectrum_and_table_never_load_numpy(argv):
     assert modules == []
 
 
-def test_graph_loads_numpy_on_first_use():
-    _, modules = loaded_after(["spectrum", "30"], ["graph", "12", "--format", "csv"])
+@pytest.mark.parametrize(
+    "flags",
+    [[], ["--format", "csv"], ["--format", "json"], ["--format", "dot"],
+     ["--format", "json", "--classes"]],
+    ids=["text", "csv", "json", "dot", "json-classes"],
+)
+def test_graph_never_loads_numpy(flags):
+    # the graph is written from its divisor classes, with no array
+    _, modules = loaded_after(["graph", "360", *flags])
+    assert modules == []
+
+
+def test_verify_loads_numpy_on_first_use():
+    _, modules = loaded_after(["spectrum", "30"], ["verify", "12..12"])
     assert "numpy.linalg" in modules
     assert not any(m.startswith("concurrent.futures") for m in modules)
 
