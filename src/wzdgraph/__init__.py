@@ -9,38 +9,61 @@ and cross-checks everything with independent numeric and exact-arithmetic
 oracles.
 """
 
-from .errors import ContractViolation, ConvergenceError, DomainError, OrderCapError
-from .graphcore import (
-    DivisorClass,
-    Graph,
-    Kind,
-    build_bruteforce_wzd,
-    build_structural_wzd,
-    divisor_classes,
-    export_graph,
-    graphs_equal,
-)
-from .numtheory import PrimeFactorization, euler_phi, factorize
-from .oracle import (
-    ExactPolynomial,
-    VerificationReport,
-    char_poly_exact,
-    integrality_check,
-    laplacian_eigenvalues,
-    laplacian_matrix,
-    poly_matches_spectrum,
-    symmetric_eigenvalues,
-    verify_spectrum,
-)
-from .spectra import (
-    SpectrumMultiset,
-    WeightedHostGraph,
-    algebraic_connectivity,
-    component_spectrum,
-    join_spectrum,
-    spectral_radius,
-    symmetric_weighted_laplacian,
-    wzd_spectrum_closed_form,
-)
+import importlib
+
+from . import _numpy  # a missing numpy is named here, not at first use
+
+#: each public name by the module it lives in; a module runs at the first
+#: read of one of its names, so ``import wzdgraph`` runs none of them
+_EXPORTS = {
+    "errors": ("ContractViolation", "ConvergenceError", "DomainError", "OrderCapError"),
+    "graphcore": (
+        "DivisorClass",
+        "Graph",
+        "build_bruteforce_wzd",
+        "build_structural_wzd",
+        "divisor_classes",
+        "export_graph",
+        "graphs_equal",
+    ),
+    "numtheory": ("PrimeFactorization", "euler_phi", "factorize"),
+    "oracle": (
+        "ExactPolynomial",
+        "VerificationReport",
+        "char_poly_exact",
+        "integrality_check",
+        "laplacian_eigenvalues",
+        "laplacian_matrix",
+        "poly_matches_spectrum",
+        "symmetric_eigenvalues",
+        "verify_spectrum",
+    ),
+    "spectra": (
+        "Kind",
+        "SpectrumMultiset",
+        "WeightedHostGraph",
+        "algebraic_connectivity",
+        "component_spectrum",
+        "join_spectrum",
+        "spectral_radius",
+        "symmetric_weighted_laplacian",
+        "wzd_spectrum_closed_form",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -10,17 +10,21 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import re
 import sys
 from collections.abc import Iterable
 
-from . import graphcore, oracle, spectra
-from ._numpy import np
+from . import spectra
+from ._numpy import lazy, np
 from .errors import ContractViolation, DomainError, OrderCapError
-from .graphcore import Kind
+from .spectra import Kind
+
+# run on first use: ``spectrum`` and ``table`` need none of them
+graphcore = lazy(f"{__package__}.graphcore")
+oracle = lazy(f"{__package__}.oracle")
+json = lazy("json")
 
 
 def _positive_n(text: str) -> int:
@@ -91,7 +95,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run all checks over a range of n")
     p.add_argument("range", type=_range, metavar="lo..hi")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--tol", type=_positive_float, default=oracle.INTEGRAL_TOL,
+    p.add_argument("--tol", type=_positive_float, default=spectra.INTEGRAL_TOL,
                    help="integrality tolerance (default %(default)g)")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="parallel workers over independent n")
@@ -197,6 +201,9 @@ def cmd_verify(lo: int, hi: int, fmt: str, tol: float, jobs: int, cap: int | Non
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
+        # the pool's result thread unpickles each report from oracle, and a
+        # lazy load is not thread-safe before Python 3.12: load it here
+        oracle.VerificationReport
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # one n per task: an n refused by its order then fails alone,
             # after the reports before it, as in a serial run

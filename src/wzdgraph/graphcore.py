@@ -17,13 +17,13 @@ classes alone, with neither builder.
 from __future__ import annotations
 
 import operator
-from enum import Enum
 from math import gcd as _gcd, isqrt
 
 from ._numpy import np
 from ._record import Record
 from .errors import DomainError, OrderCapError
 from .numtheory import factorize
+from .spectra import Kind
 
 #: Largest order n - phi(n) - 1 that ``divisor_classes`` and ``verify_spectrum``,
 #: and so ``wzd graph`` and ``wzd verify``, accept.  An export grows as its
@@ -41,13 +41,6 @@ MAX_SCAN_MODULUS = (MAX_GRAPH_ORDER + 1) ** 2
 #: Side of the square tiles in which ``Graph`` checks its adjacency for
 #: symmetry; a graph of order up to this is checked in one piece.
 SYMMETRY_TILE = 512
-
-
-class Kind(Enum):
-    """Shape of the subgraph induced by one divisor class."""
-
-    COMPLETE = "complete"
-    EMPTY = "empty"
 
 
 class Graph(Record):

@@ -23,7 +23,7 @@ from .graphcore import (
     check_graph_order,
     graphs_equal,
 )
-from .spectra import EXACT, SpectrumMultiset, wzd_spectrum_closed_form
+from .spectra import EXACT, INTEGRAL_TOL, SpectrumMultiset, wzd_spectrum_closed_form
 
 #: largest order ``char_poly_exact`` accepts: its k products of k x k
 #: matrices of Python integers cost O(k^4), about 1.3 s at order 64 on one
@@ -280,8 +280,9 @@ def _twin_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     false_twin = np.bincount(false_cls)[false_cls] > 1
     key = np.where(false_twin, false_cls, 2 * k + labels[k:])
     order = np.argsort(key, kind="stable")  # stable: each class led by its first vertex
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1))  # where the sorted keys change
-    return order, np.diff(starts, append=k), ~false_twin[order[starts]]
+    counts = np.bincount(key)
+    present = np.flatnonzero(counts)  # the class keys, ascending as in ``order``
+    return order, counts[present], present >= 2 * k  # keys from 2k on: true twins
 
 
 def _class_counts(rows: np.ndarray, twins) -> np.ndarray | None:
@@ -401,7 +402,6 @@ STATUS_FAIL = "FAIL"
 STATUS_DEGENERATE = "DEGENERATE-EMPTY"
 
 NUMERIC_MATCH_TOL = 1e-8
-INTEGRAL_TOL = 1e-6
 
 
 def eigenvalues_match(numeric, expected) -> bool:

@@ -15,11 +15,11 @@ one factorization of n.
 from __future__ import annotations
 
 import math
+from enum import Enum
 
 from ._numpy import np
 from ._record import Record
 from .errors import ContractViolation, DomainError
-from .graphcore import Kind
 from .numtheory import factorize
 
 EXACT = "exact"
@@ -27,6 +27,17 @@ FLOAT = "float"
 
 #: absolute tolerance for merging near-equal floating eigenvalues
 MERGE_TOL = 1e-7
+
+#: how far from an integer a numeric eigenvalue may lie and still count as
+#: one: the default of ``oracle.verify_spectrum`` and of ``wzd verify --tol``
+INTEGRAL_TOL = 1e-6
+
+
+class Kind(Enum):
+    """Shape of the subgraph induced by one divisor class."""
+
+    COMPLETE = "complete"
+    EMPTY = "empty"
 
 
 class WeightedHostGraph(Record):

@@ -7,6 +7,7 @@ import os
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from wzdgraph import cli, graphcore, oracle
@@ -134,7 +135,15 @@ def test_graph_json_with_classes(capsys):
 def test_graph_json_with_classes_is_the_export_plus_the_listing(capsys, n):
     code, out, _ = run_cli(capsys, "graph", str(n), "--format", "json", "--classes")
     assert code == 0
-    export = json.loads(graphcore.export_graph(n, graphcore.divisor_classes(n), "json"))
+    # the export half from the definition scan, not from the classes the CLI writes
+    g = graphcore.build_bruteforce_wzd(n)
+    rows, cols = np.triu(g.adjacency, 1).nonzero()  # row-major: u < v, rows ascending
+    labels = list(g.labels)
+    export = {
+        "modulus": n,
+        "vertices": labels,
+        "edges": [[labels[i], labels[j]] for i, j in zip(rows.tolist(), cols.tolist())],
+    }
     listing = [
         {"divisor": c.divisor, "kind": c.kind.value, "members": list(c.members)}
         for c in graphcore.divisor_classes(n)
