@@ -2,16 +2,23 @@
 
 WΓ(Z_n) is built two independent ways:
 
-* ``build_bruteforce_wzd`` scans the adjacency definition directly: x ~ y iff
+* ``scan_wzd_tokens`` scans the adjacency definition directly: x ~ y iff
   some nonzero r annihilating x and nonzero s annihilating y have rs = 0 mod n.
   Vertices and annihilators come from raw tests on the divisors of n, no gcd.
-* ``build_structural_wzd`` assembles the graph from its divisor-class
-  partition: classes A_d = {x : gcd(x, n) = d} are pairwise completely joined,
-  and each class induces either a complete or an empty subgraph.
+  It keys each vertex on its least annihilator r0, its token, and returns the
+  tokens' adjacency as one (tau(n) - 2)-square table T; ``build_bruteforce_wzd``
+  expands T into the k x k ``Graph``.
+* ``divisor_classes`` partitions the vertices into the classes
+  A_d = {x : gcd(x, n) = d}, pairwise completely joined, each inducing a
+  complete or an empty subgraph; ``build_structural_wzd`` assembles the
+  ``Graph`` from them.
 
-Agreement of the two routes over a sweep of n is one of the package's core
-verification checks.  ``export_graph`` writes WΓ(Z_n) from its divisor
-classes alone, with neither builder.
+Agreement of the two routes is one of the package's core verification
+checks.  ``verify_spectrum`` makes it on the tokens, with no k x k matrix:
+``scan_matches_classes`` holds iff the scan's graph is the class graph with
+each token the class it keys.  ``graphs_equal`` compares two built graphs.
+``export_graph`` writes WΓ(Z_n) from its divisor classes alone, with neither
+builder.
 """
 
 from __future__ import annotations
@@ -160,21 +167,27 @@ def _least_annihilators(n: int, verts: list[int]) -> np.ndarray:
     return divs[hit.argmax(axis=1)]
 
 
-def build_bruteforce_wzd(n: int) -> Graph:
-    """WΓ(Z_n) by direct definition scan over annihilator element pairs.
+def scan_wzd_tokens(n: int) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """WΓ(Z_n) by direct definition scan over annihilator element pairs, on
+    tokens: ``(verts, least, weights, table)``.
 
     The annihilator of x is an additive subgroup of Z_n, so it is cyclic: the
     multiples of its least positive element r0 (``_least_annihilators``).
-    Vertices are keyed on r0.  A witness is nonzero (else every pair would be
-    adjacent), so it is a vertex, and r*x = 0 depends only on the two
-    annihilators, as r kills x iff x kills r.  With Z[a, c] = (x_a * x_c = 0
-    mod n) for one representative x_a per token, x ~ y iff the int64 cube
-    Z Z Z (entries at most m^2 for m tokens) is positive at their tokens.
+    Vertices are keyed on r0, their token.  A witness is nonzero (else every
+    pair would be adjacent), so it is a vertex, and r*x = 0 depends only on
+    the two annihilators, as r kills x iff x kills r.  With Z[a, c] = (x_a *
+    x_c = 0 mod n) for one representative x_a per token, x != y are adjacent
+    iff T = Z Z Z (int64, entries at most m^2 for m tokens) is positive at
+    their tokens.
 
-    No ``factorize``, ``numtheory.divisors`` or gcd: the scan stays independent
-    of ``build_structural_wzd``, which is what makes ``construction_equal`` a
-    check.  Raises OrderCapError above ``MAX_SCAN_MODULUS``, or above
-    ``MAX_GRAPH_ORDER`` vertices before they are listed (``zero_divisors``).
+    Returns the vertices, ascending; each vertex's r0; the number of vertices
+    of each token; and the m x m bool table T > 0, both by token in ascending
+    r0.  There are tau(n) - 2 tokens, one per proper divisor, so nothing here
+    is k x k for k vertices.  No ``factorize``, ``numtheory.divisors`` or gcd:
+    the scan stays independent of ``divisor_classes``, which is what makes
+    ``scan_matches_classes`` a check.  Raises OrderCapError above
+    ``MAX_SCAN_MODULUS``, or above ``MAX_GRAPH_ORDER`` vertices before they are
+    listed (``zero_divisors``).
     """
     if n > MAX_SCAN_MODULUS:
         raise OrderCapError(
@@ -183,12 +196,20 @@ def build_bruteforce_wzd(n: int) -> Graph:
         )
     verts = zero_divisors(n)
     if not verts:  # n is prime
-        return Graph(labels=(), adjacency=np.zeros((0, 0), dtype=bool), modulus=n)
+        empty = np.zeros(0, dtype=np.int64)
+        return verts, empty, empty, np.zeros((0, 0), dtype=bool)
     least = _least_annihilators(n, verts)
-    _, first, vert_tok = np.unique(least, return_index=True, return_inverse=True)
+    _, first, weights = np.unique(least, return_index=True, return_counts=True)
     rep = np.array(verts, dtype=np.int64)[first]
     zero = (np.multiply.outer(rep, rep) % n == 0).astype(np.int64)
-    table = zero @ zero @ zero > 0
+    return verts, least, weights, zero @ zero @ zero > 0
+
+
+def build_bruteforce_wzd(n: int) -> Graph:
+    """WΓ(Z_n) from ``scan_wzd_tokens``: each token's row of T, taken once per
+    vertex of the token, with no self-loop."""
+    verts, least, _, table = scan_wzd_tokens(n)
+    vert_tok = np.unique(least, return_inverse=True)[1]
     adj = table.take(vert_tok, 0).take(vert_tok, 1)
     np.fill_diagonal(adj, False)
     return Graph(labels=tuple(verts), adjacency=adj, modulus=n)
@@ -254,6 +275,47 @@ def build_structural_wzd(n: int) -> Graph:
 def graphs_equal(g1: Graph, g2: Graph) -> bool:
     """True iff identical vertex label lists and identical edge sets."""
     return g1.labels == g2.labels and np.array_equal(g1.adjacency, g2.adjacency)
+
+
+def scan_matches_classes(n: int, scan, classes: tuple[DivisorClass, ...]) -> bool:
+    """Whether ``scan_wzd_tokens(n)`` and ``divisor_classes(n)`` give one graph,
+    each token the class it keys, checked on the tokens with no k x k matrix.
+
+    The scan joins x != y iff T is true at their tokens; the classes join
+    x != y unless both lie in one empty class.  The check is that
+
+    1. the vertex lists are equal;
+    2. every vertex's token r0 is n/d for its class A_d, and each token's
+       weight is its class's size;
+    3. every off-diagonal entry of T is true;
+    4. T[t, t] is true iff the class of t is complete, for every token t of
+       weight 2 or more.
+
+    Proof.  Under 1 and 2 two vertices share a token iff they share a class,
+    as d -> n/d is one-to-one, and every class has a member, d itself: the
+    tokens, ascending in r0 = n/d, are the classes in descending d.  Then a
+    pair from two classes is joined by the scan iff T is true at two distinct
+    tokens, and always by the classes; every off-diagonal entry is read by
+    some such pair, so the graphs agree on them iff 3 holds.  A pair inside
+    one class exists iff its token has weight 2 or more; the scan joins it
+    iff T[t, t] and the classes iff the class is complete, so the graphs
+    agree on them iff 4 holds.  The diagonal of a token of weight 1 joins no
+    pair and is not read.  So, given 1 and 2, the graphs are equal iff 3 and
+    4 hold.  2 asks more than graph equality alone: a vertex whose scanned r0
+    is wrong is a wrong scan even where its row happens to come out right.
+    """
+    verts, least, weights, table = scan
+    rev = classes[::-1]  # tokens ascend in r0 = n/d: the classes in descending d
+    if table.shape != (len(rev), len(rev)) or weights.tolist() != [c.size for c in rev]:
+        return False
+    r0 = {x: n // c.divisor for c in rev for x in c.members}
+    if verts != sorted(r0) or least.tolist() != [r0[x] for x in verts]:
+        return False
+    return all(
+        row.count(False) == (not row[t])  # off the diagonal, every entry is true
+        and (c.size < 2 or row[t] == (c.kind is Kind.COMPLETE))
+        for t, (row, c) in enumerate(zip(table.tolist(), rev))
+    )
 
 
 def assemble_join(host_edges: set[tuple[int, int]], components: list[Graph]) -> Graph:

@@ -18,10 +18,10 @@ from ._record import Record
 from .errors import ContractViolation, ConvergenceError, DomainError, OrderCapError
 from .graphcore import (
     Graph,
-    build_bruteforce_wzd,
-    build_structural_wzd,
     check_graph_order,
-    graphs_equal,
+    divisor_classes,
+    scan_matches_classes,
+    scan_wzd_tokens,
 )
 from .spectra import EXACT, INTEGRAL_TOL, SpectrumMultiset, wzd_spectrum_closed_form
 
@@ -307,6 +307,76 @@ def _class_counts(rows: np.ndarray, twins) -> np.ndarray | None:
     return np.add.reduceat(leaders.take(order, 1), starts, axis=1, dtype=np.int32)
 
 
+def _token_twin_classes(table: np.ndarray, weights: np.ndarray):
+    """Twin classes of the graph that ``scan_wzd_tokens``' ``table`` T and token
+    ``weights`` w describe: x != y joined iff T is true at their tokens.
+
+    Each vertex's row of A is its token's row of T with a 0 at the vertex,
+    and its row of A + I the same with a 1 there.  So the vertices of tokens
+    t and s (t = s included) are false twins iff the false keys, the rows of
+    T with the diagonal cleared, are equal, each key valid, that is w = 1 or
+    T[t, t] false; and true twins iff the true keys, the rows with the
+    diagonal set, are equal and valid, w = 1 or T[t, t] true.  As in
+    ``_twin_classes``, a false key shared by a total weight above 1 makes a
+    class of false twins, and the other tokens, whose true keys are all
+    valid, are grouped on those.  Returns ``(cls, sizes, true_twin)``: the
+    list of each token's class, false-twin classes first and each class led
+    by its first token, then per class its size in vertices and whether it
+    is of true twins.  There are only tau(n) - 2 tokens, so the keys are
+    plain tuples.
+    """
+    rows, w = table.tolist(), weights.tolist()
+    cls = [-1] * len(rows)
+    sizes: list[int] = []
+    true_twin: list[bool] = []
+    for true in (False, True):
+        by_key: dict[tuple, list[int]] = {}
+        for t, row in enumerate(rows):
+            if cls[t] < 0 and (true or w[t] == 1 or not row[t]):
+                by_key.setdefault((*row[:t], true, *row[t + 1 :]), []).append(t)
+        for group in by_key.values():
+            size = sum(w[t] for t in group)
+            if true or size > 1:
+                for t in group:
+                    cls[t] = len(sizes)
+                sizes.append(size)
+                true_twin.append(true)
+    return cls, np.array(sizes, dtype=np.int64), np.array(true_twin, dtype=bool)
+
+
+def _token_class_counts(table: np.ndarray, weights: np.ndarray, twins) -> np.ndarray | None:
+    """B[C, D], the neighbours in class D of each vertex of class C, as an
+    m x m int64 array, for the ``_token_twin_classes`` ``twins`` of the graph
+    of ``table`` and ``weights``; None unless every token carries its class
+    leader's key (false or true by the class's kind), its key is valid, and
+    each class's size is its tokens' weight.  That exact check, the token
+    form of ``_class_counts``' row check, makes the classes equitable, so B is
+    read off the leader tokens' rows of T weighted by w: a vertex of token t
+    has w_u T[t, u] neighbours in another token u and (w_t - 1) T[t, t] in
+    its own.
+    """
+    cls, sizes, true_twin = twins
+    rows, w, kinds = table.tolist(), weights.tolist(), true_twin.tolist()
+    lead: dict[int, int] = {}  # each class's first token
+    weight = [0] * len(kinds)
+    for t, c in enumerate(cls):
+        head = lead.setdefault(c, t)
+        kind, key, head_key = kinds[c], rows[t][:], rows[head][:]
+        key[t] = head_key[head] = kind
+        if (w[t] > 1 and rows[t][t] != kind) or key != head_key:
+            return None
+        weight[c] += w[t]
+    if weight != sizes.tolist():
+        return None
+    b = [[0] * len(kinds) for _ in kinds]
+    for c, t in lead.items():
+        row = rows[t]
+        for u, d in enumerate(cls):
+            b[c][d] += w[u] * row[u]
+        b[c][c] -= row[t]
+    return np.array(b, dtype=np.int64)
+
+
 def check_jacobi_order(name: str, order: int) -> None:
     """Raise OrderCapError when ``name`` would hand Jacobi a matrix of
     ``order`` above ``JACOBI_MAX_ORDER``."""
@@ -354,13 +424,14 @@ def laplacian_eigenvalues(adj: np.ndarray) -> list[float]:
 
 def _quotient_certificate(spectrum: SpectrumMultiset, twins, b: np.ndarray) -> bool:
     """Exact proof that ``spectrum`` is the Laplacian spectrum of a graph
-    with twin classes ``twins`` and ``_class_counts`` ``b``.
+    with twin classes ``twins`` and class counts ``b`` (``_class_counts`` or
+    ``_token_class_counts``).
 
     For twins x and y of degree d, e_x - e_y is an eigenvector of L with
     eigenvalue d (false twins) or d + 1 (true twins), so a twin class of
     size c gives that eigenvalue c - 1 times.  The differences are
     orthogonal to the columns of the class-indicator matrix P, and the two
-    spaces together span R^k.  ``_class_counts`` checks the twins exactly,
+    spaces together span R^k.  The counting checks the twins exactly,
     and twin classes are equitable, A P = P B, so L P = P Q for Q = D - B,
     D the degrees of the classes: the other eigenvalues are those of the
     m x m quotient Q.  The twin eigenvalues are removed from ``spectrum``
@@ -451,14 +522,19 @@ def verify_spectrum(
     the closed form elementwise; and all numeric eigenvalues are
     near-integers.
 
-    The twin quotient of the brute-force adjacency is counted once, for the
-    certificate and the numeric eigenvalues.  When its classes are not
-    twins, or Jacobi would get an order above ``JACOBI_MAX_ORDER``, the
-    checks that need it fail.  With no vertex in the closed form or the
-    scan, as for a prime, the three spectral checks hold vacuously and are
-    not run.
+    Every check reads the definition scan's tokens (``scan_wzd_tokens``): the
+    vertices, each one's least annihilator r0, the token weights w and the
+    token table T, with no k x k matrix.  The constructions agree when
+    ``scan_matches_classes`` holds against ``divisor_classes(n)``.  The
+    edge count is read off T: 2|E| = sum w_t w_s T[t, s] - sum w_t T[t, t].
+    The twin quotient is found on the tokens' keys (``_token_twin_classes``)
+    and counted once (``_token_class_counts``), for the certificate and the
+    numeric eigenvalues.  When its classes are not twins, or Jacobi would
+    get an order above ``JACOBI_MAX_ORDER``, the checks that need it fail.
+    With no vertex in the closed form or the scan, as for a prime, the three
+    spectral checks hold vacuously and are not run.
 
-    Raises OrderCapError, before any graph is built, when the closed-form
+    Raises OrderCapError, before any vertex is listed, when the closed-form
     order is above ``graphcore.MAX_GRAPH_ORDER``, or when n is above
     ``graphcore.MAX_SCAN_MODULUS``, which only a prime can reach past the
     order limit.
@@ -468,19 +544,18 @@ def verify_spectrum(
     closed = wzd_spectrum_closed_form(n)
     order = closed.order
     check_graph_order(f"WΓ(Z_{n})", order)
-    brute = build_bruteforce_wzd(n)
-    structural = build_structural_wzd(n)
-
-    checks = {"construction_equal": graphs_equal(brute, structural)}
-    checks["trace_edges"] = closed.trace() == 2 * brute.edge_count
+    scan = scan_wzd_tokens(n)
+    verts, _, weights, table = scan
+    checks = {"construction_equal": scan_matches_classes(n, scan, divisor_classes(n))}
+    degree_sum = int(weights @ table @ weights - weights @ table.diagonal())
+    checks["trace_edges"] = closed.trace() == degree_sum
     charpoly_skipped = order_cap is not None and order > order_cap
 
-    if order == 0 == brute.vertex_count:  # no vertex: the spectral checks hold vacuously
+    if order == 0 == len(verts):  # no vertex: the spectral checks hold vacuously
         checks.update(charpoly_match=True, numeric_match=True, integral=True)
     else:
-        rows = _packed_rows(brute.adjacency)
-        twins = _twin_classes(rows)
-        counts = _class_counts(rows, twins)
+        twins = _token_twin_classes(table, weights)
+        counts = _token_class_counts(table, weights, twins)
         checks["charpoly_match"] = charpoly_skipped or (
             counts is not None and _quotient_certificate(closed, twins, counts)
         )

@@ -314,13 +314,13 @@ def test_verify_with_one_job_does_not_count_the_cpus(capsys, monkeypatch):
 
 
 def test_verify_prime_runs_no_spectral_stage(capsys, monkeypatch):
-    # a prime's graph has no vertex: its report rests on the two builders
-    # and the trace, and the JSON is byte for byte what it was when every
+    # a prime's graph has no vertex: its report rests on the construction
+    # check and the trace, and the JSON is byte for byte what it was when every
     # stage ran on the empty graph
     def unreachable(*args):
         raise AssertionError("a spectral stage ran on a prime")
 
-    for name in ("_twin_classes", "char_poly_exact", "symmetric_eigenvalues"):
+    for name in ("_token_twin_classes", "char_poly_exact", "symmetric_eigenvalues"):
         monkeypatch.setattr(oracle, name, unreachable)
     primes = [p for p in range(2, 1001) if all(p % d for d in range(2, p))] + [16785407]
     assert len(primes) == 169

@@ -248,6 +248,17 @@ def test_scan_equals_structural_at_large_orders(n):
     assert graphs_equal(build_bruteforce_wzd(n), build_structural_wzd(n))
 
 
+def test_scan_wzd_tokens_small_case():
+    # Z_18: tokens r0 = 2, 3, 6, 9 key the classes A_9, A_6, A_3, A_2, and
+    # only the empty A_2 has a false diagonal
+    verts, least, weights, table = graphcore.scan_wzd_tokens(18)
+    assert verts == [2, 3, 4, 6, 8, 9, 10, 12, 14, 15, 16]
+    assert least.tolist() == [9, 6, 9, 3, 9, 2, 9, 3, 9, 6, 9]
+    assert weights.tolist() == [1, 2, 2, 6]
+    assert table.tolist() == [[True] * 4] * 3 + [[True, True, True, False]]
+    assert graphcore.scan_matches_classes(18, (verts, least, weights, table), divisor_classes(18))
+
+
 def test_bruteforce_wzd_small_cases():
     g6 = build_bruteforce_wzd(6)
     assert g6.labels == (2, 3, 4)

@@ -4,6 +4,7 @@ import math
 import pickle
 import time
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -372,9 +373,9 @@ def traced_peak(fn) -> int:
 
 
 def test_twin_quotient_eigenvalues_take_under_half_of_k_squared_bytes():
-    # WΓ(Z_8186), order 4093: verify's numeric path builds no k x k float
-    # matrix (8 k^2 bytes), only the packed rows, one class of them at a
-    # time, and the m x k leader rows
+    # WΓ(Z_8186), order 4093: the numeric path of an explicit adjacency, as
+    # join takes it, builds no k x k float matrix (8 k^2 bytes), only the
+    # packed rows, one class of them at a time, and the m x k leader rows
     n = 8186
     adj = build_bruteforce_wzd(n).adjacency
     k = len(adj)
@@ -624,9 +625,9 @@ def planted_twin_graph(rng, host):
 
 
 def twin_certificate(g: Graph, spectrum: SpectrumMultiset) -> bool:
-    """``verify_spectrum``'s exact certificate on any graph ``g``: its twin
-    classes and their counts, then ``_quotient_certificate``, which raises
-    ContractViolation for a floating ``spectrum``."""
+    """The exact certificate on any graph ``g``, by its explicit adjacency:
+    its twin classes and their counts, then ``_quotient_certificate``, which
+    raises ContractViolation for a floating ``spectrum``."""
     rows = oracle._packed_rows(g.adjacency)
     twins = _twin_classes(rows)
     b = oracle._class_counts(rows, twins)
@@ -801,17 +802,48 @@ def test_verify_spectrum_rejects_tiny_n():
         verify_spectrum(1)
 
 
+def split_pair(scan, x: int, y: int, joined: bool) -> tuple:
+    """``scan`` with vertices x and y moved to two new tokens of weight 1, after
+    the others, each with its old token's row of T and the two joined iff
+    ``joined``: the scan of the graph with the one pair x, y changed.  The
+    old tokens of x and y must keep a vertex."""
+    verts, least, weights, table = scan
+    least = least.copy()
+    ix = [verts.index(x), verts.index(y)]
+    old = np.searchsorted(np.unique(least), least[ix])
+    m = len(weights)
+    rows = np.concatenate([np.arange(m), old])
+    table = table[np.ix_(rows, rows)]
+    table[m, m + 1] = table[m + 1, m] = joined
+    weights = np.concatenate([weights, [1, 1]])
+    np.subtract.at(weights, old, 1)
+    assert (weights > 0).all()
+    least[ix] = least.max() + np.array([1, 2])
+    return verts, least, weights, table
+
+
+def expanded_adjacency(scan) -> np.ndarray:
+    """The k x k adjacency a token scan describes, for checking the planted scans."""
+    _, least, _, table = scan
+    tok = np.unique(least, return_inverse=True)[1]
+    adj = table[np.ix_(tok, tok)]
+    np.fill_diagonal(adj, False)
+    return adj
+
+
 @pytest.mark.parametrize("change", ["remove", "add"])
 def test_verify_spectrum_numeric_check_sees_one_edge_changed(monkeypatch, change):
-    def changed(n):
-        g = graphcore.build_bruteforce_wzd(n)
-        a = g.adjacency.copy()
-        present = change == "remove"
-        i, j = np.argwhere(np.triu(a == present, 1))[len(a) // 2]
-        a[i, j] = a[j, i] = not present
-        return Graph(labels=g.labels, adjacency=a, modulus=n)
+    # Z_240: 2 and 3 lie in two classes, so they are joined; 3 and 9 lie in
+    # the empty class A_3, so they are not.  The planted scan differs from
+    # the real one in that pair alone.
+    x, y = (2, 3) if change == "remove" else (3, 9)
+    real = graphcore.scan_wzd_tokens(240)
+    planted = split_pair(real, x, y, joined=change == "add")
+    diff = expanded_adjacency(real) != expanded_adjacency(planted)
+    i, j = real[0].index(x), real[0].index(y)
+    assert np.flatnonzero(diff).tolist() == sorted([i * len(diff) + j, j * len(diff) + i])
 
-    monkeypatch.setattr(oracle, "build_bruteforce_wzd", changed)
+    monkeypatch.setattr(oracle, "scan_wzd_tokens", lambda n: planted)
     rep = verify_spectrum(240)
     assert rep.checks["numeric_match"] is False
     assert rep.status == STATUS_FAIL
@@ -896,24 +928,30 @@ def test_verify_spectrum_one_twin_class_runs_jacobi_on_an_empty_block(monkeypatc
 def test_verify_spectrum_twin_classes_found_once(monkeypatch):
     # the classes are found and counted once, for the certificate and the numeric path
     calls = []
-    for name in ("_twin_classes", "_class_counts"):
+    for name in ("_token_twin_classes", "_token_class_counts"):
         real = getattr(oracle, name)
         monkeypatch.setattr(
             oracle, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
         )
     assert verify_spectrum(240).status == STATUS_PASS
-    assert calls == ["_twin_classes", "_class_counts"]
+    assert calls == ["_token_twin_classes", "_token_class_counts"]
 
 
 def test_verify_spectrum_wrong_grouping_fails_both_spectrum_checks(monkeypatch):
-    # classes mixing non-twins fail the exact row check, so there is no
-    # quotient: no Jacobi, no certificate and no traceback; each n has an
-    # empty class (in a complete graph every grouping is one of twins)
-    def wrong(rows):
-        return class_layout(np.arange(rows.shape[0] // 2) % 3)
+    # classes mixing tokens that are not twins fail the exact key check, so
+    # there is no quotient: no Jacobi, no certificate and no traceback; each n
+    # has an empty class (in a complete graph every grouping is one of twins)
+    def wrong(table, weights):
+        cls = np.arange(len(weights)) % 3
+        sizes = np.bincount(cls, weights).astype(np.int64)
+        return cls.tolist(), sizes, np.zeros(len(sizes), dtype=bool)
+
+    def unreachable(*args):
+        raise AssertionError("the certificate ran on a wrong grouping")
 
     orders = jacobi_orders(monkeypatch)
-    monkeypatch.setattr(oracle, "_twin_classes", wrong)
+    monkeypatch.setattr(oracle, "_token_twin_classes", wrong)
+    monkeypatch.setattr(oracle, "_quotient_certificate", unreachable)
     for n in (18, 150, 240):
         rep = verify_spectrum(n)
         assert rep.status == STATUS_FAIL, n
@@ -958,6 +996,213 @@ def test_verify_spectrum_sees_a_planted_wrong_least_annihilator(monkeypatch):
     assert rep.status == STATUS_FAIL
 
 
+def planted_construction(n: int, scan) -> VerificationReport:
+    """``verify_spectrum(n)`` on the token scan ``scan`` in place of the real one."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "scan_wzd_tokens", lambda n: scan)
+        return verify_spectrum(n)
+
+
+def scan_with(name: str, planted, n: int) -> tuple:
+    """``scan_wzd_tokens(n)`` with ``graphcore``'s ``name`` replaced by ``planted``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphcore, name, planted)
+        return graphcore.scan_wzd_tokens(n)
+
+
+@pytest.mark.parametrize("n", [18, 30, 240])
+def test_construction_check_sees_every_flipped_entry_of_the_table(n):
+    # every entry of T is read by some pair of vertices, except the diagonal
+    # of a token of weight 1: its one vertex has no partner in the token
+    real = graphcore.scan_wzd_tokens(n)
+    verts, least, weights, table = real
+    clean = verify_spectrum(n)
+    assert clean.status == STATUS_PASS
+    m = len(weights)
+    assert (weights == 1).any() and (weights > 1).any(), n  # n even: the token 2 holds n/2 alone
+    for t in range(m):
+        for s in range(m):
+            flipped = table.copy()
+            flipped[t, s] = not flipped[t, s]
+            rep = planted_construction(n, (verts, least, weights, flipped))
+            if t == s and weights[t] == 1:
+                assert rep == clean, (n, t)
+            else:
+                assert rep.checks["construction_equal"] is False, (n, t, s)
+                assert rep.status == STATUS_FAIL, (n, t, s)
+
+
+@pytest.mark.parametrize("n", [18, 30, 36])
+def test_construction_check_sees_a_vertex_moved_to_another_token(n):
+    # planted in the scan's annihilators, so the weights and T follow the move
+    real = graphcore._least_annihilators
+    verts = graphcore.zero_divisors(n)
+    tokens = np.unique(real(n, verts)).tolist()
+    for v in range(len(verts)):
+        for r in tokens:
+            least = real(n, verts)
+            if least[v] == r:
+                continue
+            least[v] = r
+            scan = scan_with("_least_annihilators", lambda n, vs, least=least: least, n)
+            assert scan[1].tolist() == least.tolist()
+            rep = planted_construction(n, scan)
+            assert rep.checks["construction_equal"] is False, (n, verts[v], r)
+            assert rep.status == STATUS_FAIL, (n, verts[v], r)
+    # two vertices that trade tokens keep every weight and T
+    verts, least, weights, table = graphcore.scan_wzd_tokens(n)
+    for u, v in combinations(range(len(verts)), 2):
+        if least[u] != least[v]:
+            traded = least.copy()
+            traded[[u, v]] = least[[v, u]]
+            rep = planted_construction(n, (verts, traded, weights, table))
+            assert rep.checks["construction_equal"] is False, (n, verts[u], verts[v])
+
+
+@pytest.mark.parametrize("n", [18, 30, 36])
+def test_construction_check_sees_a_dropped_vertex(n):
+    verts = graphcore.zero_divisors(n)
+    for v in verts:
+        kept = [x for x in verts if x != v]
+        scan = scan_with("zero_divisors", lambda n, kept=kept: kept, n)
+        assert scan[0] == kept
+        rep = planted_construction(n, scan)
+        assert rep.checks["construction_equal"] is False, (n, v)
+        assert rep.status == STATUS_FAIL, (n, v)
+    # a vertex that is a unit in place of a zero-divisor, its token kept
+    _, least, weights, table = graphcore.scan_wzd_tokens(n)
+    for i in range(len(verts)):
+        unit = next(u for u in range(verts[i] + 1, 2 * n) if math.gcd(u, n) == 1)
+        swapped = [*verts[:i], unit, *verts[i + 1 :]]
+        rep = planted_construction(n, (swapped, least, weights, table))
+        assert rep.checks["construction_equal"] is False, (n, verts[i])
+
+
+def test_construction_check_sees_weights_that_do_not_count_the_tokens():
+    # the trace and the twin counts read the weights, so they are checked too
+    verts, least, weights, table = graphcore.scan_wzd_tokens(240)
+    for t in range(len(weights)):
+        wrong = weights.copy()
+        wrong[t] += 1
+        rep = planted_construction(240, (verts, least, wrong, table))
+        assert rep.checks["construction_equal"] is False and rep.status == STATUS_FAIL, t
+
+
+def kxk_quotient(adj: np.ndarray) -> tuple:
+    """Each vertex's twin class, then per class its size, kind and row of B,
+    by the k x k route: ``_packed_rows``, ``_twin_classes``, ``_class_counts``."""
+    rows = oracle._packed_rows(adj)
+    twins = _twin_classes(rows)
+    return class_labels(twins), twins[1], twins[2], oracle._class_counts(rows, twins)
+
+
+def token_quotient(least, weights, table) -> tuple:
+    """``kxk_quotient``'s four results from a token scan, as ``verify_spectrum`` reads them."""
+    twins = oracle._token_twin_classes(table, weights)
+    b = oracle._token_class_counts(table, weights, twins)
+    cls = np.array(twins[0])[np.unique(least, return_inverse=True)[1]]  # each vertex's class
+    return cls, twins[1], twins[2], b
+
+
+def assert_same_quotient(kxk, tokens, case) -> None:
+    """The same multiset of (size, kind), the same classes as sets of vertices
+    with the same sizes and kinds, and the same B, the classes matched by
+    their vertices."""
+    cls, sizes, kinds, b = kxk
+    t_cls, t_sizes, t_kinds, t_b = tokens
+    assert sorted(zip(sizes.tolist(), kinds.tolist())) == sorted(
+        zip(t_sizes.tolist(), t_kinds.tolist())
+    ), case
+    perm = t_cls[np.unique(cls, return_index=True)[1]]  # the token class of each class's first vertex
+    assert sorted(perm.tolist()) == list(range(len(t_sizes))), case
+    assert np.array_equal(t_cls, perm[cls]), case
+    assert np.array_equal(t_sizes[perm], sizes) and np.array_equal(t_kinds[perm], kinds), case
+    assert b is not None and np.array_equal(t_b[np.ix_(perm, perm)], b), case
+
+
+def test_token_route_agrees_with_the_kxk_route():
+    # verify's token route against the one it replaced: both builders and
+    # graphs_equal, then the twin quotient of the brute-force adjacency
+    for n in [*range(2, 1501), 5040, 8186, 4091**2]:
+        brute = graphcore.build_bruteforce_wzd(n)
+        assert graphcore.graphs_equal(brute, graphcore.build_structural_wzd(n)), n
+        scan = graphcore.scan_wzd_tokens(n)
+        verts, least, weights, table = scan
+        assert graphcore.scan_matches_classes(n, scan, graphcore.divisor_classes(n)), n
+        assert int(weights @ table @ weights - weights @ table.diagonal()) == 2 * brute.edge_count
+        if verts:
+            assert_same_quotient(kxk_quotient(brute.adjacency), token_quotient(*scan[1:]), n)
+
+
+def random_token_table(rng) -> tuple:
+    """Random token ``(least, weights, table)``: weights 1..3, T symmetric
+    with a random diagonal, its off-diagonal rows copied from a small host so
+    that many tokens share a key."""
+    m = int(rng.integers(1, 13))
+    h = int(rng.integers(1, 5))
+    host = np.triu(rng.random((h, h)) < 0.5, 1)
+    host |= host.T | np.diag(rng.random(h) < 0.5)
+    of = rng.integers(0, h, size=m)
+    table = host[np.ix_(of, of)]
+    table[np.diag_indices(m)] = rng.random(m) < 0.5
+    weights = rng.integers(1, 4, size=m)
+    return np.repeat(np.arange(m), weights), weights, table
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_token_twin_classes_match_the_kxk_classes_of_random_tables(seed):
+    # keys shared across tokens, of both kinds, and diagonals of both values
+    # on tokens of weight 1 and above
+    least, weights, table = random_token_table(np.random.default_rng(seed))
+    assert_same_quotient(
+        kxk_quotient(expanded_adjacency((None, least, None, table))),
+        token_quotient(least, weights, table),
+        seed,
+    )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_token_class_counts_refuse_groupings_that_are_not_of_twins(seed):
+    _, weights, table = random_token_table(np.random.default_rng(seed))
+    cls, sizes, true_twin = twins = oracle._token_twin_classes(table, weights)
+    assert oracle._token_class_counts(table, weights, twins) is not None
+    # false twins differ in A + I, true twins in A: the other kind is refused
+    for c in np.flatnonzero(sizes > 1):
+        flipped = true_twin.copy()
+        flipped[c] = not flipped[c]
+        assert oracle._token_class_counts(table, weights, (cls, sizes, flipped)) is None, c
+    # two classes merged into one are twins of neither kind
+    if len(sizes) > 1:
+        merged = [max(c - 1, 0) for c in cls]
+        merged_sizes = np.concatenate([[sizes[0] + sizes[1]], sizes[2:]])
+        for true in (False, True):
+            kinds = np.concatenate([[true], true_twin[2:]])
+            layout = (merged, merged_sizes, kinds)
+            assert oracle._token_class_counts(table, weights, layout) is None, true
+    # sizes that are not the classes' weights
+    wrong = sizes.copy()
+    wrong[0] += 1
+    assert oracle._token_class_counts(table, weights, (cls, wrong, true_twin)) is None
+
+
+def test_verify_spectrum_builds_no_k_by_k_matrix(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("verify built a k x k matrix")
+
+    monkeypatch.setattr(graphcore.Graph, "__init__", unreachable)
+    for name in ("Graph", "build_bruteforce_wzd", "build_structural_wzd", "graphs_equal"):
+        monkeypatch.setattr(graphcore, name, unreachable)
+    for name in ("_packed_rows", "_twin_classes", "_class_counts", "laplacian_matrix"):
+        monkeypatch.setattr(oracle, name, unreachable)
+    for n in (240, 5040, 8186):
+        assert verify_spectrum(n).status == STATUS_PASS, n
+    # order 4093: a k x k bool adjacency alone is k^2 bytes, 16 MB
+    k = wzd_spectrum_closed_form(8186).order
+    reports = []
+    assert traced_peak(lambda: reports.append(verify_spectrum(8186))) < k * k / 8
+    assert reports[0].status == STATUS_PASS
+
+
 def test_verify_spectrum_refuses_primes_above_the_scan_bound(monkeypatch):
     def unreachable(n):
         raise AssertionError("the vertices are listed before the bound check")
@@ -984,7 +1229,7 @@ def test_verify_spectrum_refuses_orders_above_the_limit(monkeypatch):
 
     monkeypatch.setattr(graphcore, "MAX_GRAPH_ORDER", 11)
     assert verify_spectrum(18).status == STATUS_PASS  # 11 vertices
-    monkeypatch.setattr(oracle, "build_bruteforce_wzd", unreachable)
+    monkeypatch.setattr(oracle, "scan_wzd_tokens", unreachable)
     with pytest.raises(OrderCapError) as refused:
         verify_spectrum(26)
     with pytest.raises(OrderCapError) as by_classes:
@@ -1075,13 +1320,15 @@ def test_laplacian_eigenvalues_refuses_a_leader_block_above_the_bound(monkeypatc
 
 
 def test_verify_spectrum_fails_a_twin_free_graph_above_the_jacobi_bound(monkeypatch, no_sweep):
-    # WΓ(Z_500) has 299 vertices; a path on them has 299 twin classes, so
-    # Jacobi would get order 298: the numeric checks fail, with no sweep run
+    # WΓ(Z_500) has 299 vertices; a scan that gives each its own token, over
+    # a path, has 299 twin classes, so Jacobi would get order 298: the
+    # numeric checks fail, with no sweep run
     def planted(n):
-        g = graphcore.build_bruteforce_wzd(n)
-        return Graph(labels=g.labels, adjacency=path_adjacency(len(g.labels)), modulus=n)
+        verts = graphcore.scan_wzd_tokens(n)[0]
+        k = len(verts)
+        return verts, np.arange(2, k + 2), np.ones(k, dtype=np.int64), path_adjacency(k)
 
-    monkeypatch.setattr(oracle, "build_bruteforce_wzd", planted)
+    monkeypatch.setattr(oracle, "scan_wzd_tokens", planted)
     rep = verify_spectrum(500)
     assert rep.status == STATUS_FAIL
     # the certificate's quotient, of order 299, is above the charpoly limit
