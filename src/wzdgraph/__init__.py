@@ -25,6 +25,8 @@ _EXPORTS = {
         "divisor_classes",
         "export_graph",
         "graphs_equal",
+        "join_tokens",
+        "scan_wzd_tokens",
     ),
     "numtheory": ("PrimeFactorization", "euler_phi", "factorize"),
     "oracle": (

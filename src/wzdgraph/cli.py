@@ -287,9 +287,10 @@ def _spectrum_pairs(entries, index: int) -> list[tuple]:
     return pairs
 
 
-def _local_edges(entry: dict, order: int, index: int) -> list[tuple[int, int]]:
-    """Component ``index``'s ``edges`` as index pairs (i, j), 0 <= i < j < order."""
-    edges = []
+def _edge_table(entry: dict, order: int, index: int) -> np.ndarray:
+    """Component ``index``'s ``edges``, index pairs 0 <= i != j < order, as its
+    order x order bool adjacency."""
+    table = np.zeros((order, order), dtype=bool)
     for edge in entry["edges"]:
         if not (
             isinstance(edge, list)
@@ -298,15 +299,14 @@ def _local_edges(entry: dict, order: int, index: int) -> list[tuple[int, int]]:
             and edge[0] != edge[1]
         ):
             raise DomainError(f"component {index}: bad edge {edge!r} for order {order}")
-        edges.append((min(edge), max(edge)))
-    return edges
+        table[edge[0], edge[1]] = table[edge[1], edge[0]] = True
+    return table
 
 
-def _component_from_json(
-    entry, index: int
-) -> tuple[spectra.SpectrumMultiset, graphcore.Graph | None]:
-    """Component ``index``'s spectrum, and the graph it was computed from
-    when ``entry`` is an edge list (None otherwise)."""
+def _component_from_json(entry, index: int) -> tuple[spectra.SpectrumMultiset, tuple | None]:
+    """Component ``index``'s spectrum, and its ``graphcore.join_tokens`` part
+    ``(table, weights)``, or None for a spectrum: one token of weight
+    ``order`` for a kind, one of weight 1 per vertex for an edge list."""
     if not isinstance(entry, dict):
         raise DomainError(f"component {index} is not an object")
     if sum(key in entry for key in ("spectrum", "kind", "edges")) != 1:
@@ -322,24 +322,17 @@ def _component_from_json(
             f"component {index} needs a spectrum, or a kind or edges with an integer order"
         )
     if kind in ("complete", "empty"):
-        return spectra.component_spectrum(order, Kind(kind)), None
+        # plain lists: no array is made of an order that --check has not bounded
+        return spectra.component_spectrum(order, Kind(kind)), ([[kind == "complete"]], [order])
+    if order < 1:
+        raise DomainError(f"component order must be >= 1, got {order}")
     graphcore.check_graph_order(f"join component {index}", order)
-    g = graphcore.Graph.from_edges(range(order), _local_edges(entry, order, index))
+    tokens = _edge_table(entry, order, index), np.ones(order, dtype=np.int64)
     try:
-        eigs = oracle.laplacian_eigenvalues(g.adjacency)
+        eigs = oracle.laplacian_eigenvalues(*tokens)
     except OrderCapError as exc:
         raise OrderCapError(f"join component {index}: {exc}") from None
-    return spectra.SpectrumMultiset.floating((e, 1) for e in eigs), g
-
-
-def _component_graph(entry: dict, order: int, index: int) -> graphcore.Graph:
-    """Component ``index`` of ``order`` vertices, from its kind."""
-    kind = entry.get("kind")
-    if kind not in ("complete", "empty"):
-        raise DomainError(f"component {index} has no edge list; cannot assemble the join")
-    adj = np.full((order, order), kind == "complete")
-    np.fill_diagonal(adj, False)
-    return graphcore.Graph(labels=tuple(range(order)), adjacency=adj)
+    return spectra.SpectrumMultiset.floating((e, 1) for e in eigs), tokens
 
 
 def cmd_join(path: str, fmt: str, check: bool) -> int:
@@ -358,17 +351,17 @@ def cmd_join(path: str, fmt: str, check: bool) -> int:
         host = spectra.WeightedHostGraph(
             labels=labels, weights=tuple(host_spec["weights"]), edges=frozenset(edges)
         )
-        comp_specs = payload["components"]
-        parsed = [_component_from_json(entry, i) for i, entry in enumerate(comp_specs)]
+        parsed = [_component_from_json(entry, i) for i, entry in enumerate(payload["components"])]
         result = spectra.join_spectrum(host, [spec for spec, _ in parsed], n=payload.get("n"))
         if check:
             graphcore.check_graph_order("the assembled join", sum(host.weights))
             # join_spectrum has checked each component's order against its
-            # host weight, so an edge-list component's graph is reused as is
-            parts = [
-                g if g is not None else _component_graph(entry, host.weights[i], i)
-                for i, (entry, (_, g)) in enumerate(zip(comp_specs, parsed))
-            ]
+            # host weight, so each part is taken as parsed
+            parts = [tokens for _, tokens in parsed]
+            if None in parts:
+                raise DomainError(
+                    f"component {parts.index(None)} has no edge list; cannot assemble the join"
+                )
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
             OverflowError, DomainError, ContractViolation) as exc:
         print(f"bad join input: {exc}", file=sys.stderr)
@@ -376,8 +369,7 @@ def cmd_join(path: str, fmt: str, check: bool) -> int:
 
     check_ok = True
     if check:
-        assembled = graphcore.assemble_join(edges, parts)
-        numeric = oracle.laplacian_eigenvalues(assembled.adjacency)
+        numeric = oracle.laplacian_eigenvalues(*graphcore.join_tokens(edges, parts))
         check_ok = oracle.eigenvalues_match(numeric, result.expand())
 
     if fmt == "json":

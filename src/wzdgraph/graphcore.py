@@ -19,11 +19,15 @@ checks.  ``verify_spectrum`` makes it on the tokens, with no k x k matrix:
 each token the class it keys.  ``graphs_equal`` compares two built graphs.
 ``export_graph`` writes WΓ(Z_n) from its divisor classes alone, with neither
 builder.
+
+A generalized join takes the same token form, a table T and token weights:
+``join_tokens`` gives one token per complete or empty component and one per
+vertex of an edge-list component, so ``wzd join --check`` finds its twin
+quotient as ``verify`` does, and no ``Graph`` is built for a join.
 """
 
 from __future__ import annotations
 
-import operator
 from math import gcd as _gcd, isqrt
 
 from ._numpy import np
@@ -67,7 +71,7 @@ class Graph(Record):
         k = len(labels)
         if len(set(labels)) != k:
             raise DomainError("duplicate vertex labels")
-        # C order: the twin classes view each packed row as one value
+        # its own copy, in C order, the row-major layout the tiles below assume
         adj = np.array(adjacency, order="C")
         if adj.dtype != bool or adj.shape != (k, k):
             raise DomainError(
@@ -86,18 +90,6 @@ class Graph(Record):
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "modulus", modulus)
-
-    @classmethod
-    def from_edges(cls, labels, index_pairs) -> Graph:
-        """Graph on ``labels`` with edges given as index pairs (i, j), i < j."""
-        k = len(labels)
-        adj = np.zeros((k, k), dtype=bool)
-        for i, j in index_pairs:
-            i, j = operator.index(i), operator.index(j)
-            if not (0 <= i < j < k):
-                raise DomainError(f"bad edge ({i}, {j}) for {k} vertices")
-            adj[i, j] = adj[j, i] = True
-        return cls(labels=tuple(labels), adjacency=adj)
 
     @property
     def vertex_count(self) -> int:
@@ -130,8 +122,9 @@ def _divisors(n: int) -> list[int]:
     return low + [n // d for d in reversed(low) if d * d != n]
 
 
-def zero_divisors(n: int) -> list[int]:
+def zero_divisors(n: int, divs: list[int] | None = None) -> list[int]:
     """Nonzero zero-divisors of Z_n, ascending; empty when n is prime.
+    ``divs`` is ``_divisors(n)``, when the caller has it already.
 
     x != 0 is one iff some d | n, 1 < d < n, divides x: then x * n/d = 0; and
     x*y = 0, y != 0 gives 1 < r0 <= y < n for r0 = min ann(x) - {0}, which
@@ -144,7 +137,7 @@ def zero_divisors(n: int) -> list[int]:
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     minimal: list[int] = []
-    for d in _divisors(n)[1:-1]:
+    for d in (_divisors(n) if divs is None else divs)[1:-1]:
         if all(d % m for m in minimal):
             minimal.append(d)
     phi = n
@@ -154,15 +147,16 @@ def zero_divisors(n: int) -> list[int]:
     return sorted({x for d in minimal for x in range(d, n, d)})
 
 
-def _least_annihilators(n: int, verts: list[int]) -> np.ndarray:
-    """Least r >= 1 with r*x = 0 mod n, for each x of ``verts``, by the raw test.
+def _least_annihilators(n: int, verts: list[int], divs: list[int]) -> np.ndarray:
+    """Least r >= 1 with r*x = 0 mod n, for each x of ``verts``, by the raw test
+    over ``divs``, the divisors of n (``_divisors``).
 
     Only the divisors of n need the test: for the least r0 of ann(x) - {0},
     gcd(r0, n) = a*r0 + b*n = a*r0 mod n lies in ann(x), so r0 = gcd(r0, n)
     divides n.  Divisors ascend and the last, n, always hits, so the first hit
     of each row of the k x tau(n) test (needs n^2 < 2^63) is r0.
     """
-    divs = np.array(_divisors(n), dtype=np.int64)
+    divs = np.array(divs, dtype=np.int64)
     hit = np.multiply.outer(np.array(verts, dtype=np.int64), divs) % n == 0
     return divs[hit.argmax(axis=1)]
 
@@ -194,11 +188,12 @@ def scan_wzd_tokens(n: int) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarr
             f"n = {n} is above {MAX_SCAN_MODULUS}, the largest modulus the "
             f"definition scan takes"
         )
-    verts = zero_divisors(n)
+    divs = _divisors(n)  # one list for the vertices and the annihilators
+    verts = zero_divisors(n, divs)
     if not verts:  # n is prime
         empty = np.zeros(0, dtype=np.int64)
         return verts, empty, empty, np.zeros((0, 0), dtype=bool)
-    least = _least_annihilators(n, verts)
+    least = _least_annihilators(n, verts, divs)
     _, first, weights = np.unique(least, return_index=True, return_counts=True)
     rep = np.array(verts, dtype=np.int64)[first]
     zero = (np.multiply.outer(rep, rep) % n == 0).astype(np.int64)
@@ -318,23 +313,28 @@ def scan_matches_classes(n: int, scan, classes: tuple[DivisorClass, ...]) -> boo
     )
 
 
-def assemble_join(host_edges: set[tuple[int, int]], components: list[Graph]) -> Graph:
-    """Explicit generalized join: replace host vertex i by ``components[i]``.
+def join_tokens(
+    host_edges: set[tuple[int, int]], parts: list[tuple]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized join in ``scan_wzd_tokens``' token form ``(table, weights)``:
+    host vertex i replaced by the graph of the token pair ``parts[i]``.
 
-    Host edges are index pairs into ``components``.  Vertices of the result
-    are numbered 0..N-1 in component order; each component's adjacency fills
-    its diagonal block and each host edge a pair of off-diagonal blocks.
+    A complete or empty component of order c is one token of weight c, its
+    diagonal entry true iff complete; an edge list is one token of weight 1
+    per vertex, its table the adjacency.  Host edges are index pairs into
+    ``parts``.  The tokens come in part order; each part's table fills its
+    diagonal block and each host edge a pair of off-diagonal blocks.
     """
     offsets = [0]
-    for g in components:
-        offsets.append(offsets[-1] + g.vertex_count)
+    for _, weights in parts:
+        offsets.append(offsets[-1] + len(weights))
     blocks = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
-    adj = np.zeros((offsets[-1], offsets[-1]), dtype=bool)
-    for block, g in zip(blocks, components):
-        adj[block, block] = g.adjacency
+    table = np.zeros((offsets[-1], offsets[-1]), dtype=bool)
+    for block, (part, _) in zip(blocks, parts):
+        table[block, block] = part
     for i, j in host_edges:
-        adj[blocks[i], blocks[j]] = adj[blocks[j], blocks[i]] = True
-    return Graph(labels=tuple(range(offsets[-1])), adjacency=adj, modulus=None)
+        table[blocks[i], blocks[j]] = table[blocks[j], blocks[i]] = True
+    return table, np.array([w for _, weights in parts for w in weights], dtype=np.int64)
 
 
 GRAPH_FORMATS = ("dot", "json", "csv")

@@ -1,5 +1,5 @@
 """Independent verification: explicit Laplacians, a dense Jacobi eigensolver,
-the twin quotient, and the per-n verification report.
+the twin quotient of a graph in token form, and the per-n verification report.
 
 Twin classes are equitable, so a Laplacian spectrum is the twin eigenvalues
 plus those of the m x m quotient (Brouwer & Haemers, Spectra of Graphs,
@@ -253,88 +253,42 @@ def poly_matches_spectrum(p: ExactPolynomial, s: SpectrumMultiset) -> bool:
     return poly_from_spectrum(s).coeffs == p.coeffs
 
 
-def _packed_rows(a: np.ndarray) -> np.ndarray:
-    """The rows of the k x k bool adjacency A, then those of A + I, packed
-    eight to a byte as a 2k x ceil(k / 8) uint8 array: the one copy of A
-    that ``_twin_classes`` sorts and ``_class_counts`` checks."""
-    k = a.shape[0]
-    rows = np.concatenate([np.packbits(a, axis=1)] * 2)
-    i = np.arange(k)
-    rows[k + i, i >> 3] |= (0x80 >> (i & 7)).astype(np.uint8)  # A + I: the diagonal bits set
-    return rows
-
-
-def _twin_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Twin classes of a graph from its ``_packed_rows``.
-
-    Vertices with equal rows of A are false twins, and the remaining ones
-    with equal rows of A + I are true twins.  Returns ``(order, sizes,
-    true_twin)``: the vertices in class order, each class contiguous and led
-    by its first vertex, then per class its size and whether it is of true
-    twins.  Only the rows are read: no gcd, divisor class or factorization.
-    """
-    k = rows.shape[0] // 2
-    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-    labels = np.unique(keys, return_inverse=True)[1]  # one sort for A and A + I
-    false_cls = labels[:k]
-    false_twin = np.bincount(false_cls)[false_cls] > 1
-    key = np.where(false_twin, false_cls, 2 * k + labels[k:])
-    order = np.argsort(key, kind="stable")  # stable: each class led by its first vertex
-    counts = np.bincount(key)
-    present = np.flatnonzero(counts)  # the class keys, ascending as in ``order``
-    return order, counts[present], present >= 2 * k  # keys from 2k on: true twins
-
-
-def _class_counts(rows: np.ndarray, twins) -> np.ndarray | None:
-    """B[C, D], the neighbours in class D of each vertex of class C, as an
-    m x m int32 array in class order, for the ``twins`` of the graph whose
-    ``_packed_rows`` are ``rows``; None when a member's row of A (false
-    twins) or of A + I (true twins) is not its leader's.  That exact check,
-    on the packed rows of one class of two or more at a time, makes the
-    classes equitable, so B is read from the m leader rows of A alone.
-    """
-    order, sizes, true_twin = twins
-    k = len(order)
-    starts = sizes.cumsum() - sizes
-    for lo, c, true in zip(starts.tolist(), sizes.tolist(), true_twin.tolist()):
-        if c > 1:
-            members = order[lo : lo + c] + k * true  # rows of A + I for true twins
-            diff = rows.take(members[1:], 0)
-            diff ^= rows[members[0]]
-            if diff.any():
-                return None
-    leaders = np.unpackbits(rows.take(order[starts], 0), axis=1, count=k)
-    return np.add.reduceat(leaders.take(order, 1), starts, axis=1, dtype=np.int32)
-
-
 def _token_twin_classes(table: np.ndarray, weights: np.ndarray):
-    """Twin classes of the graph that ``scan_wzd_tokens``' ``table`` T and token
-    ``weights`` w describe: x != y joined iff T is true at their tokens.
+    """Twin classes of the graph that the bool token ``table`` T and token
+    ``weights`` w describe: w_t vertices per token t, and x != y joined iff
+    T is true at their tokens.  ``scan_wzd_tokens`` gives WΓ(Z_n) so, and
+    ``graphcore.join_tokens`` a generalized join; an explicit graph is its
+    adjacency with unit weights.
 
     Each vertex's row of A is its token's row of T with a 0 at the vertex,
     and its row of A + I the same with a 1 there.  So the vertices of tokens
     t and s (t = s included) are false twins iff the false keys, the rows of
     T with the diagonal cleared, are equal, each key valid, that is w = 1 or
     T[t, t] false; and true twins iff the true keys, the rows with the
-    diagonal set, are equal and valid, w = 1 or T[t, t] true.  As in
-    ``_twin_classes``, a false key shared by a total weight above 1 makes a
-    class of false twins, and the other tokens, whose true keys are all
-    valid, are grouped on those.  Returns ``(cls, sizes, true_twin)``: the
-    list of each token's class, false-twin classes first and each class led
-    by its first token, then per class its size in vertices and whether it
-    is of true twins.  There are only tau(n) - 2 tokens, so the keys are
-    plain tuples.
+    diagonal set, are equal and valid, w = 1 or T[t, t] true.  A false key
+    shared by a total weight above 1 makes a class of false twins, and the
+    other tokens, whose true keys are all valid, are grouped on those.
+    Returns ``(cls, sizes, true_twin)``: the list of each token's class,
+    false-twin classes first, each kind in ascending key order and each
+    class led by its first token, then per class its size in vertices and
+    whether it is of true twins.  Keys are the rows' bytes, one per token,
+    so they hash and compare in C; their order fixes the order of the
+    quotient, and with it the bits of the floating eigenvalues that
+    ``laplacian_eigenvalues`` returns.
     """
-    rows, w = table.tolist(), weights.tolist()
-    cls = [-1] * len(rows)
+    m = len(weights)
+    rows, w = table.tobytes(), weights.tolist()
+    cls = [-1] * m
     sizes: list[int] = []
     true_twin: list[bool] = []
-    for true in (False, True):
-        by_key: dict[tuple, list[int]] = {}
-        for t, row in enumerate(rows):
-            if cls[t] < 0 and (true or w[t] == 1 or not row[t]):
-                by_key.setdefault((*row[:t], true, *row[t + 1 :]), []).append(t)
-        for group in by_key.values():
+    for true, flag in ((False, b"\0"), (True, b"\1")):
+        by_key: dict[bytes, list[int]] = {}
+        for t in range(m):
+            lo = t * m
+            if cls[t] < 0 and (true or w[t] == 1 or not rows[lo + t]):
+                key = rows[lo : lo + t] + flag + rows[lo + t + 1 : lo + m]
+                by_key.setdefault(key, []).append(t)
+        for _, group in sorted(by_key.items()):
             size = sum(w[t] for t in group)
             if true or size > 1:
                 for t in group:
@@ -349,32 +303,33 @@ def _token_class_counts(table: np.ndarray, weights: np.ndarray, twins) -> np.nda
     m x m int64 array, for the ``_token_twin_classes`` ``twins`` of the graph
     of ``table`` and ``weights``; None unless every token carries its class
     leader's key (false or true by the class's kind), its key is valid, and
-    each class's size is its tokens' weight.  That exact check, the token
-    form of ``_class_counts``' row check, makes the classes equitable, so B is
-    read off the leader tokens' rows of T weighted by w: a vertex of token t
-    has w_u T[t, u] neighbours in another token u and (w_t - 1) T[t, t] in
-    its own.
+    each class's size is its tokens' weight.  That exact check makes each
+    class one of twins, and a vertex outside two twins is joined to both or
+    to neither: two classes are completely joined or not at all, as their
+    leader tokens are, and a class of true twins is complete, one of false
+    twins empty.  So B[C, D] = |D| T[c, d] for the leader tokens c of C and
+    d of D, and B[C, C] is |C| - 1 for true twins and 0 for false ones.
     """
     cls, sizes, true_twin = twins
-    rows, w, kinds = table.tolist(), weights.tolist(), true_twin.tolist()
-    lead: dict[int, int] = {}  # each class's first token
+    m = len(cls)
+    rows, w, size, kinds = table.tobytes(), weights.tolist(), sizes.tolist(), true_twin.tolist()
+    heads: dict[int, tuple[int, bytes]] = {}  # each class's first token and its key
     weight = [0] * len(kinds)
     for t, c in enumerate(cls):
-        head = lead.setdefault(c, t)
-        kind, key, head_key = kinds[c], rows[t][:], rows[head][:]
-        key[t] = head_key[head] = kind
-        if (w[t] > 1 and rows[t][t] != kind) or key != head_key:
+        lo, kind = t * m, kinds[c]
+        key = rows[lo : lo + t] + (b"\1" if kind else b"\0") + rows[lo + t + 1 : lo + m]
+        if (w[t] > 1 and rows[lo + t] != kind) or heads.setdefault(c, (t, key))[1] != key:
             return None
         weight[c] += w[t]
-    if weight != sizes.tolist():
+    if weight != size or len(heads) != len(kinds):
         return None
-    b = [[0] * len(kinds) for _ in kinds]
-    for c, t in lead.items():
-        row = rows[t]
-        for u, d in enumerate(cls):
-            b[c][d] += w[u] * row[u]
-        b[c][c] -= row[t]
-    return np.array(b, dtype=np.int64)
+    leads = [heads[c][0] for c in range(len(kinds))]
+    b = [
+        [(s - 1) * kinds[c] if c == d else s * rows[t * m + u]
+         for d, (u, s) in enumerate(zip(leads, size))]
+        for c, t in enumerate(leads)
+    ]
+    return np.array(b, dtype=np.int64).reshape(len(b), len(b))
 
 
 def check_jacobi_order(name: str, order: int) -> None:
@@ -411,21 +366,21 @@ def _quotient_eigenvalues(twins, b: np.ndarray) -> np.ndarray:
     return eigs
 
 
-def laplacian_eigenvalues(adj: np.ndarray) -> list[float]:
-    """Laplacian eigenvalues of the bool adjacency ``adj``, ascending, from
-    its twin quotient.  Raises OrderCapError above ``JACOBI_MAX_ORDER``
-    before the classes are counted.
+def laplacian_eigenvalues(table: np.ndarray, weights: np.ndarray) -> list[float]:
+    """Laplacian eigenvalues, ascending, of the graph of the token ``table``
+    and ``weights`` (``_token_twin_classes``), from its twin quotient.
+    Raises OrderCapError above ``JACOBI_MAX_ORDER`` before the classes are
+    counted.
     """
-    rows = _packed_rows(adj)
-    twins = _twin_classes(rows)
+    twins = _token_twin_classes(table, weights)
     check_jacobi_order("the twin reduction", len(twins[1]) - 1)
-    return _quotient_eigenvalues(twins, _class_counts(rows, twins)).tolist()
+    return _quotient_eigenvalues(twins, _token_class_counts(table, weights, twins)).tolist()
 
 
 def _quotient_certificate(spectrum: SpectrumMultiset, twins, b: np.ndarray) -> bool:
     """Exact proof that ``spectrum`` is the Laplacian spectrum of a graph
-    with twin classes ``twins`` and class counts ``b`` (``_class_counts`` or
-    ``_token_class_counts``).
+    with twin classes ``twins`` and class counts ``b``
+    (``_token_class_counts``).
 
     For twins x and y of degree d, e_x - e_y is an eigenvector of L with
     eigenvalue d (false twins) or d + 1 (true twins), so a twin class of

@@ -13,21 +13,22 @@ from itertools import combinations
 
 import numpy as np
 
+from kxk_reference import assemble_join, graph_from_edges
 from test_graphcore import build_zero_divisor_graph, is_spanning_subgraph
 from test_oracle import twin_certificate
 from wzdgraph.graphcore import (
-    Graph,
     Kind,
-    assemble_join,
     build_bruteforce_wzd,
     build_structural_wzd,
     divisor_classes,
     graphs_equal,
+    join_tokens,
 )
 from wzdgraph.numtheory import euler_phi, is_prime
 from wzdgraph.oracle import (
     char_poly_exact,
     integrality_check,
+    laplacian_eigenvalues,
     laplacian_matrix,
     poly_matches_spectrum,
     symmetric_eigenvalues,
@@ -137,7 +138,8 @@ def _random_graph(rng: random.Random, order: int) -> list[tuple[int, int]]:
 
 
 def test_generic_join_random_cases():
-    with criterion("200 random generalized joins match the assembled-graph oracle at 1e-8"):
+    with criterion("200 random generalized joins match the assembled-graph oracle at 1e-8, "
+                   "and so does their token form, as join --check solves it"):
         rng = random.Random(20260810)
         for trial in range(200):
             k = rng.randint(1, 6)
@@ -150,7 +152,7 @@ def test_generic_join_random_cases():
                 weights=tuple(orders),
                 edges=frozenset(host_edges),
             )
-            parts = [Graph.from_edges(range(m), _random_graph(rng, m)) for m in orders]
+            parts = [graph_from_edges(range(m), _random_graph(rng, m)) for m in orders]
             comps = []
             for g in parts:
                 eigs = symmetric_eigenvalues(laplacian_matrix(g))
@@ -162,6 +164,10 @@ def test_generic_join_random_cases():
             assert all(
                 abs(a - b) <= NUMERIC_TOL for a, b in zip(oracle_eigs, predicted)
             ), trial
+            units = [(g.adjacency, np.ones(g.vertex_count, dtype=np.int64)) for g in parts]
+            token_eigs = laplacian_eigenvalues(*join_tokens(host_edges, units))
+            assert len(token_eigs) == len(oracle_eigs), trial
+            assert all(abs(a - b) <= NUMERIC_TOL for a, b in zip(oracle_eigs, token_eigs)), trial
 
 
 def test_spanning_subgraph_sweep():

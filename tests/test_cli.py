@@ -558,15 +558,20 @@ def test_join_with_explicit_component_edges(tmp_path, capsys):
 
 
 def test_join_check_builds_an_edge_list_component_once(tmp_path, capsys, monkeypatch):
-    # the graph the component's spectrum came from is the one assembled
-    built = []
-    real = graphcore.Graph.from_edges.__func__
+    # the table the component's spectrum came from is the one assembled
+    built, joined = [], []
+    real_table, real_join = cli._edge_table, graphcore.join_tokens
 
-    def counting(cls, *args, **kwargs):
-        built.append(args[0])
-        return real(cls, *args, **kwargs)
+    def counting(*args):
+        built.append(real_table(*args))
+        return built[-1]
 
-    monkeypatch.setattr(graphcore.Graph, "from_edges", classmethod(counting))
+    def spy(host_edges, parts):
+        joined.append(parts)
+        return real_join(host_edges, parts)
+
+    monkeypatch.setattr(cli, "_edge_table", counting)
+    monkeypatch.setattr(graphcore, "join_tokens", spy)
     payload = {
         "host": {"labels": [0, 1], "weights": [4, 2], "edges": [[0, 1]]},
         "components": [
@@ -578,7 +583,7 @@ def test_join_check_builds_an_edge_list_component_once(tmp_path, capsys, monkeyp
     path.write_text(json.dumps(payload))
     code, out, _ = run_cli(capsys, "join", str(path), "--check")
     assert code == 0 and out.splitlines()[-1] == "check: ok (6 vertices)"
-    assert len(built) == 1
+    assert len(built) == 1 and len(joined) == 1 and joined[0][0][0] is built[0]
 
 
 def test_join_malformed_input(tmp_path, capsys):
@@ -679,9 +684,8 @@ def test_join_refuses_explicit_graphs_above_the_order_limit(tmp_path, capsys, mo
     def no_graph(*args, **kwargs):
         raise AssertionError("graph built before the order check")
 
-    monkeypatch.setattr(graphcore.Graph, "from_edges", no_graph)
-    monkeypatch.setattr(graphcore, "assemble_join", no_graph)
-    monkeypatch.setattr(cli, "_component_graph", no_graph)
+    monkeypatch.setattr(cli, "_edge_table", no_graph)
+    monkeypatch.setattr(graphcore, "join_tokens", no_graph)
     path = tmp_path / "big.json"
     path.write_text(json.dumps(one_component_join({"order": 4, "edges": [[0, 1]]}, 4)))
     code, out, err = run_cli(capsys, "join", str(path))
@@ -694,6 +698,19 @@ def test_join_refuses_explicit_graphs_above_the_order_limit(tmp_path, capsys, mo
     code, out, err = run_cli(capsys, "join", str(path), "--check")
     assert code == 2 and out == ""
     assert err == "error: the assembled join has 4 vertices, above the limit of 3\n"
+
+
+@pytest.mark.parametrize("order", [0, -2])
+@pytest.mark.parametrize("flags", [[], ["--check"]])
+def test_join_refuses_a_component_order_below_one(tmp_path, capsys, flags, order):
+    # an edge list below order 1 is refused for its order, as a kind is,
+    # not read as a graph on range(order) of no vertex
+    path = tmp_path / "order.json"
+    for component in ({"order": order, "edges": []}, {"kind": "empty", "order": order}):
+        path.write_text(json.dumps(one_component_join(component, 1)))
+        code, out, err = run_cli(capsys, "join", str(path), *flags)
+        assert code == 2 and out == ""
+        assert err == f"bad join input: component order must be >= 1, got {order}\n", component
 
 
 def test_join_weight_mismatch_is_input_error(tmp_path, capsys):

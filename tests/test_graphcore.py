@@ -12,20 +12,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kxk_reference import graph_from_edges
 from wzdgraph import graphcore
-from wzdgraph.cli import _component_from_json, _component_graph
+from wzdgraph.cli import _component_from_json
 from wzdgraph.errors import DomainError, OrderCapError
 from wzdgraph.graphcore import (
     GRAPH_FORMATS,
     DivisorClass,
     Graph,
     Kind,
-    assemble_join,
     build_bruteforce_wzd,
     build_structural_wzd,
     divisor_classes,
     export_graph,
     graphs_equal,
+    join_tokens,
+    scan_wzd_tokens,
     zero_divisors,
 )
 from wzdgraph.numtheory import euler_phi, factorize, is_prime
@@ -53,7 +55,7 @@ def graph_from_json(text: str) -> Graph:
     labels = tuple(payload["vertices"])
     index = {u: i for i, u in enumerate(labels)}
     pairs = (sorted((index[u], index[v])) for u, v in payload["edges"])
-    g = Graph.from_edges(labels, pairs)
+    g = graph_from_edges(labels, pairs)
     return Graph(labels=labels, adjacency=g.adjacency, modulus=payload.get("modulus"))
 
 
@@ -162,7 +164,7 @@ def test_least_annihilators_match_the_reference_sets(stride):
         verts = zero_divisors(n)
         assert verts == [x for x in range(1, n) if gcd(x, n) > 1]
         some = verts[::stride]
-        least = graphcore._least_annihilators(n, some).tolist()
+        least = graphcore._least_annihilators(n, some, graphcore._divisors(n)).tolist()
         assert least == [min(annihilator(n, x) - {0}) for x in some], n
         # the annihilator is the multiples of its least positive element
         assert all(annihilator(n, x) == set(range(0, n, r)) for x, r in zip(some, least))
@@ -172,7 +174,7 @@ def test_least_annihilators_match_the_reference_sets(stride):
         assert len(verts) == n - euler_phi(n) - 1 and verts == sorted(set(verts)), n
         assert all(0 < x < n and gcd(x, n) > 1 for x in verts), n
         some = verts[::stride]
-        least = graphcore._least_annihilators(n, some).tolist()
+        least = graphcore._least_annihilators(n, some, graphcore._divisors(n)).tolist()
         assert least == [n // gcd(x, n) for x in some], n
 
 
@@ -183,7 +185,7 @@ def test_divisors_match_the_factorization():
 
 
 def test_bruteforce_refuses_orders_above_the_limit(monkeypatch):
-    def unreachable(n, verts):
+    def unreachable(n, verts, divs):
         raise AssertionError("the annihilators are scanned before the order check")
 
     monkeypatch.setattr(graphcore, "MAX_GRAPH_ORDER", 11)
@@ -197,7 +199,7 @@ def test_bruteforce_refuses_orders_above_the_limit(monkeypatch):
 
 
 def test_bruteforce_scans_nothing_for_a_prime(monkeypatch):
-    def unreachable(n, verts):
+    def unreachable(n, verts, divs):
         raise AssertionError("a prime's empty vertex list was scanned")
 
     monkeypatch.setattr(graphcore, "_least_annihilators", unreachable)
@@ -366,11 +368,6 @@ def test_graph_rejects_malformed_adjacency():
         Graph(labels=(1, 2), adjacency=np.array([[False, True], [False, False]]))
     with pytest.raises(DomainError):
         Graph(labels=(1, 2), adjacency=np.eye(2, dtype=bool))
-    for pairs in ([(1, 0)], [(0, 0)], [(0, 2)], [(-1, 1)]):
-        with pytest.raises(DomainError):
-            Graph.from_edges((1, 2), pairs)
-    with pytest.raises(TypeError):
-        Graph.from_edges((1, 2), [(0, 1.0)])
     g = Graph(labels=(1, 2), adjacency=ok)
     ok[0, 1] = ok[1, 0] = False  # the graph keeps its own read-only copy
     assert g.edge_count == 1
@@ -426,18 +423,18 @@ def test_graph_rejects_an_asymmetric_entry_in_any_tile(k, i, j):
 
 
 def test_graphs_equal_distinguishes_edge_sets():
-    k2 = Graph.from_edges((1, 2), [(0, 1)])
-    k2bar = Graph.from_edges((1, 2), [])
+    k2 = graph_from_edges((1, 2), [(0, 1)])
+    k2bar = graph_from_edges((1, 2), [])
     assert not graphs_equal(k2, k2bar)
-    assert graphs_equal(k2, Graph.from_edges((1, 2), [(0, 1)]))
+    assert graphs_equal(k2, graph_from_edges((1, 2), [(0, 1)]))
     assert graphs_equal(build_bruteforce_wzd(6), build_zero_divisor_graph(6))
 
 
 def test_spanning_subgraph_examples():
     assert is_spanning_subgraph(build_zero_divisor_graph(12), build_bruteforce_wzd(12))
     assert is_spanning_subgraph(build_zero_divisor_graph(6), build_bruteforce_wzd(6))
-    k2 = Graph.from_edges((1, 2), [(0, 1)])
-    k2bar = Graph.from_edges((1, 2), [])
+    k2 = graph_from_edges((1, 2), [(0, 1)])
+    k2bar = graph_from_edges((1, 2), [])
     assert is_spanning_subgraph(k2bar, k2)
     assert not is_spanning_subgraph(k2, k2bar)
 
@@ -527,31 +524,53 @@ def test_export_is_deterministic():
         assert export(30, fmt) == export(30, fmt)
 
 
-def test_assemble_join_star():
-    g = assemble_join({(0, 1)}, [Graph.from_edges((0, 1), []), Graph.from_edges((0,), [])])
-    assert g.labels == (0, 1, 2)
-    assert label_edges(g) == [(0, 2), (1, 2)]
+def test_join_tokens_star():
+    # K_1,2: the empty K-bar_2 as an edge list, two tokens of weight 1, and
+    # the centre as a kind, one token
+    edge_part = _component_from_json({"order": 2, "edges": []}, 0)[1]
+    kind_part = _component_from_json({"kind": "complete", "order": 1}, 1)[1]
+    table, weights = join_tokens({(0, 1)}, [edge_part, kind_part])
+    assert table.tolist() == [[False, False, True], [False, False, True], [True, True, True]]
+    assert table.dtype == bool and weights.dtype == np.int64 and weights.tolist() == [1, 1, 1]
 
 
-def test_assemble_join_matches_structural_builder():
-    # the divisor classes of 18 as components reproduce the graph exactly,
-    # whether each class comes as a kind or as an explicit edge list
+def expanded(tokens) -> np.ndarray:
+    """The adjacency of the graph of ``(table, weights)``: each token's row
+    of T taken once per vertex, with no self-loop."""
+    table, weights = tokens
+    tok = np.repeat(np.arange(len(weights)), weights)
+    adj = table[np.ix_(tok, tok)]
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def test_join_tokens_of_the_divisor_classes_are_the_scans_tokens():
+    # the divisor classes of n as kind components over the complete host:
+    # one token per class, of weight its size and diagonal its kind, which is
+    # the scan's token n/d of class A_d, so in reversed class order the join
+    # is the definition scan's table and weights, diagonal included
+    for n in range(2, 501):
+        classes = divisor_classes(n)[::-1]
+        host_edges = set(combinations(range(len(classes)), 2))
+        parts = [_component_from_json({"kind": c.kind.value, "order": c.size}, i)[1]
+                 for i, c in enumerate(classes)]
+        table, weights = join_tokens(host_edges, parts)
+        _, _, scan_weights, scan_table = scan_wzd_tokens(n)
+        assert np.array_equal(weights, scan_weights) and np.array_equal(table, scan_table), n
+    # each class as an edge list instead, alone or mixed with kinds: one
+    # graph, the structural one relabelled into class order
     classes = divisor_classes(18)
     host_edges = set(combinations(range(len(classes)), 2))
     direct = build_structural_wzd(18)
-    members = [x for c in classes for x in c.members]
     position = {u: i for i, u in enumerate(direct.labels)}
-    order = [position[u] for u in members]
-    # the structural graph relabelled into class order, as the join numbers it
+    order = [position[x] for c in classes for x in c.members]
     expected = direct.adjacency[np.ix_(order, order)]
     as_kind, as_edges = [], []
     for i, c in enumerate(classes):
-        complete = c.kind is Kind.COMPLETE
-        as_kind.append(_component_graph({"kind": c.kind.value}, c.size, i))
-        local = [list(e) for e in combinations(range(c.size), 2)] if complete else []
-        as_edges.append(_component_from_json({"order": c.size, "edges": local}, i)[1])
+        as_kind.append(_component_from_json({"kind": c.kind.value, "order": c.size}, i)[1])
+        local = combinations(range(c.size), 2) if c.kind is Kind.COMPLETE else []
+        edges = [list(e) for e in local]
+        as_edges.append(_component_from_json({"order": c.size, "edges": edges}, i)[1])
     mixed = [g if i % 2 else h for i, (g, h) in enumerate(zip(as_kind, as_edges))]
     for parts in (as_kind, as_edges, mixed):
-        joined = assemble_join(host_edges, parts)
-        assert joined.labels == tuple(range(direct.vertex_count))
-        assert np.array_equal(joined.adjacency, expected)
+        assert np.array_equal(expanded(join_tokens(host_edges, parts)), expected)

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kxk_reference
+from kxk_reference import class_counts, graph_from_edges, packed_rows, twin_classes
 from wzdgraph import graphcore, oracle
 from wzdgraph.errors import ContractViolation, ConvergenceError, DomainError, OrderCapError
 from wzdgraph.graphcore import Graph, Kind, build_bruteforce_wzd
@@ -30,7 +32,6 @@ from wzdgraph.oracle import (
     symmetric_eigenvalues,
     verify_spectrum,
     _round_robin_rounds,
-    _twin_classes,
 )
 from wzdgraph.spectra import (
     SpectrumMultiset,
@@ -41,9 +42,14 @@ from wzdgraph.spectra import (
 )
 
 
+def unit_tokens(adj: np.ndarray) -> tuple:
+    """An explicit graph in token form: its adjacency, one vertex per token."""
+    return adj, np.ones(len(adj), dtype=np.int64)
+
+
 def graph_from_label_edges(labels, edges):
     index = {u: i for i, u in enumerate(labels)}
-    return Graph.from_edges(labels, (sorted((index[u], index[v])) for u, v in edges))
+    return graph_from_edges(labels, (sorted((index[u], index[v])) for u, v in edges))
 
 
 def det_bareiss(rows) -> int:
@@ -275,7 +281,7 @@ def test_jacobi_sweep_bound_includes_the_last_sweep(monkeypatch):
 
 
 def class_layout(cls) -> tuple:
-    """``_twin_classes``' layout ``(order, sizes, true_twin)`` of the classes
+    """``twin_classes``' layout ``(order, sizes, true_twin)`` of the classes
     of any labels ``cls``, with no class of true twins: ``cls[i]`` labels index
     i, ``order = np.argsort(cls, kind="stable")``, and the classes come in
     ascending label order."""
@@ -284,7 +290,7 @@ def class_layout(cls) -> tuple:
 
 
 def class_labels(twins) -> np.ndarray:
-    """The class index of each vertex, from ``_twin_classes``' layout."""
+    """The class index of each vertex, from ``twin_classes``' layout."""
     order, sizes, _ = twins
     return np.repeat(np.arange(len(sizes)), sizes)[np.argsort(order)]
 
@@ -343,7 +349,7 @@ def test_reflect_classes_keeps_the_spectrum_of_any_grouping(k, labels, seed):
 def test_reflect_classes_leaves_the_class_leaders_to_rotate():
     # WΓ(Z_18): A_2 (6 false twins) and one class of 5 universal vertices
     g = build_bruteforce_wzd(18)
-    twins = _twin_classes(oracle._packed_rows(g.adjacency))
+    twins = twin_classes(packed_rows(g.adjacency))
     order, sizes, true_twin = twins
     assert sizes.tolist() == [6, 5] and true_twin.tolist() == [False, True]
     # the result is in class order, each class opened by its leader, its
@@ -372,33 +378,41 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_twin_quotient_eigenvalues_take_under_half_of_k_squared_bytes():
-    # WΓ(Z_8186), order 4093: the numeric path of an explicit adjacency, as
-    # join takes it, builds no k x k float matrix (8 k^2 bytes), only the
-    # packed rows, one class of them at a time, and the m x k leader rows
-    n = 8186
-    adj = build_bruteforce_wzd(n).adjacency
-    k = len(adj)
-    twins = _twin_classes(oracle._packed_rows(adj))
-    eigs = []
+def test_explicit_twin_stage_of_order_4096_peaks_under_4_k_squared_bytes():
+    # join's largest explicit graph, one token per vertex: the k^2-byte table
+    # is read once into bytes and each key is one row, so the twin stage
+    # holds about 2 k^2 bytes.  Twin-free, its k classes are refused before
+    # any count; with five planted classes over the twin-free path P_5 they
+    # are checked and counted, bit for bit as by the k x k route.
+    k = graphcore.MAX_GRAPH_ORDER
+    rng = np.random.default_rng(k)
+    free = random_adjacency(rng, k)
+    of = rng.integers(0, 5, size=k)
+    path = path_adjacency(5) | np.diag([True, False, True, False, True])
+    planted = path[np.ix_(of, of)]
+    np.fill_diagonal(planted, False)
+    results = []
 
-    def numeric_path():
-        rows = oracle._packed_rows(adj)
-        eigs.append(oracle._quotient_eigenvalues(twins, oracle._class_counts(rows, twins)))
+    def twin_stage(adj):
+        try:
+            results.append(oracle.laplacian_eigenvalues(*unit_tokens(adj)))
+        except OrderCapError as exc:
+            results.append(str(exc))
 
-    peak = traced_peak(numeric_path)
-    assert peak < k * k / 2
-    closed = wzd_spectrum_closed_form(n).expand()
-    assert np.max(np.abs(np.array(eigs[0]) - closed)) <= NUMERIC_MATCH_TOL * k
+    for adj in (free, planted):
+        assert traced_peak(lambda: twin_stage(adj)) < 4 * k * k  # 64 MB
+    assert results[0] == "the twin reduction leaves Jacobi order 4095, above its limit of 256"
+    assert len(oracle._token_twin_classes(*unit_tokens(planted))[1]) == 5
+    assert results[1] == kxk_reference.laplacian_eigenvalues(planted)
 
 
 @pytest.mark.parametrize("n", [4, 13, 18, 150, 240, 360])
 def test_class_counts_are_every_members_neighbours_in_each_class(n):
     a = build_bruteforce_wzd(n).adjacency
-    rows = oracle._packed_rows(a)
-    twins = _twin_classes(rows)
+    rows = packed_rows(a)
+    twins = twin_classes(rows)
     order, sizes, _ = twins
-    b = oracle._class_counts(rows, twins)
+    b = class_counts(rows, twins)
     assert b.dtype == np.int32 and b.shape == (len(sizes), len(sizes))
     blocks = np.split(order, np.cumsum(sizes)[:-1])
     for c, members in enumerate(blocks):
@@ -412,20 +426,20 @@ def test_class_counts_refuse_classes_that_are_not_of_twins(seed):
     m = int(rng.integers(2, 9))
     host = np.triu(rng.random((m, m)) < 0.5, 1)
     g, _, _ = planted_twin_graph(rng, host | host.T)
-    rows = oracle._packed_rows(g.adjacency)
-    order, sizes, true_twin = twins = _twin_classes(rows)
-    assert oracle._class_counts(rows, twins) is not None
+    rows = packed_rows(g.adjacency)
+    order, sizes, true_twin = twins = twin_classes(rows)
+    assert class_counts(rows, twins) is not None
     # false twins differ in A + I, true twins in A: the other kind is refused
     for c in np.flatnonzero(sizes > 1):
         flipped = true_twin.copy()
         flipped[c] = not flipped[c]
-        assert oracle._class_counts(rows, (order, sizes, flipped)) is None, c
+        assert class_counts(rows, (order, sizes, flipped)) is None, c
     # two classes merged into one are twins of neither kind
     if len(sizes) > 1:
         merged = np.concatenate([[sizes[0] + sizes[1]], sizes[2:]])
         for true in (False, True):
             kinds = np.concatenate([[true], true_twin[2:]])
-            assert oracle._class_counts(rows, (order, merged, kinds)) is None, true
+            assert class_counts(rows, (order, merged, kinds)) is None, true
 
 
 def twin_classes_reference(a: np.ndarray) -> dict[frozenset, bool]:
@@ -451,7 +465,7 @@ def test_twin_classes_match_a_row_by_row_reference(seed):
     m = int(rng.integers(1, 9))
     host = np.triu(rng.random((m, m)) < 0.5, 1)
     g, _, _ = planted_twin_graph(rng, host | host.T)
-    order, sizes, true_twin = _twin_classes(oracle._packed_rows(g.adjacency))
+    order, sizes, true_twin = twin_classes(packed_rows(g.adjacency))
     assert sorted(order.tolist()) == list(range(g.vertex_count)) and sizes.sum() == len(order)
     blocks = np.split(order, np.cumsum(sizes)[:-1])
     got = {frozenset(b.tolist()): bool(t) for b, t in zip(blocks, true_twin)}
@@ -469,7 +483,7 @@ def test_jacobi_converges_in_one_sweep_on_reflected_wzd_laplacians(monkeypatch):
         closed = wzd_spectrum_closed_form(n)
         if closed.order == 0:
             continue
-        eigs = oracle.laplacian_eigenvalues(build_bruteforce_wzd(n).adjacency)
+        eigs = oracle.laplacian_eigenvalues(*unit_tokens(build_bruteforce_wzd(n).adjacency))
         err = np.max(np.abs(np.array(eigs) - closed.expand()))
         assert err <= NUMERIC_MATCH_TOL * closed.order, n
 
@@ -628,9 +642,9 @@ def twin_certificate(g: Graph, spectrum: SpectrumMultiset) -> bool:
     """The exact certificate on any graph ``g``, by its explicit adjacency:
     its twin classes and their counts, then ``_quotient_certificate``, which
     raises ContractViolation for a floating ``spectrum``."""
-    rows = oracle._packed_rows(g.adjacency)
-    twins = _twin_classes(rows)
-    b = oracle._class_counts(rows, twins)
+    rows = packed_rows(g.adjacency)
+    twins = twin_classes(rows)
+    b = class_counts(rows, twins)
     return b is not None and oracle._quotient_certificate(spectrum, twins, b)
 
 
@@ -869,7 +883,7 @@ def test_verify_spectrum_runs_jacobi_on_the_leader_block_only(monkeypatch):
     for n in range(4, 201):
         del orders[:]
         assert verify_spectrum(n).status != STATUS_FAIL, n
-        leaders = len(_twin_classes(oracle._packed_rows(build_bruteforce_wzd(n).adjacency))[1])
+        leaders = len(twin_classes(packed_rows(build_bruteforce_wzd(n).adjacency))[1])
         # a prime's graph has no vertex and no class: Jacobi does not run
         assert orders == ([leaders - 1] if leaders else []), n
         blocks += leaders
@@ -880,11 +894,11 @@ def test_verify_spectrum_runs_jacobi_on_the_leader_block_only(monkeypatch):
 @pytest.mark.parametrize("n", [18, 150, 240])
 def test_deflation_zeroes_the_first_leaders_row_and_column(monkeypatch, n):
     a = build_bruteforce_wzd(n).adjacency
-    rows = oracle._packed_rows(a)
-    twins = _twin_classes(rows)
+    rows = packed_rows(a)
+    twins = twin_classes(rows)
     sizes = twins[1]
     m = len(sizes)
-    b = oracle._class_counts(rows, twins)
+    b = class_counts(rows, twins)
     # S = D - sqrt(B o B^T) is symmetric and similar to the quotient D - B
     q = np.diag(b.sum(axis=1)) - b
     s = np.diag(b.sum(axis=1)) - np.sqrt(b * b.T)
@@ -903,7 +917,7 @@ def test_deflation_zeroes_the_first_leaders_row_and_column(monkeypatch, n):
         return real(block)
 
     monkeypatch.setattr(oracle, "symmetric_eigenvalues", spy)
-    eigs = oracle.laplacian_eigenvalues(a)
+    eigs = oracle.laplacian_eigenvalues(*unit_tokens(a))
     # the first class's row and column vanish, and Jacobi gets the rest
     assert np.abs(hsh[0]).max() < 1e-12 * scale and np.abs(hsh[:, 0]).max() < 1e-12 * scale
     assert len(blocks) == 1 and np.abs(blocks[0] - hsh[1:, 1:]).max() < 1e-12 * scale
@@ -919,7 +933,7 @@ def test_deflation_zeroes_the_first_leaders_row_and_column(monkeypatch, n):
 @pytest.mark.parametrize("n", [49, 121])
 def test_verify_spectrum_one_twin_class_runs_jacobi_on_an_empty_block(monkeypatch, n):
     # WΓ(Z_(p^2)) is complete on p - 1 vertices: one class of true twins
-    assert len(_twin_classes(oracle._packed_rows(build_bruteforce_wzd(n).adjacency))[1]) == 1
+    assert len(twin_classes(packed_rows(build_bruteforce_wzd(n).adjacency))[1]) == 1
     orders = jacobi_orders(monkeypatch)
     assert verify_spectrum(n).status == STATUS_PASS
     assert orders == [0]
@@ -985,8 +999,8 @@ def test_verify_spectrum_sees_a_planted_wrong_least_annihilator(monkeypatch):
     # 6 * 9 = 0 to 2 ~ 4, an edge inside the empty class A_2
     real = graphcore._least_annihilators
 
-    def planted(n, verts):
-        least = real(n, verts)
+    def planted(n, verts, divs):
+        least = real(n, verts, divs)
         least[verts.index(2)] = 6
         return least
 
@@ -1036,15 +1050,15 @@ def test_construction_check_sees_every_flipped_entry_of_the_table(n):
 def test_construction_check_sees_a_vertex_moved_to_another_token(n):
     # planted in the scan's annihilators, so the weights and T follow the move
     real = graphcore._least_annihilators
-    verts = graphcore.zero_divisors(n)
-    tokens = np.unique(real(n, verts)).tolist()
+    verts, divs = graphcore.zero_divisors(n), graphcore._divisors(n)
+    tokens = np.unique(real(n, verts, divs)).tolist()
     for v in range(len(verts)):
         for r in tokens:
-            least = real(n, verts)
+            least = real(n, verts, divs)
             if least[v] == r:
                 continue
             least[v] = r
-            scan = scan_with("_least_annihilators", lambda n, vs, least=least: least, n)
+            scan = scan_with("_least_annihilators", lambda n, vs, ds, least=least: least, n)
             assert scan[1].tolist() == least.tolist()
             rep = planted_construction(n, scan)
             assert rep.checks["construction_equal"] is False, (n, verts[v], r)
@@ -1064,7 +1078,7 @@ def test_construction_check_sees_a_dropped_vertex(n):
     verts = graphcore.zero_divisors(n)
     for v in verts:
         kept = [x for x in verts if x != v]
-        scan = scan_with("zero_divisors", lambda n, kept=kept: kept, n)
+        scan = scan_with("zero_divisors", lambda n, divs, kept=kept: kept, n)
         assert scan[0] == kept
         rep = planted_construction(n, scan)
         assert rep.checks["construction_equal"] is False, (n, v)
@@ -1090,10 +1104,10 @@ def test_construction_check_sees_weights_that_do_not_count_the_tokens():
 
 def kxk_quotient(adj: np.ndarray) -> tuple:
     """Each vertex's twin class, then per class its size, kind and row of B,
-    by the k x k route: ``_packed_rows``, ``_twin_classes``, ``_class_counts``."""
-    rows = oracle._packed_rows(adj)
-    twins = _twin_classes(rows)
-    return class_labels(twins), twins[1], twins[2], oracle._class_counts(rows, twins)
+    by the k x k route: ``packed_rows``, ``twin_classes``, ``class_counts``."""
+    rows = packed_rows(adj)
+    twins = twin_classes(rows)
+    return class_labels(twins), twins[1], twins[2], class_counts(rows, twins)
 
 
 def token_quotient(least, weights, table) -> tuple:
@@ -1192,8 +1206,11 @@ def test_verify_spectrum_builds_no_k_by_k_matrix(monkeypatch):
     monkeypatch.setattr(graphcore.Graph, "__init__", unreachable)
     for name in ("Graph", "build_bruteforce_wzd", "build_structural_wzd", "graphs_equal"):
         monkeypatch.setattr(graphcore, name, unreachable)
-    for name in ("_packed_rows", "_twin_classes", "_class_counts", "laplacian_matrix"):
-        monkeypatch.setattr(oracle, name, unreachable)
+    monkeypatch.setattr(oracle, "laplacian_matrix", unreachable)
+    for name in ("packed_rows", "twin_classes", "class_counts", "laplacian_eigenvalues"):
+        monkeypatch.setattr(kxk_reference, name, unreachable)
+    # the k x k twin route lives in the tests alone
+    assert not {"_packed_rows", "_twin_classes", "_class_counts"} & set(vars(oracle))
     for n in (240, 5040, 8186):
         assert verify_spectrum(n).status == STATUS_PASS, n
     # order 4093: a k x k bool adjacency alone is k^2 bytes, 16 MB
@@ -1204,7 +1221,7 @@ def test_verify_spectrum_builds_no_k_by_k_matrix(monkeypatch):
 
 
 def test_verify_spectrum_refuses_primes_above_the_scan_bound(monkeypatch):
-    def unreachable(n):
+    def unreachable(n, divs):
         raise AssertionError("the vertices are listed before the bound check")
 
     assert graphcore.MAX_SCAN_MODULUS == (graphcore.MAX_GRAPH_ORDER + 1) ** 2 == 16785409
@@ -1297,10 +1314,26 @@ def test_laplacian_eigenvalues_match_jacobi_on_the_raw_laplacian(k, planted, see
         g = planted_twin_graph(rng, random_adjacency(rng, max(1, k // 5)))[0]
     else:
         g = Graph(labels=tuple(range(k)), adjacency=random_adjacency(rng, k))
-    eigs = oracle.laplacian_eigenvalues(g.adjacency)
+    eigs = oracle.laplacian_eigenvalues(*unit_tokens(g.adjacency))
     ref = symmetric_eigenvalues(laplacian_matrix(g))
     assert len(eigs) == len(ref) == g.vertex_count and eigs == sorted(eigs)
     assert all(abs(a - b) <= 1e-9 * max(1, len(ref)) for a, b in zip(eigs, ref))
+
+
+@pytest.mark.parametrize("chunk", range(10))
+def test_token_route_eigenvalues_equal_the_kxk_route_bit_for_bit(chunk):
+    # 100 graphs per chunk, with twins planted over a random host and the
+    # vertices shuffled so that no class is contiguous: the token route
+    # emits its classes in key order, as the k x k route's sort does, so
+    # Jacobi gets the same matrix and every float keeps its bits
+    rng = np.random.default_rng(chunk)
+    for case in range(100):
+        g = planted_twin_graph(rng, random_adjacency(rng, int(rng.integers(1, 9))))[0]
+        shuffle = rng.permutation(g.vertex_count)
+        adj = g.adjacency[np.ix_(shuffle, shuffle)]
+        tokens = np.array(oracle.laplacian_eigenvalues(*unit_tokens(adj)))
+        kxk = np.array(kxk_reference.laplacian_eigenvalues(adj))
+        assert tokens.tobytes() == kxk.tobytes(), (chunk, case)
 
 
 def path_adjacency(k: int) -> np.ndarray:
@@ -1310,13 +1343,13 @@ def path_adjacency(k: int) -> np.ndarray:
 def test_laplacian_eigenvalues_refuses_a_leader_block_above_the_bound(monkeypatch, request):
     # P_k has no twins for k >= 4, so its leader block is of order k - 1
     monkeypatch.setattr(oracle, "JACOBI_MAX_ORDER", 4)
-    assert oracle.laplacian_eigenvalues(path_adjacency(5)) == pytest.approx(
+    assert oracle.laplacian_eigenvalues(*unit_tokens(path_adjacency(5))) == pytest.approx(
         np.linalg.eigvalsh(laplacian_matrix(Graph(tuple(range(5)), path_adjacency(5))))
     )
     request.getfixturevalue("no_sweep")
     with pytest.raises(OrderCapError, match="^the twin reduction leaves Jacobi order 5, "
                                              "above its limit of 4$"):
-        oracle.laplacian_eigenvalues(path_adjacency(6))
+        oracle.laplacian_eigenvalues(*unit_tokens(path_adjacency(6)))
 
 
 def test_verify_spectrum_fails_a_twin_free_graph_above_the_jacobi_bound(monkeypatch, no_sweep):
