@@ -48,7 +48,6 @@ _EXPORTS = {
         "component_spectrum",
         "join_spectrum",
         "spectral_radius",
-        "symmetric_weighted_laplacian",
         "wzd_spectrum_closed_form",
     ),
 }

@@ -270,11 +270,19 @@ def cmd_table(lo: int, hi: int, fmt: str) -> int:
     return 0
 
 
+def _array(value, what: str) -> list:
+    """``value``, which must be a JSON array: a string or an object would
+    iterate as its characters or its keys."""
+    if not isinstance(value, list):
+        raise DomainError(f"{what} must be an array")
+    return value
+
+
 def _spectrum_pairs(entries, index: int) -> list[tuple]:
     """(eigenvalue, multiplicity) pairs of component ``index``'s spectrum:
     finite numbers, each with an integer multiplicity >= 0."""
     pairs = []
-    for item in entries:
+    for item in _array(entries, f"component {index} spectrum entries"):
         e, m = item["eigenvalue"], item["multiplicity"]
         if type(m) is not int or m < 0:
             raise DomainError(
@@ -291,7 +299,7 @@ def _edge_table(entry: dict, order: int, index: int) -> np.ndarray:
     """Component ``index``'s ``edges``, index pairs 0 <= i != j < order, as its
     order x order bool adjacency."""
     table = np.zeros((order, order), dtype=bool)
-    for edge in entry["edges"]:
+    for edge in _array(entry["edges"], f"component {index} edges"):
         if not (
             isinstance(edge, list)
             and len(edge) == 2
@@ -340,19 +348,22 @@ def cmd_join(path: str, fmt: str, check: bool) -> int:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         host_spec = payload["host"]
-        labels = tuple(host_spec["labels"])
+        labels = tuple(_array(host_spec["labels"], "host labels"))
         index = {u: i for i, u in enumerate(labels)}
         edges = set()
-        for edge in host_spec["edges"]:
+        for edge in _array(host_spec["edges"], "host edges"):
             if not (isinstance(edge, list) and len(edge) == 2):
                 raise DomainError(f"host edge {edge!r} is not a pair of labels")
             i, j = index[edge[0]], index[edge[1]]
             edges.add((i, j) if i < j else (j, i))
-        host = spectra.WeightedHostGraph(
-            labels=labels, weights=tuple(host_spec["weights"]), edges=frozenset(edges)
-        )
-        parsed = [_component_from_json(entry, i) for i, entry in enumerate(payload["components"])]
-        result = spectra.join_spectrum(host, [spec for spec, _ in parsed], n=payload.get("n"))
+        weights = tuple(_array(host_spec["weights"], "host weights"))
+        host = spectra.WeightedHostGraph(labels=labels, weights=weights, edges=frozenset(edges))
+        components = _array(payload["components"], "components")
+        parsed = [_component_from_json(entry, i) for i, entry in enumerate(components)]
+        tag = payload.get("n")  # only tags the output
+        if tag is not None and (type(tag) is not int or tag < 2):
+            raise DomainError(f"n must be absent, null or an integer >= 2, got {tag!r}")
+        result = spectra.join_spectrum(host, [spec for spec, _ in parsed], n=tag)
         if check:
             graphcore.check_graph_order("the assembled join", sum(host.weights))
             # join_spectrum has checked each component's order against its

@@ -42,7 +42,7 @@ from .spectra import Kind
 #: ``wzd graph --format dot`` peaks at about 0.56 GB.
 MAX_GRAPH_ORDER = 4096
 
-#: Largest n that ``build_bruteforce_wzd``, and so ``wzd verify``, scans.  A
+#: Largest n that ``scan_wzd_tokens``, and so ``wzd verify``, scans.  A
 #: composite n has at least n/p - 1 >= sqrt(n) - 1 zero-divisors, p its least
 #: prime, so every composite above this bound is refused by the order limit
 #: already; the bound refuses the primes.  It keeps the scan's sqrt(n) divisor

@@ -3,14 +3,16 @@ the twin quotient of a graph in token form, and the per-n verification report.
 
 Twin classes are equitable, so a Laplacian spectrum is the twin eigenvalues
 plus those of the m x m quotient (Brouwer & Haemers, Spectra of Graphs,
-2.3); the exact certificate and the numeric eigenvalues both read it.  The
-exact path is authoritative: when the numeric and exact results disagree,
-the report fails and shows the exact spectrum.
+2.3); the exact certificate and the numeric eigenvalues both read it, and
+``quotient_eigenvalues`` also solves a join's host, another such quotient.
+The exact path is authoritative: when the numeric and exact results
+disagree, the report fails and shows the exact spectrum.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 from ._numpy import np
@@ -341,27 +343,62 @@ def check_jacobi_order(name: str, order: int) -> None:
         )
 
 
+def quotient_eigenvalues(b, sizes) -> list[float]:
+    """Eigenvalues, ascending, of D - B, D = diag(B 1), for the m x m counts
+    ``b`` of an equitable partition with class ``sizes``: a twin quotient,
+    or a join's host with B[i, j] = w_j on host edges and sizes w.  As
+    B[i, j] sizes[i] = B[j, i] sizes[j], D - B is similar to the symmetric
+    S = D - sqrt(B o B^T), and S sqrt(sizes) = 0 on each connected component
+    C of B's support.  One Householder reflection takes sqrt(sizes[C]) to
+    C's first class, an exact 0.0, and Jacobi gets the other |C| - 1 rows.
+    It runs in float64, and raises OverflowError past the float range.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    sizes = np.asarray(sizes, dtype=np.float64)
+    try:
+        with np.errstate(over="raise"):  # a row sum or product past the range
+            s = np.diag(b.sum(axis=1)) - np.sqrt(b * b.T)
+    except FloatingPointError:
+        raise OverflowError("int too large to convert to float") from None
+    m, edges, parts, seen = len(s), (b > 0).tolist(), [], [False] * len(s)
+    for root in range(m):  # the components, by an O(m^2) search
+        if not seen[root]:
+            seen[root] = True
+            part = [root]
+            for i in part:  # grows as the search reaches new classes
+                for j in itertools.compress(range(m), edges[i]):
+                    if not seen[j]:
+                        seen[j] = True
+                        part.append(j)
+            parts.append(sorted(part))
+    eigs = [0.0] * len(parts)
+    for part in parts:
+        # one component: S itself, ungathered, so its bits stay as built
+        sub, c = (s, sizes) if len(part) == m else (s[np.ix_(part, part)], sizes[part])
+        if len(part) > 1:
+            # v = u - e_0 with u = sqrt(c / sum(c)), a unit vector
+            v = np.sqrt(c / c.sum())
+            v[0] -= 1.0
+            w = v * (2.0 / float(v @ v))
+            sub -= w[:, None] * (v @ sub)
+            sub -= (sub @ v)[:, None] * w
+        eigs += symmetric_eigenvalues(sub[1:, 1:])
+    eigs.sort()
+    return eigs
+
+
 def _quotient_eigenvalues(twins, b: np.ndarray) -> np.ndarray:
     """Laplacian eigenvalues, an ascending float64 array, of a graph with twin
-    classes ``twins`` and class counts ``b``: D - B is similar to the symmetric S =
-    D - sqrt(B o B^T), whose null vector sqrt(sizes) one Householder
-    reflection takes to the first class, and Jacobi gets the other m - 1.
-    A class of size c adds its degree d, or d + 1 for true twins, c - 1
-    times.  Raises OrderCapError, before any sweep, above ``JACOBI_MAX_ORDER``.
+    classes ``twins`` and class counts ``b``: those of the quotient D - B
+    (``quotient_eigenvalues``), and for a class of size c its degree d, or
+    d + 1 for true twins, c - 1 times.  Raises OrderCapError, before any
+    sweep, above ``JACOBI_MAX_ORDER``.
     """
     _, sizes, true_twin = twins
     check_jacobi_order("the twin reduction", len(sizes) - 1)
-    deg = b.sum(axis=1)
-    s = np.diag(deg) - np.sqrt(np.multiply(b, b.T, dtype=np.int64))
-    if len(sizes) > 1:
-        # v = u - e_0 with u = sqrt(sizes / k), a unit vector: sum(sizes) = k
-        v = np.sqrt(sizes / sizes.sum())
-        v[0] -= 1.0
-        w = v * (2.0 / float(v @ v))
-        s -= w[:, None] * (v @ s)
-        s -= (s @ v)[:, None] * w
-    block = symmetric_eigenvalues(s[1:, 1:])
-    eigs = np.concatenate([s.diagonal()[:1], block, np.repeat(deg + true_twin, sizes - 1)])
+    eigs = np.concatenate(
+        [quotient_eigenvalues(b, sizes), np.repeat(b.sum(axis=1) + true_twin, sizes - 1)]
+    )
     eigs.sort()
     return eigs
 

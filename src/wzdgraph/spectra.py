@@ -14,7 +14,6 @@ one factorization of n.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 from ._numpy import np
@@ -144,20 +143,6 @@ class SpectrumMultiset(Record):
         return cls(entries={e: m for e, m in merged}, variant=FLOAT, n=n)
 
 
-def symmetric_weighted_laplacian(host: WeightedHostGraph) -> np.ndarray:
-    """Symmetrized host matrix: diagonal D_i, off-diagonal -sqrt(n_i n_j).
-
-    Similar, by diag(sqrt(n_i)), to the zero-row-sum host matrix (diagonal
-    D_i, off-diagonal -n_j on edges), and therefore has the same spectrum.
-    The product n_i n_j is a Python int, so it may pass 2^63; OverflowError
-    is raised past the float range.
-    """
-    L = np.diag(np.array(host.neighbor_weight_sums(), dtype=np.float64))
-    for i, j in host.edges:
-        L[i, j] = L[j, i] = -math.sqrt(host.weights[i] * host.weights[j])
-    return L
-
-
 def component_spectrum(order: int, kind: Kind) -> SpectrumMultiset:
     """Laplacian spectrum of K_m (kind COMPLETE) or of its complement (EMPTY)."""
     if order < 1:
@@ -171,9 +156,12 @@ def _host_spectrum_pairs(host: WeightedHostGraph) -> tuple[list, bool]:
     """Eigenvalue pairs of the host matrix and whether they are exact.
 
     Edgeless hosts give {0^k}; complete hosts give {0, (sum of weights)^(k-1)}
-    by the rank-one decomposition.  Anything else goes through the numeric
-    symmetric eigensolver, and is refused with OrderCapError, before its
-    matrix is built, above ``oracle.JACOBI_MAX_ORDER`` vertices.
+    by the rank-one decomposition.  Any other host matrix, diagonal D_i and
+    -n_j on edges, is the quotient D - B of an equitable partition with
+    class sizes n_i, and goes to ``oracle.quotient_eigenvalues``, which
+    gives each connected component of the host an exact 0.0.  It is refused
+    with OrderCapError, before its matrix is built, above
+    ``oracle.JACOBI_MAX_ORDER`` vertices.
     """
     k = host.order
     if k == 0:
@@ -183,11 +171,13 @@ def _host_spectrum_pairs(host: WeightedHostGraph) -> tuple[list, bool]:
     if host.is_complete():
         total = sum(host.weights)
         return [(0, 1), (total, k - 1)], True
-    from .oracle import check_jacobi_order, symmetric_eigenvalues  # deferred: oracle imports this
+    from .oracle import check_jacobi_order, quotient_eigenvalues  # deferred: oracle imports this
 
     check_jacobi_order("a host neither complete nor edgeless", k)
-    eigs = symmetric_eigenvalues(symmetric_weighted_laplacian(host))
-    return [(e, 1) for e in eigs], False
+    b = np.zeros((k, k))
+    for i, j in host.edges:
+        b[i, j], b[j, i] = host.weights[j], host.weights[i]
+    return [(e, 1) for e in quotient_eigenvalues(b, host.weights)], False
 
 
 def _strip_one_zero(s: SpectrumMultiset) -> list[tuple]:

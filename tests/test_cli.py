@@ -743,6 +743,57 @@ def test_join_rejects_bad_host(tmp_path, capsys, labels, weights):
     assert err.startswith("bad join input: ") and err.count("\n") == 1
 
 
+def small_join():
+    return {
+        "host": {"labels": ["a", "b"], "weights": [1, 2], "edges": [["a", "b"]]},
+        "components": [{"kind": "complete", "order": 1}, {"kind": "empty", "order": 2}],
+    }
+
+
+def with_field(path, value):
+    """``small_join()`` with the field at ``path``, a tuple of keys, set to ``value``."""
+    payload = small_join()
+    *outer, last = path
+    node = payload
+    for key in outer:
+        node = node[key]
+    node[last] = value
+    return payload
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("host", "labels"), "ab", "host labels must be an array"),
+        (("host", "labels"), {"a": 0, "b": 1}, "host labels must be an array"),
+        (("host", "edges"), {}, "host edges must be an array"),
+        (("host", "weights"), {}, "host weights must be an array"),
+        (("components",), {"0": {"kind": "complete", "order": 1}}, "components must be an array"),
+        (("components", 1), {"order": 2, "edges": {}}, "component 1 edges must be an array"),
+        (("components", 1), {"order": 2, "edges": ""}, "component 1 edges must be an array"),
+        (("components", 1), {"spectrum": {"entries": {}}},
+         "component 1 spectrum entries must be an array"),
+        (("n",), [1, 2], "n must be absent, null or an integer >= 2, got [1, 2]"),
+        (("n",), "6", "n must be absent, null or an integer >= 2, got '6'"),
+        (("n",), 6.0, "n must be absent, null or an integer >= 2, got 6.0"),
+        (("n",), True, "n must be absent, null or an integer >= 2, got True"),
+        (("n",), 1, "n must be absent, null or an integer >= 2, got 1"),
+    ],
+    ids=["string-labels", "object-labels", "object-host-edges", "object-weights",
+         "object-components", "object-component-edges", "string-component-edges",
+         "object-spectrum-entries", "list-n", "string-n", "float-n", "bool-n", "n-below-2"],
+)
+def test_join_refuses_a_field_of_the_wrong_json_type(tmp_path, capsys, path, value, message):
+    # a string or an object iterated as an array gave its characters or keys:
+    # "ab" was two labels and {} no edges, and any n was printed back
+    p = tmp_path / "typed.json"
+    p.write_text(json.dumps(with_field(path, value)))
+    for flags in ([], ["--format", "json"]):
+        code, out, err = run_cli(capsys, "join", str(p), *flags)
+        assert code == 2 and out == ""
+        assert err == f"bad join input: {message}\n"
+
+
 def test_join_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"host": "\xff"}')
@@ -787,11 +838,11 @@ def test_join_takes_host_weight_products_past_int64(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, digest",
     [
-        ([], "a2fff14789fe2b59463ab88acccdb255077c79b850ebff111197b64cc3ff0b08"),
-        (["--check"], "951df8468573d57d135f15e28795b5ac096ff2b0eebd6df9363d288b541eafe0"),
-        (["--format", "json"], "5c12c085a543c4f7802778e132717aca01c7bc500a7d6a1edf199db559519ddd"),
+        ([], "2b73ff1e979d8b271687f006279efb0fb317464e0446e5ceb5c561e3dd3c31fa"),
+        (["--check"], "9e2a9b9b9af26cb8d0f8761f0c66516ffeae91968cdbe31908c9d7b0354c6a07"),
+        (["--format", "json"], "06adc3581ee93b245779070a44653852fb6ecae0da20e79a7bbc71b9f1a0841f"),
         (["--format", "json", "--check"],
-         "5c12c085a543c4f7802778e132717aca01c7bc500a7d6a1edf199db559519ddd"),
+         "06adc3581ee93b245779070a44653852fb6ecae0da20e79a7bbc71b9f1a0841f"),
     ],
 )
 def test_join_floating_output_is_byte_identical_to_its_recorded_digest(
@@ -858,6 +909,35 @@ def path_join(*parts):
     }
 
 
+def two_paths_host_join():
+    """Join over a host of two paths 0 - 1 - 2 and 3 - 4 - 5, complete components."""
+    payload = path_join(*[("complete", w) for w in (3, 1, 2, 2, 1, 3)])
+    payload["host"]["edges"].remove([2, 3])
+    return payload
+
+
+@pytest.mark.parametrize(
+    "payload, zeros",
+    [
+        (path_join(("complete", 10**10), ("empty", 10**10), ("complete", 1)), 1),
+        (two_paths_host_join(), 2),
+        (one_component_join({"order": 8, "edges": [[0, 1], [1, 2], [2, 3], [4, 5], [5, 6],
+                                                   [6, 7]]}, 8), 2),
+    ],
+    ids=["heavy-path-host", "two-path-host", "two-path-component"],
+)
+def test_join_prints_one_exact_zero_per_connected_component(tmp_path, capsys, payload, zeros):
+    # the null vector of each connected component is deflated before Jacobi;
+    # the heavy path host printed its zero as 5.393643951898562e-07, and the
+    # others printed theirs as about -1e-16
+    path = tmp_path / "zeros.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run_cli(capsys, "join", str(path))
+    assert code == 0
+    eigenvalues, multiplicities = (line.split()[1] for line in out.splitlines())
+    assert (eigenvalues, multiplicities) == ("0.0", str(zeros))
+
+
 @pytest.mark.parametrize("flags", [[], ["--check"]])
 def test_join_refuses_a_twin_free_component_above_the_jacobi_limit(
     tmp_path, capsys, no_sweep, flags
@@ -876,10 +956,10 @@ def test_join_refuses_a_twin_free_component_above_the_jacobi_limit(
 
 
 def test_join_refuses_a_path_host_above_the_jacobi_limit(tmp_path, capsys, monkeypatch, no_sweep):
-    def unbuilt(host):
-        raise AssertionError("the host matrix was built before the order check")
+    def unsolved(b, sizes):
+        raise AssertionError("the host matrix was solved before the order check")
 
-    monkeypatch.setattr(cli.spectra, "symmetric_weighted_laplacian", unbuilt)
+    monkeypatch.setattr(oracle, "quotient_eigenvalues", unsolved)
     path = tmp_path / "host6000.json"
     path.write_text(json.dumps(path_join(*[("complete", 1)] * 6000)))
     code, out, err = run_cli(capsys, "join", str(path))

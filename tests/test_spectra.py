@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from wzdgraph.errors import ContractViolation, DomainError
 from wzdgraph.graphcore import Kind, divisor_classes
 from wzdgraph.numtheory import euler_phi, factorize, is_prime
+from wzdgraph.oracle import quotient_eigenvalues
 from wzdgraph.spectra import (
     EXACT,
     FLOAT,
@@ -20,7 +21,6 @@ from wzdgraph.spectra import (
     component_spectrum,
     join_spectrum,
     spectral_radius,
-    symmetric_weighted_laplacian,
     wzd_spectrum_closed_form,
 )
 
@@ -113,25 +113,42 @@ def test_weighted_laplacian_rows_sum_to_zero(n):
     assert not L.sum(axis=1).any()
 
 
-def test_symmetric_weighted_laplacian_example():
-    M = symmetric_weighted_laplacian(host_upsilon(6))
-    r2 = np.sqrt(2.0)
-    assert np.allclose(M, [[1.0, -r2], [-r2, 2.0]])
-    assert np.allclose(np.sort(np.linalg.eigvalsh(M)), [0.0, 3.0])
+def host_counts(host: WeightedHostGraph) -> np.ndarray:
+    """B with B[i, j] = n_j on host edges, so that D - B is the row-sum form."""
+    L = weighted_laplacian(host)
+    return np.diag(np.diagonal(L)) - L
 
 
-def test_symmetric_weighted_laplacian_takes_weight_products_past_int64():
-    # 10^10 * 10^10 >= 2^63: numpy's sqrt of that Python int was refused
-    host = make_host([10**10, 10**10, 1], [(0, 1), (1, 2)])
-    M = symmetric_weighted_laplacian(host)
-    assert M.tolist() == [
-        [1e10, -1e10, 0.0],
-        [-1e10, 1e10 + 1, -1e5],
-        [0.0, -1e5, 1e10],
-    ]
-    # past the float range the product cannot be converted at all
-    with pytest.raises(OverflowError):
-        symmetric_weighted_laplacian(make_host([10**200, 10**200], [(0, 1)]))
+def host_component_count(host: WeightedHostGraph) -> int:
+    root = list(range(host.order))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i, j in host.edges:
+        root[find(i)] = find(j)
+    return len({find(i) for i in range(host.order)})
+
+
+def test_host_quotient_eigenvalues_example():
+    # Υ_6: weights 2 and 1 over one edge, D - B = [[1, -1], [-2, 2]]
+    host = host_upsilon(6)
+    eigs = quotient_eigenvalues(host_counts(host), host.weights)
+    assert eigs[0] == 0.0 and np.allclose(eigs, [0.0, 3.0], rtol=1e-15, atol=1e-15)
+
+
+def test_host_quotient_eigenvalues_take_weight_products_past_int64():
+    # 10^10 * 10^10 >= 2^63: B is converted to float64 before the product
+    b = [[0, 10**10, 0], [10**10, 0, 1], [0, 10**10, 0]]
+    eigs = quotient_eigenvalues(b, [10**10, 10**10, 1])
+    assert eigs[0] == 0.0
+    assert np.allclose(eigs, [0.0, 1e10, 2e10 + 1], rtol=1e-14, atol=0.0)
+    # past the float range the product cannot be converted at all, nor an entry
+    for big in (10**200, 10**400):
+        with pytest.raises(OverflowError, match="int too large to convert to float"):
+            quotient_eigenvalues([[0, big], [big, 0]], [big, big])
 
 
 @settings(max_examples=40, deadline=None)
@@ -144,9 +161,11 @@ def test_symmetrized_host_has_same_spectrum_as_row_sum_form(weights, data):
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     chosen = data.draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
     host = make_host(weights, chosen)
-    sym = np.sort(np.linalg.eigvalsh(symmetric_weighted_laplacian(host)))
+    eigs = quotient_eigenvalues(host_counts(host), host.weights)
     raw = np.sort(np.linalg.eigvals(weighted_laplacian(host).astype(float)).real)
-    assert np.max(np.abs(sym - raw)) < 1e-10
+    assert np.max(np.abs(np.array(eigs) - raw)) < 1e-10
+    # each connected component of the host gives one exact zero, and only those
+    assert eigs.count(0.0) == host_component_count(host)
 
 
 def test_component_spectrum_examples():
