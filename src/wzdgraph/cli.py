@@ -337,10 +337,10 @@ def _component_from_json(entry, index: int) -> tuple[spectra.SpectrumMultiset, t
     graphcore.check_graph_order(f"join component {index}", order)
     tokens = _edge_table(entry, order, index), np.ones(order, dtype=np.int64)
     try:
-        eigs = oracle.laplacian_eigenvalues(*tokens)
+        runs = oracle.laplacian_eigenvalues(*tokens)
     except OrderCapError as exc:
         raise OrderCapError(f"join component {index}: {exc}") from None
-    return spectra.SpectrumMultiset.floating((e, 1) for e in eigs), tokens
+    return spectra.SpectrumMultiset.floating(runs), tokens
 
 
 def cmd_join(path: str, fmt: str, check: bool) -> int:
@@ -381,7 +381,7 @@ def cmd_join(path: str, fmt: str, check: bool) -> int:
     check_ok = True
     if check:
         numeric = oracle.laplacian_eigenvalues(*graphcore.join_tokens(edges, parts))
-        check_ok = oracle.eigenvalues_match(numeric, result.expand())
+        check_ok = oracle.eigenvalues_match(numeric, result.items_sorted())
 
     if fmt == "json":
         print(json.dumps(result.to_json_dict()))

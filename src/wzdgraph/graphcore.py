@@ -194,8 +194,14 @@ def scan_wzd_tokens(n: int) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarr
         empty = np.zeros(0, dtype=np.int64)
         return verts, empty, empty, np.zeros((0, 0), dtype=bool)
     least = _least_annihilators(n, verts, divs)
-    _, first, weights = np.unique(least, return_index=True, return_counts=True)
-    rep = np.array(verts, dtype=np.int64)[first]
+    # each vertex's token as its r0's place among the divisors, which ascend
+    at = np.searchsorted(divs, least)
+    counts = np.bincount(at, minlength=len(divs))
+    tokens = counts.nonzero()[0]
+    first = np.full(len(divs), len(verts))
+    np.minimum.at(first, at, np.arange(len(verts)))  # each token's first vertex
+    weights = counts[tokens]
+    rep = np.array(verts, dtype=np.int64)[first[tokens]]
     zero = (np.multiply.outer(rep, rep) % n == 0).astype(np.int64)
     return verts, least, weights, zero @ zero @ zero > 0
 

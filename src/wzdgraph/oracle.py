@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 
 from ._numpy import np
 from ._record import Record
@@ -27,9 +28,10 @@ from .graphcore import (
 )
 from .spectra import EXACT, INTEGRAL_TOL, SpectrumMultiset, wzd_spectrum_closed_form
 
-#: largest order ``char_poly_exact`` accepts: its k products of k x k
-#: matrices of Python integers cost O(k^4), about 1.3 s at order 64 on one
-#: Xeon core
+#: largest order ``char_poly_exact`` accepts: its k - 2 products of k x k
+#: matrices of Python integers cost O(k^4); at order 64 they took 0.65 s on
+#: a path Laplacian, 1.7 s on K_64's and 2.0 s on a random graph's (best of
+#: 3, one Xeon core)
 CHAR_POLY_MAX_ORDER = 64
 
 JACOBI_CONV_FACTOR = 1e-12
@@ -142,26 +144,26 @@ def symmetric_eigenvalues(m) -> list[float]:
     k = a.shape[0]
     if k < 2 and np.isfinite(a).all():  # no rotation: the entry, if any, is the eigenvalue
         return a.ravel().tolist()
-    scale = float(np.max(np.abs(a)))
+    scale = float(abs(a).max())
     if not math.isfinite(scale):
         raise ContractViolation("matrix has a non-finite entry")
-    if float(np.max(np.abs(a - a.T))) > SYMMETRY_REL_TOL * (1.0 + scale):
+    if float(abs(a - a.T).max()) > SYMMETRY_REL_TOL * (1.0 + scale):
         raise ContractViolation("matrix is not symmetric")
     a = (a + a.T) / 2.0
 
-    by_diag = np.argsort(np.diagonal(a), kind="stable")
+    by_diag = a.diagonal().argsort(kind="stable")
     order = np.empty(k, dtype=np.intp)
     order[0::2] = by_diag[k // 2 :]
     order[1::2] = by_diag[k // 2 - 1 :: -1]
-    a = a[np.ix_(order, order)]
-    diag = np.diagonal(a)
+    a = a.take(order, 0).take(order, 1)
+    diag = a.diagonal()
 
-    trace_in = float(np.trace(a))
+    trace_in = float(a.trace())
     schedule = _cached_jacobi_schedule if k <= JACOBI_CACHED_ORDER else _jacobi_schedule
     rounds, upper = schedule(k)
     # pass i tests convergence after i sweeps, so JACOBI_MAX_SWEEPS sweeps may run
     for done in range(JACOBI_MAX_SWEEPS + 1):
-        target = JACOBI_CONV_FACTOR * (1.0 + float(np.max(np.abs(diag))))
+        target = JACOBI_CONV_FACTOR * (1.0 + float(abs(diag).max()))
         # summed directly off the strict triangle: the subtraction form
         # trace(A^2) - trace(diag^2) cancels catastrophically near convergence
         off_sq = 2.0 * float(np.sum(np.square(a.take(upper))))
@@ -193,10 +195,12 @@ def symmetric_eigenvalues(m) -> list[float]:
             a[:, q] = s * cols_p + c * cols_q
             a[p, q] = 0.0
             a[q, p] = 0.0
-    trace_out = float(np.trace(a))
+    trace_out = float(a.trace())
     if abs(trace_out - trace_in) > TRACE_REL_TOL * max(1.0, abs(trace_in)):
         raise ConvergenceError("Jacobi trace drift exceeds tolerance")
-    return [float(x) for x in np.sort(diag)]
+    eigs = diag.copy()
+    eigs.sort()
+    return eigs.tolist()
 
 
 def char_poly_exact(m: np.ndarray) -> ExactPolynomial:
@@ -204,7 +208,8 @@ def char_poly_exact(m: np.ndarray) -> ExactPolynomial:
 
     Faddeev-LeVerrier over Python integers: with M_1 = I, the coefficient of
     x^(k-j) is c_j = -tr(M M_j) / j, a division that is exact for integer M,
-    and M_(j+1) = M M_j + c_j I.  No symmetry is assumed.
+    and M_(j+1) = M M_j + c_j I.  No symmetry is assumed.  M M_1 is M, and
+    of M M_k only the trace is read, so k - 2 products are formed whole.
 
     ``m`` must be a square ndarray of an integer dtype that fits int64.
     Raises OrderCapError above ``CHAR_POLY_MAX_ORDER``.
@@ -222,14 +227,20 @@ def char_poly_exact(m: np.ndarray) -> ExactPolynomial:
         raise OrderCapError(f"order {k} exceeds {CHAR_POLY_MAX_ORDER}, the charpoly limit")
     rows = m.tolist()
     coeffs = [0] * k + [1]
-    cur = [[int(i == j) for j in range(k)] for i in range(k)]
+    cols = None  # M_j by columns, once j > 1
     for j in range(1, k + 1):
-        cols = list(zip(*cur))
-        cur = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in rows]
-        c = -sum(cur[i][i] for i in range(k)) // j
+        if cols is None:
+            prod = [list(col) for col in zip(*rows)]
+        elif j < k:
+            prod = [[sum(map(operator.mul, row, col)) for row in rows] for col in cols]
+        else:
+            coeffs[0] = -sum(sum(map(operator.mul, row, col)) for row, col in zip(rows, cols)) // k
+            break
+        c = -sum(col[i] for i, col in enumerate(prod)) // j
         coeffs[k - j] = c
-        for i in range(k):
-            cur[i][i] += c
+        for i, col in enumerate(prod):
+            col[i] += c
+        cols = prod
     return ExactPolynomial(coeffs=tuple(coeffs))
 
 
@@ -273,10 +284,10 @@ def _token_twin_classes(table: np.ndarray, weights: np.ndarray):
     Returns ``(cls, sizes, true_twin)``: the list of each token's class,
     false-twin classes first, each kind in ascending key order and each
     class led by its first token, then per class its size in vertices and
-    whether it is of true twins.  Keys are the rows' bytes, one per token,
-    so they hash and compare in C; their order fixes the order of the
-    quotient, and with it the bits of the floating eigenvalues that
-    ``laplacian_eigenvalues`` returns.
+    whether it is of true twins, all three lists.  Keys are the rows' bytes,
+    one per token, so they hash and compare in C; their order fixes the
+    order of the quotient, and with it the bits of the floating eigenvalues
+    that ``laplacian_eigenvalues`` returns.
     """
     m = len(weights)
     rows, w = table.tobytes(), weights.tolist()
@@ -297,12 +308,12 @@ def _token_twin_classes(table: np.ndarray, weights: np.ndarray):
                     cls[t] = len(sizes)
                 sizes.append(size)
                 true_twin.append(true)
-    return cls, np.array(sizes, dtype=np.int64), np.array(true_twin, dtype=bool)
+    return cls, sizes, true_twin
 
 
-def _token_class_counts(table: np.ndarray, weights: np.ndarray, twins) -> np.ndarray | None:
-    """B[C, D], the neighbours in class D of each vertex of class C, as an
-    m x m int64 array, for the ``_token_twin_classes`` ``twins`` of the graph
+def _token_class_counts(table: np.ndarray, weights: np.ndarray, twins) -> list[list[int]] | None:
+    """B[C, D], the neighbours in class D of each vertex of class C, as m
+    lists of m ints, for the ``_token_twin_classes`` ``twins`` of the graph
     of ``table`` and ``weights``; None unless every token carries its class
     leader's key (false or true by the class's kind), its key is valid, and
     each class's size is its tokens' weight.  That exact check makes each
@@ -312,9 +323,9 @@ def _token_class_counts(table: np.ndarray, weights: np.ndarray, twins) -> np.nda
     twins empty.  So B[C, D] = |D| T[c, d] for the leader tokens c of C and
     d of D, and B[C, C] is |C| - 1 for true twins and 0 for false ones.
     """
-    cls, sizes, true_twin = twins
+    cls, size, kinds = twins
     m = len(cls)
-    rows, w, size, kinds = table.tobytes(), weights.tolist(), sizes.tolist(), true_twin.tolist()
+    rows, w = table.tobytes(), weights.tolist()
     heads: dict[int, tuple[int, bytes]] = {}  # each class's first token and its key
     weight = [0] * len(kinds)
     for t, c in enumerate(cls):
@@ -326,12 +337,11 @@ def _token_class_counts(table: np.ndarray, weights: np.ndarray, twins) -> np.nda
     if weight != size or len(heads) != len(kinds):
         return None
     leads = [heads[c][0] for c in range(len(kinds))]
-    b = [
+    return [
         [(s - 1) * kinds[c] if c == d else s * rows[t * m + u]
          for d, (u, s) in enumerate(zip(leads, size))]
         for c, t in enumerate(leads)
     ]
-    return np.array(b, dtype=np.int64).reshape(len(b), len(b))
 
 
 def check_jacobi_order(name: str, order: int) -> None:
@@ -353,14 +363,15 @@ def quotient_eigenvalues(b, sizes) -> list[float]:
     C's first class, an exact 0.0, and Jacobi gets the other |C| - 1 rows.
     It runs in float64, and raises OverflowError past the float range.
     """
-    b = np.asarray(b, dtype=np.float64)
+    m = len(sizes)
+    b = np.asarray(b, dtype=np.float64).reshape(m, m)  # m = 0 as well: no class, no row
     sizes = np.asarray(sizes, dtype=np.float64)
     try:
         with np.errstate(over="raise"):  # a row sum or product past the range
             s = np.diag(b.sum(axis=1)) - np.sqrt(b * b.T)
     except FloatingPointError:
         raise OverflowError("int too large to convert to float") from None
-    m, edges, parts, seen = len(s), (b > 0).tolist(), [], [False] * len(s)
+    edges, parts, seen = (b > 0).tolist(), [], [False] * m
     for root in range(m):  # the components, by an O(m^2) search
         if not seen[root]:
             seen[root] = True
@@ -373,48 +384,50 @@ def quotient_eigenvalues(b, sizes) -> list[float]:
             parts.append(sorted(part))
     eigs = [0.0] * len(parts)
     for part in parts:
+        if len(part) < 2:  # a lone class: its 0.0 is all there is
+            continue
         # one component: S itself, ungathered, so its bits stay as built
         sub, c = (s, sizes) if len(part) == m else (s[np.ix_(part, part)], sizes[part])
-        if len(part) > 1:
-            # v = u - e_0 with u = sqrt(c / sum(c)), a unit vector
-            v = np.sqrt(c / c.sum())
-            v[0] -= 1.0
-            w = v * (2.0 / float(v @ v))
-            sub -= w[:, None] * (v @ sub)
-            sub -= (sub @ v)[:, None] * w
+        # v = u - e_0 with u = sqrt(c / sum(c)), a unit vector
+        v = np.sqrt(c / c.sum())
+        v[0] -= 1.0
+        w = v * (2.0 / float(v @ v))
+        sub -= w[:, None] * (v @ sub)
+        sub -= (sub @ v)[:, None] * w
         eigs += symmetric_eigenvalues(sub[1:, 1:])
     eigs.sort()
     return eigs
 
 
-def _quotient_eigenvalues(twins, b: np.ndarray) -> np.ndarray:
-    """Laplacian eigenvalues, an ascending float64 array, of a graph with twin
-    classes ``twins`` and class counts ``b``: those of the quotient D - B
-    (``quotient_eigenvalues``), and for a class of size c its degree d, or
-    d + 1 for true twins, c - 1 times.  Raises OrderCapError, before any
-    sweep, above ``JACOBI_MAX_ORDER``.
+def _twin_quotient_runs(twins, b) -> tuple[list[float], list[tuple]]:
+    """The m eigenvalues of the quotient D - B (``quotient_eigenvalues``) of
+    a graph with twin classes ``twins`` and class counts ``b``, and its whole
+    Laplacian spectrum as ascending (eigenvalue, multiplicity) runs: those m
+    once each, and per class of c >= 2 the int d, or d + 1 for true twins,
+    c - 1 times.  Raises OrderCapError, before any sweep, above
+    ``JACOBI_MAX_ORDER``.
     """
     _, sizes, true_twin = twins
     check_jacobi_order("the twin reduction", len(sizes) - 1)
-    eigs = np.concatenate(
-        [quotient_eigenvalues(b, sizes), np.repeat(b.sum(axis=1) + true_twin, sizes - 1)]
-    )
-    eigs.sort()
-    return eigs
+    quotient = quotient_eigenvalues(b, sizes)
+    runs = [(e, 1) for e in quotient]
+    runs += [(sum(row) + true, c - 1) for row, c, true in zip(b, sizes, true_twin) if c > 1]
+    runs.sort()
+    return quotient, runs
 
 
-def laplacian_eigenvalues(table: np.ndarray, weights: np.ndarray) -> list[float]:
-    """Laplacian eigenvalues, ascending, of the graph of the token ``table``
-    and ``weights`` (``_token_twin_classes``), from its twin quotient.
-    Raises OrderCapError above ``JACOBI_MAX_ORDER`` before the classes are
-    counted.
+def laplacian_eigenvalues(table: np.ndarray, weights: np.ndarray) -> list[tuple]:
+    """Laplacian spectrum, as ascending (eigenvalue, multiplicity) runs
+    (``_twin_quotient_runs``), of the graph of the token ``table`` and
+    ``weights`` (``_token_twin_classes``), from its twin quotient.  Raises
+    OrderCapError above ``JACOBI_MAX_ORDER`` before the classes are counted.
     """
     twins = _token_twin_classes(table, weights)
     check_jacobi_order("the twin reduction", len(twins[1]) - 1)
-    return _quotient_eigenvalues(twins, _token_class_counts(table, weights, twins)).tolist()
+    return _twin_quotient_runs(twins, _token_class_counts(table, weights, twins))[1]
 
 
-def _quotient_certificate(spectrum: SpectrumMultiset, twins, b: np.ndarray) -> bool:
+def _quotient_certificate(spectrum: SpectrumMultiset, twins, b) -> bool:
     """Exact proof that ``spectrum`` is the Laplacian spectrum of a graph
     with twin classes ``twins`` and class counts ``b``
     (``_token_class_counts``).
@@ -433,17 +446,21 @@ def _quotient_certificate(spectrum: SpectrumMultiset, twins, b: np.ndarray) -> b
     if spectrum.variant != EXACT:
         raise ContractViolation("exact spectrum required")
     _, sizes, true_twin = twins
-    if spectrum.order != sizes.sum() or len(sizes) > CHAR_POLY_MAX_ORDER:
+    m = len(sizes)
+    if spectrum.order != sum(sizes) or m > CHAR_POLY_MAX_ORDER:
         return False
-    deg = b.sum(axis=1)
-    q = np.diag(deg) - b
+    deg = [sum(row) for row in b]
+    q = [[-x for x in row] for row in b]
+    for i, d in enumerate(deg):
+        q[i][i] += d
     residual = dict(spectrum.entries)
-    for eig, size in zip((deg + true_twin).tolist(), sizes.tolist()):
+    for eig, size in zip(map(operator.add, deg, true_twin), sizes):
         left = residual.get(eig, 0) - (size - 1)
         if left < 0:
             return False
         residual[eig] = left
-    return poly_matches_spectrum(char_poly_exact(q), SpectrumMultiset.exact(residual.items()))
+    poly = char_poly_exact(np.array(q, dtype=np.int64).reshape(m, m))
+    return poly_matches_spectrum(poly, SpectrumMultiset.exact(residual.items()))
 
 
 def integrality_check(eigs, tol: float) -> bool:
@@ -453,11 +470,11 @@ def integrality_check(eigs, tol: float) -> bool:
     """
     if not 0 < tol < math.inf:
         raise DomainError(f"tolerance must be finite and positive, got {tol}")
-    e = np.asarray(eigs, dtype=np.float64)
-    bad = e[~np.isfinite(e)]
-    if bad.size:
-        raise DomainError(f"eigenvalue {bad[0]} is not finite")
-    return bool((np.abs(e - np.rint(e)) <= tol).all())
+    for e in eigs:
+        if not math.isfinite(e):
+            raise DomainError(f"eigenvalue {e} is not finite")
+    # a half is as far from either neighbour, so how round breaks ties does not matter
+    return all(abs(e - round(e)) <= tol for e in eigs)
 
 
 STATUS_PASS = "PASS"
@@ -468,12 +485,26 @@ NUMERIC_MATCH_TOL = 1e-8
 
 
 def eigenvalues_match(numeric, expected) -> bool:
-    """Whether the ascending ``numeric`` eigenvalues equal ``expected``
-    elementwise, within ``NUMERIC_MATCH_TOL`` times the order."""
-    tol = NUMERIC_MATCH_TOL * max(1, len(expected))
-    return len(numeric) == len(expected) and bool(
-        (np.abs(np.subtract(numeric, expected)) <= tol).all()
-    )
+    """Whether two ascending (eigenvalue, multiplicity >= 0) run lists hold
+    as many eigenvalues, each of ``numeric`` within ``NUMERIC_MATCH_TOL``
+    times the order of the one at its place in ``expected``; the runs are
+    walked in step, never expanded."""
+    order = sum(mult for _, mult in expected)
+    if sum(mult for _, mult in numeric) != order:
+        return False
+    tol = NUMERIC_MATCH_TOL * max(1, order)
+    places = iter(expected)
+    b = left = 0  # the expected eigenvalue, and how many of it are not yet paired
+    for a, mult in numeric:
+        while mult > 0:
+            while left <= 0:
+                b, left = next(places)
+            if not abs(a - b) <= tol:
+                return False
+            step = min(mult, left)
+            mult -= step
+            left -= step
+    return True
 
 
 class VerificationReport(Record):
@@ -521,8 +552,11 @@ def verify_spectrum(
     edge count is read off T: 2|E| = sum w_t w_s T[t, s] - sum w_t T[t, t].
     The twin quotient is found on the tokens' keys (``_token_twin_classes``)
     and counted once (``_token_class_counts``), for the certificate and the
-    numeric eigenvalues.  When its classes are not twins, or Jacobi would
-    get an order above ``JACOBI_MAX_ORDER``, the checks that need it fail.
+    numeric eigenvalues, compared with the closed form as (eigenvalue,
+    multiplicity) runs; integrality is read off the quotient's eigenvalues,
+    as the twin ones are ints.  When its classes are not twins, or Jacobi
+    would get an order above ``JACOBI_MAX_ORDER``, the checks that need it
+    fail.
     With no vertex in the closed form or the scan, as for a prime, the three
     spectral checks hold vacuously and are not run.
 
@@ -552,13 +586,13 @@ def verify_spectrum(
             counts is not None and _quotient_certificate(closed, twins, counts)
         )
         try:
-            numeric = None if counts is None else _quotient_eigenvalues(twins, counts)
+            quotient, runs = (None, None) if counts is None else _twin_quotient_runs(twins, counts)
         except OrderCapError:
-            numeric = None
-        expanded = closed.expand()
-        same_order = numeric is not None and len(numeric) == len(expanded)
-        checks["numeric_match"] = same_order and eigenvalues_match(numeric, expanded)
-        checks["integral"] = same_order and integrality_check(numeric, integral_tol)
+            quotient = runs = None
+        same_order = runs is not None and sum(mult for _, mult in runs) == order
+        checks["numeric_match"] = same_order and eigenvalues_match(runs, closed.items_sorted())
+        # the twin runs are ints: only the quotient's eigenvalues can miss
+        checks["integral"] = same_order and integrality_check(quotient, integral_tol)
 
     ok = STATUS_DEGENERATE if order == 0 else STATUS_PASS
     return VerificationReport(

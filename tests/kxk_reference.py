@@ -6,7 +6,7 @@ A + I are bit-packed and sorted once to find the twin classes, the class
 counts B are read from the packed leader rows after an exact row check, and
 a generalized join is assembled block by block.  ``oracle``'s token route
 groups rows of the token table T instead, so the two share no code up to
-``_quotient_eigenvalues``.
+``_twin_quotient_runs``.
 """
 
 import operator
@@ -104,12 +104,14 @@ def class_counts(rows: np.ndarray, twins) -> np.ndarray | None:
     return np.add.reduceat(leaders.take(order, 1), starts, axis=1, dtype=np.int32)
 
 
-def laplacian_eigenvalues(adj: np.ndarray) -> list[float]:
-    """Laplacian eigenvalues of the bool adjacency ``adj``, ascending, from
-    its twin quotient by the k x k route.  Raises OrderCapError above
-    ``oracle.JACOBI_MAX_ORDER`` before the classes are counted.
+def laplacian_eigenvalues(adj: np.ndarray) -> list[tuple]:
+    """Laplacian spectrum of the bool adjacency ``adj``, as ascending
+    (eigenvalue, multiplicity) runs, from its twin quotient by the k x k
+    route.  Raises OrderCapError above ``oracle.JACOBI_MAX_ORDER`` before
+    the classes are counted.
     """
     rows = packed_rows(adj)
-    twins = twin_classes(rows)
-    oracle.check_jacobi_order("the twin reduction", len(twins[1]) - 1)
-    return oracle._quotient_eigenvalues(twins, class_counts(rows, twins)).tolist()
+    order, sizes, true_twin = twins = twin_classes(rows)
+    oracle.check_jacobi_order("the twin reduction", len(sizes) - 1)
+    b = class_counts(rows, twins).tolist()
+    return oracle._twin_quotient_runs((order, sizes.tolist(), true_twin.tolist()), b)[1]

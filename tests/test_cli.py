@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from wzdgraph import cli, graphcore, oracle
+from wzdgraph import cli, graphcore, oracle, spectra
 from wzdgraph.cli import _worker_count, main
 
 
@@ -986,3 +986,23 @@ def test_join_check_runs_jacobi_on_the_twin_reduced_blocks_only(tmp_path, capsys
     code, out, _ = run_cli(capsys, "join", str(path), "--check")
     assert code == 0 and out.splitlines()[-1] == "check: ok (1600 vertices)"
     assert orders and max(orders) <= 3
+
+
+def test_join_check_expands_no_spectrum(tmp_path, capsys, monkeypatch):
+    # the check walks the numeric runs against the result's runs; the empty
+    # join has no class and no run
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a spectrum was expanded")
+
+    monkeypatch.setattr(spectra.SpectrumMultiset, "expand", unreachable)
+    payloads = {
+        "path1600": path_join(("complete", 600), ("empty", 600), ("complete", 400)),
+        "p4": one_component_join({"order": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, 4),
+        "empty": {"host": {"labels": [], "weights": [], "edges": []}, "components": []},
+    }
+    for name, payload in payloads.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        code, out, _ = run_cli(capsys, "join", str(path), "--check")
+        order = sum(payload["host"]["weights"])
+        assert code == 0 and out.splitlines()[-1] == f"check: ok ({order} vertices)", name

@@ -47,6 +47,12 @@ def unit_tokens(adj: np.ndarray) -> tuple:
     return adj, np.ones(len(adj), dtype=np.int64)
 
 
+def expand_runs(runs) -> list[float]:
+    """Every eigenvalue of the ascending (eigenvalue, multiplicity) ``runs``,
+    counted with multiplicity, as floats."""
+    return [float(e) for e, mult in runs for _ in range(mult)]
+
+
 def graph_from_label_edges(labels, edges):
     index = {u: i for i, u in enumerate(labels)}
     return graph_from_edges(labels, (sorted((index[u], index[v])) for u, v in edges))
@@ -483,8 +489,8 @@ def test_jacobi_converges_in_one_sweep_on_reflected_wzd_laplacians(monkeypatch):
         closed = wzd_spectrum_closed_form(n)
         if closed.order == 0:
             continue
-        eigs = oracle.laplacian_eigenvalues(*unit_tokens(build_bruteforce_wzd(n).adjacency))
-        err = np.max(np.abs(np.array(eigs) - closed.expand()))
+        runs = oracle.laplacian_eigenvalues(*unit_tokens(build_bruteforce_wzd(n).adjacency))
+        err = np.max(np.abs(np.array(expand_runs(runs)) - closed.expand()))
         assert err <= NUMERIC_MATCH_TOL * closed.order, n
 
 
@@ -643,9 +649,11 @@ def twin_certificate(g: Graph, spectrum: SpectrumMultiset) -> bool:
     its twin classes and their counts, then ``_quotient_certificate``, which
     raises ContractViolation for a floating ``spectrum``."""
     rows = packed_rows(g.adjacency)
-    twins = twin_classes(rows)
+    order, sizes, true_twin = twins = twin_classes(rows)
     b = class_counts(rows, twins)
-    return b is not None and oracle._quotient_certificate(spectrum, twins, b)
+    return b is not None and oracle._quotient_certificate(
+        spectrum, (order, sizes.tolist(), true_twin.tolist()), b.tolist()
+    )
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -746,12 +754,76 @@ def test_numeric_checks_agree_with_their_loop_references(ints, offsets, tol):
     numeric = [i + d for i, d in zip(ints, offsets)]
     expected = ints[: len(numeric)]
     bound = NUMERIC_MATCH_TOL * max(1, len(expected))
-    assert oracle.eigenvalues_match(numeric, expected) is all(
-        abs(a - b) <= bound for a, b in zip(numeric, expected)
-    )
+    assert oracle.eigenvalues_match(
+        [(a, 1) for a in sorted(numeric)], [(b, 1) for b in sorted(expected)]
+    ) is all(abs(a - b) <= bound for a, b in zip(sorted(numeric), sorted(expected)))
     eigs = numeric + [i + 0.5 for i in ints[:2]]
     nearest = [math.floor(e + 0.5) if e >= 0 else math.ceil(e - 0.5) for e in eigs]
     assert integrality_check(eigs, tol) is all(abs(e - r) <= tol for e, r in zip(eigs, nearest))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_eigenvalues_match_walks_runs_as_the_elementwise_compare(data):
+    # expected: ascending ints, zero multiplicities included; numeric: each
+    # expected eigenvalue moved by 0, half the bound, the bound, or just or
+    # well past it, one dropped, added or replaced at times, so that a run
+    # may span places of two expected values, and grouped into runs split
+    # at random, with zero-multiplicity runs among them
+    values = sorted(set(data.draw(st.lists(st.integers(-20, 20), max_size=8))))
+    expected = [(v, data.draw(st.integers(0, 4))) for v in values]
+    flat = [v for v, mult in expected for _ in range(mult)]
+    tol = NUMERIC_MATCH_TOL * max(1, len(flat))
+    past = math.nextafter(tol, 1.0)
+    offsets = st.sampled_from([0.0, tol / 2, tol, -tol, past, -past, 3 * tol])
+    numeric = [float(v) + data.draw(offsets) for v in flat]
+    change = data.draw(st.sampled_from(["none", "none", "drop", "add", "replace"]))
+    if change in ("drop", "replace") and numeric:
+        numeric.pop(data.draw(st.integers(0, len(numeric) - 1)))
+    if change in ("add", "replace"):
+        numeric.append(float(data.draw(st.integers(-20, 20))))
+    numeric.sort()
+    runs = []
+    for a in numeric:
+        if runs and runs[-1][0] == a and data.draw(st.booleans()):
+            runs[-1] = (a, runs[-1][1] + 1)
+        else:
+            runs += [(a, 0)] * data.draw(st.integers(0, 1)) + [(a, 1)]
+    elementwise = len(numeric) == len(flat) and all(
+        abs(a - b) <= tol for a, b in zip(numeric, flat)
+    )
+    assert oracle.eigenvalues_match(runs, expected) is elementwise
+
+
+def test_verify_spectrum_expands_no_spectrum(monkeypatch):
+    # after the scan, every check reads the m x m quotient and (value,
+    # multiplicity) runs: no list or array as long as the order is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a spectrum was expanded")
+
+    monkeypatch.setattr(SpectrumMultiset, "expand", unreachable)
+    monkeypatch.setattr(np, "repeat", unreachable)
+    assert not hasattr(oracle, "_quotient_eigenvalues")
+    for n in (18, 49, 150, 240, 5040, 8186):
+        assert verify_spectrum(n).status == STATUS_PASS, n
+        assert verify_spectrum(n, order_cap=8).status == STATUS_PASS, n
+
+
+def test_floating_runs_merge_as_the_expanded_list_did():
+    # join reads an edge-list component's spectrum as floating(runs): the
+    # entries must be, bit for bit, those of floating on the expanded list.
+    # WΓ(Z_n) puts quotient eigenvalues within the merge tolerance of the
+    # twins' ints; planted graphs give irrational ones among them
+    rng = np.random.default_rng(2026)
+    tokens = [graphcore.scan_wzd_tokens(n)[:1:-1] for n in (18, 30, 240, 1001, 5040)]
+    for _ in range(60):
+        host = random_adjacency(rng, int(rng.integers(1, 9)))
+        tokens.append(unit_tokens(planted_twin_graph(rng, host)[0].adjacency))
+    for case, (table, weights) in enumerate(tokens):
+        runs = oracle.laplacian_eigenvalues(table, weights)
+        by_runs = SpectrumMultiset.floating(runs).items_sorted()
+        by_list = SpectrumMultiset.floating((e, 1) for e in expand_runs(runs)).items_sorted()
+        assert repr(by_runs) == repr(by_list), case
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan, np.inf])
@@ -884,8 +956,9 @@ def test_verify_spectrum_runs_jacobi_on_the_leader_block_only(monkeypatch):
         del orders[:]
         assert verify_spectrum(n).status != STATUS_FAIL, n
         leaders = len(twin_classes(packed_rows(build_bruteforce_wzd(n).adjacency))[1])
-        # a prime's graph has no vertex and no class: Jacobi does not run
-        assert orders == ([leaders - 1] if leaders else []), n
+        # a prime's graph has no vertex and no class, and one class leaves
+        # an empty block: Jacobi does not run
+        assert orders == ([leaders - 1] if leaders > 1 else []), n
         blocks += leaders
         total += wzd_spectrum_closed_form(n).order
     assert blocks * 10 < total
@@ -917,7 +990,7 @@ def test_deflation_zeroes_the_first_leaders_row_and_column(monkeypatch, n):
         return real(block)
 
     monkeypatch.setattr(oracle, "symmetric_eigenvalues", spy)
-    eigs = oracle.laplacian_eigenvalues(*unit_tokens(a))
+    eigs = expand_runs(oracle.laplacian_eigenvalues(*unit_tokens(a)))
     # the first class's row and column vanish, and Jacobi gets the rest
     assert np.abs(hsh[0]).max() < 1e-12 * scale and np.abs(hsh[:, 0]).max() < 1e-12 * scale
     assert len(blocks) == 1 and np.abs(blocks[0] - hsh[1:, 1:]).max() < 1e-12 * scale
@@ -931,12 +1004,17 @@ def test_deflation_zeroes_the_first_leaders_row_and_column(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [49, 121])
-def test_verify_spectrum_one_twin_class_runs_jacobi_on_an_empty_block(monkeypatch, n):
-    # WΓ(Z_(p^2)) is complete on p - 1 vertices: one class of true twins
-    assert len(twin_classes(packed_rows(build_bruteforce_wzd(n).adjacency))[1]) == 1
+def test_verify_spectrum_one_twin_class_runs_no_jacobi(monkeypatch, n):
+    # WΓ(Z_(p^2)) is complete on p - 1 vertices: one class of true twins,
+    # whose quotient is the 1 x 1 zero, an exact 0.0 with no block left
+    adj = build_bruteforce_wzd(n).adjacency
+    assert len(twin_classes(packed_rows(adj))[1]) == 1
     orders = jacobi_orders(monkeypatch)
     assert verify_spectrum(n).status == STATUS_PASS
-    assert orders == [0]
+    k = len(adj)
+    runs = oracle.laplacian_eigenvalues(*unit_tokens(adj))
+    assert runs == [(0.0, 1), (k, k - 1)] and repr(runs[0][0]) == "0.0"
+    assert orders == []
 
 
 def test_verify_spectrum_twin_classes_found_once(monkeypatch):
@@ -1112,10 +1190,11 @@ def kxk_quotient(adj: np.ndarray) -> tuple:
 
 def token_quotient(least, weights, table) -> tuple:
     """``kxk_quotient``'s four results from a token scan, as ``verify_spectrum`` reads them."""
-    twins = oracle._token_twin_classes(table, weights)
+    cls, sizes, true_twin = twins = oracle._token_twin_classes(table, weights)
     b = oracle._token_class_counts(table, weights, twins)
-    cls = np.array(twins[0])[np.unique(least, return_inverse=True)[1]]  # each vertex's class
-    return cls, twins[1], twins[2], b
+    cls = np.array(cls)[np.unique(least, return_inverse=True)[1]]  # each vertex's class
+    b = None if b is None else np.array(b)
+    return cls, np.array(sizes), np.array(true_twin, dtype=bool), b
 
 
 def assert_same_quotient(kxk, tokens, case) -> None:
@@ -1181,17 +1260,16 @@ def test_token_class_counts_refuse_groupings_that_are_not_of_twins(seed):
     cls, sizes, true_twin = twins = oracle._token_twin_classes(table, weights)
     assert oracle._token_class_counts(table, weights, twins) is not None
     # false twins differ in A + I, true twins in A: the other kind is refused
-    for c in np.flatnonzero(sizes > 1):
+    for c in np.flatnonzero(np.array(sizes) > 1):
         flipped = true_twin.copy()
         flipped[c] = not flipped[c]
         assert oracle._token_class_counts(table, weights, (cls, sizes, flipped)) is None, c
     # two classes merged into one are twins of neither kind
     if len(sizes) > 1:
         merged = [max(c - 1, 0) for c in cls]
-        merged_sizes = np.concatenate([[sizes[0] + sizes[1]], sizes[2:]])
+        merged_sizes = [sizes[0] + sizes[1], *sizes[2:]]
         for true in (False, True):
-            kinds = np.concatenate([[true], true_twin[2:]])
-            layout = (merged, merged_sizes, kinds)
+            layout = (merged, merged_sizes, [true, *true_twin[2:]])
             assert oracle._token_class_counts(table, weights, layout) is None, true
     # sizes that are not the classes' weights
     wrong = sizes.copy()
@@ -1314,7 +1392,7 @@ def test_laplacian_eigenvalues_match_jacobi_on_the_raw_laplacian(k, planted, see
         g = planted_twin_graph(rng, random_adjacency(rng, max(1, k // 5)))[0]
     else:
         g = Graph(labels=tuple(range(k)), adjacency=random_adjacency(rng, k))
-    eigs = oracle.laplacian_eigenvalues(*unit_tokens(g.adjacency))
+    eigs = expand_runs(oracle.laplacian_eigenvalues(*unit_tokens(g.adjacency)))
     ref = symmetric_eigenvalues(laplacian_matrix(g))
     assert len(eigs) == len(ref) == g.vertex_count and eigs == sorted(eigs)
     assert all(abs(a - b) <= 1e-9 * max(1, len(ref)) for a, b in zip(eigs, ref))
@@ -1343,7 +1421,8 @@ def path_adjacency(k: int) -> np.ndarray:
 def test_laplacian_eigenvalues_refuses_a_leader_block_above_the_bound(monkeypatch, request):
     # P_k has no twins for k >= 4, so its leader block is of order k - 1
     monkeypatch.setattr(oracle, "JACOBI_MAX_ORDER", 4)
-    assert oracle.laplacian_eigenvalues(*unit_tokens(path_adjacency(5))) == pytest.approx(
+    runs = oracle.laplacian_eigenvalues(*unit_tokens(path_adjacency(5)))
+    assert expand_runs(runs) == pytest.approx(
         np.linalg.eigvalsh(laplacian_matrix(Graph(tuple(range(5)), path_adjacency(5))))
     )
     request.getfixturevalue("no_sweep")
