@@ -2,8 +2,11 @@
 
 Subcommands: ``spectrum``, ``graph``, ``verify``, ``table``, ``join``.
 Exit codes: 0 for success or an informative degenerate result, 1 when a
-verification check fails, 2 for usage or input errors.  Output is
-deterministic: identical invocations produce byte-identical bytes.
+verification check fails, 2 for usage or input errors, and 141, as a shell
+reports a process that SIGPIPE ended, when the reader closes standard
+output early (``wzd verify 2..3000 | head -1``); that ends the command
+with no traceback.  Output is deterministic: identical invocations produce
+byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -395,11 +398,11 @@ def cmd_join(path: str, fmt: str, check: bool) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+#: exit status when standard output is closed before all of it is written
+EXIT_BROKEN_PIPE = 141
+
+
+def _run(args) -> int:
     try:
         if args.command == "spectrum":
             return cmd_spectrum(args.n, args.format)
@@ -417,6 +420,25 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")
+
+
+def main(argv=None) -> int:
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # here, not at exit, so that a closed pipe is seen below
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so that the
+        # interpreter's last flush of what is still buffered cannot raise
+        # again (the Python signal docs, "Note on SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

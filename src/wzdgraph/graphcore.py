@@ -278,7 +278,7 @@ def graphs_equal(g1: Graph, g2: Graph) -> bool:
     return g1.labels == g2.labels and np.array_equal(g1.adjacency, g2.adjacency)
 
 
-def scan_matches_classes(n: int, scan, classes: tuple[DivisorClass, ...]) -> bool:
+def scan_matches_classes(n: int, scan, classes: tuple[DivisorClass, ...], rows) -> bool:
     """Whether ``scan_wzd_tokens(n)`` and ``divisor_classes(n)`` give one graph,
     each token the class it keys, checked on the tokens with no k x k matrix.
 
@@ -304,6 +304,8 @@ def scan_matches_classes(n: int, scan, classes: tuple[DivisorClass, ...]) -> boo
     pair and is not read.  So, given 1 and 2, the graphs are equal iff 3 and
     4 hold.  2 asks more than graph equality alone: a vertex whose scanned r0
     is wrong is a wrong scan even where its row happens to come out right.
+
+    ``rows`` is ``table.tolist()``, which the caller reads as well.
     """
     verts, least, weights, table = scan
     rev = classes[::-1]  # tokens ascend in r0 = n/d: the classes in descending d
@@ -315,7 +317,7 @@ def scan_matches_classes(n: int, scan, classes: tuple[DivisorClass, ...]) -> boo
     return all(
         row.count(False) == (not row[t])  # off the diagonal, every entry is true
         and (c.size < 2 or row[t] == (c.kind is Kind.COMPLETE))
-        for t, (row, c) in enumerate(zip(table.tolist(), rev))
+        for t, (row, c) in enumerate(zip(rows, rev))
     )
 
 

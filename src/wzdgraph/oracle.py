@@ -355,30 +355,35 @@ def check_jacobi_order(name: str, order: int) -> None:
 
 def quotient_eigenvalues(b, sizes) -> list[float]:
     """Eigenvalues, ascending, of D - B, D = diag(B 1), for the m x m counts
-    ``b`` of an equitable partition with class ``sizes``: a twin quotient,
-    or a join's host with B[i, j] = w_j on host edges and sizes w.  As
-    B[i, j] sizes[i] = B[j, i] sizes[j], D - B is similar to the symmetric
-    S = D - sqrt(B o B^T), and S sqrt(sizes) = 0 on each connected component
-    C of B's support.  One Householder reflection takes sqrt(sizes[C]) to
-    C's first class, an exact 0.0, and Jacobi gets the other |C| - 1 rows.
-    It runs in float64, and raises OverflowError past the float range.
+    ``b`` of an equitable partition with class ``sizes``, m lists of m ints:
+    a twin quotient, or a join's host with B[i, j] = w_j on host edges and
+    sizes w.  As B[i, j] sizes[i] = B[j, i] sizes[j], D - B is similar to the
+    symmetric S = D - sqrt(B o B^T), and S sqrt(sizes) = 0 on each connected
+    component C of B's support.  One Householder reflection takes
+    sqrt(sizes[C]) to C's first class, an exact 0.0, and Jacobi gets the
+    other |C| - 1 rows.
+
+    S is built in Python floats from the int counts: each product
+    B[i, j] B[j, i] and each row sum taken exactly in ints and rounded once.
+    While the entries and each row's partial sums stay below 2^53, that is
+    the S that float64 arrays give in any summation order; past that, each
+    is the correctly rounded exact value.  numpy starts at the reflection.
+    Raises OverflowError when a size, a product or a row sum is past the
+    float range: the int to float conversion refuses it.
     """
     m = len(sizes)
-    b = np.asarray(b, dtype=np.float64).reshape(m, m)  # m = 0 as well: no class, no row
-    sizes = np.asarray(sizes, dtype=np.float64)
-    try:
-        with np.errstate(over="raise"):  # a row sum or product past the range
-            s = np.diag(b.sum(axis=1)) - np.sqrt(b * b.T)
-    except FloatingPointError:
-        raise OverflowError("int too large to convert to float") from None
-    edges, parts, seen = (b > 0).tolist(), [], [False] * m
+    fsizes = [float(c) for c in sizes]  # all of them: a lone class's size is read nowhere else
+    s = [[0.0 - math.sqrt(x * y) for x, y in zip(row, col)] for row, col in zip(b, zip(*b))]
+    for i, row in enumerate(b):
+        s[i][i] += float(sum(row))
+    parts, seen = [], [False] * m
     for root in range(m):  # the components, by an O(m^2) search
         if not seen[root]:
             seen[root] = True
             part = [root]
             for i in part:  # grows as the search reaches new classes
-                for j in itertools.compress(range(m), edges[i]):
-                    if not seen[j]:
+                for j, x in enumerate(b[i]):
+                    if x > 0 and not seen[j]:
                         seen[j] = True
                         part.append(j)
             parts.append(sorted(part))
@@ -386,10 +391,10 @@ def quotient_eigenvalues(b, sizes) -> list[float]:
     for part in parts:
         if len(part) < 2:  # a lone class: its 0.0 is all there is
             continue
-        # one component: S itself, ungathered, so its bits stay as built
-        sub, c = (s, sizes) if len(part) == m else (s[np.ix_(part, part)], sizes[part])
+        sub = np.array(s if len(part) == m else [[s[i][j] for j in part] for i in part])
         # v = u - e_0 with u = sqrt(c / sum(c)), a unit vector
-        v = np.sqrt(c / c.sum())
+        total = float(sum(sizes[i] for i in part))
+        v = np.array([math.sqrt(fsizes[i] / total) for i in part])
         v[0] -= 1.0
         w = v * (2.0 / float(v @ v))
         sub -= w[:, None] * (v @ sub)
@@ -549,7 +554,8 @@ def verify_spectrum(
     vertices, each one's least annihilator r0, the token weights w and the
     token table T, with no k x k matrix.  The constructions agree when
     ``scan_matches_classes`` holds against ``divisor_classes(n)``.  The
-    edge count is read off T: 2|E| = sum w_t w_s T[t, s] - sum w_t T[t, t].
+    edge count is read off T's rows, in Python ints, with the same rows:
+    2|E| = sum w_t w_s T[t, s] - sum w_t T[t, t].
     The twin quotient is found on the tokens' keys (``_token_twin_classes``)
     and counted once (``_token_class_counts``), for the certificate and the
     numeric eigenvalues, compared with the closed form as (eigenvalue,
@@ -572,8 +578,12 @@ def verify_spectrum(
     check_graph_order(f"WΓ(Z_{n})", order)
     scan = scan_wzd_tokens(n)
     verts, _, weights, table = scan
-    checks = {"construction_equal": scan_matches_classes(n, scan, divisor_classes(n))}
-    degree_sum = int(weights @ table @ weights - weights @ table.diagonal())
+    rows, w = table.tolist(), weights.tolist()
+    checks = {"construction_equal": scan_matches_classes(n, scan, divisor_classes(n), rows)}
+    # each token's w_t vertices have sum_s w_s T[t, s] - T[t, t] neighbours
+    degree_sum = sum(
+        wt * (sum(itertools.compress(w, row)) - row[t]) for t, (wt, row) in enumerate(zip(w, rows))
+    )
     checks["trace_edges"] = closed.trace() == degree_sum
     charpoly_skipped = order_cap is not None and order > order_cap
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from enum import Enum
 
-from ._numpy import np
 from ._record import Record
 from .errors import ContractViolation, DomainError
 from .numtheory import factorize
@@ -102,13 +101,6 @@ class SpectrumMultiset(Record):
     def items_sorted(self) -> list[tuple]:
         return sorted(self.entries.items())
 
-    def expand(self) -> list:
-        """All eigenvalues with multiplicity, ascending."""
-        out = []
-        for e, m in self.items_sorted():
-            out.extend([e] * m)
-        return out
-
     def trace(self):
         return sum(e * m for e, m in self.entries.items())
 
@@ -174,9 +166,9 @@ def _host_spectrum_pairs(host: WeightedHostGraph) -> tuple[list, bool]:
     from .oracle import check_jacobi_order, quotient_eigenvalues  # deferred: oracle imports this
 
     check_jacobi_order("a host neither complete nor edgeless", k)
-    b = np.zeros((k, k))
+    b = [[0] * k for _ in range(k)]
     for i, j in host.edges:
-        b[i, j], b[j, i] = host.weights[j], host.weights[i]
+        b[i][j], b[j][i] = host.weights[j], host.weights[i]
     return [(e, 1) for e in quotient_eigenvalues(b, host.weights)], False
 
 

@@ -7,8 +7,13 @@ counts B are read from the packed leader rows after an exact row check, and
 a generalized join is assembled block by block.  ``oracle``'s token route
 groups rows of the token table T instead, so the two share no code up to
 ``_twin_quotient_runs``.
+
+``quotient_eigenvalues`` is the quotient solver with S = D - sqrt(B o B^T)
+built by numpy on float64 arrays, the reference for ``oracle``'s, which
+builds S in Python floats; both end in the same reflection and Jacobi call.
 """
 
+import itertools
 import operator
 
 import numpy as np
@@ -16,6 +21,51 @@ import numpy as np
 from wzdgraph import oracle
 from wzdgraph.errors import DomainError
 from wzdgraph.graphcore import Graph
+
+
+def expand_runs(runs) -> list[float]:
+    """Every eigenvalue of the ascending (eigenvalue, multiplicity) ``runs``,
+    counted with multiplicity, as floats; ``expand_runs(s.items_sorted())``
+    lists a spectrum ``s``."""
+    return [float(e) for e, mult in runs for _ in range(mult)]
+
+
+def quotient_eigenvalues(b, sizes) -> list[float]:
+    """``oracle.quotient_eigenvalues`` with S built on float64 arrays: B and
+    the sizes converted whole, the row sums and products under
+    ``np.errstate(over="raise")``, and the components read off ``b > 0``."""
+    m = len(sizes)
+    b = np.asarray(b, dtype=np.float64).reshape(m, m)
+    sizes = np.asarray(sizes, dtype=np.float64)
+    try:
+        with np.errstate(over="raise"):
+            s = np.diag(b.sum(axis=1)) - np.sqrt(b * b.T)
+    except FloatingPointError:
+        raise OverflowError("int too large to convert to float") from None
+    edges, parts, seen = (b > 0).tolist(), [], [False] * m
+    for root in range(m):
+        if not seen[root]:
+            seen[root] = True
+            part = [root]
+            for i in part:
+                for j in itertools.compress(range(m), edges[i]):
+                    if not seen[j]:
+                        seen[j] = True
+                        part.append(j)
+            parts.append(sorted(part))
+    eigs = [0.0] * len(parts)
+    for part in parts:
+        if len(part) < 2:
+            continue
+        sub, c = (s, sizes) if len(part) == m else (s[np.ix_(part, part)], sizes[part])
+        v = np.sqrt(c / c.sum())
+        v[0] -= 1.0
+        w = v * (2.0 / float(v @ v))
+        sub -= w[:, None] * (v @ sub)
+        sub -= (sub @ v)[:, None] * w
+        eigs += oracle.symmetric_eigenvalues(sub[1:, 1:])
+    eigs.sort()
+    return eigs
 
 
 def graph_from_edges(labels, index_pairs) -> Graph:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import time
 
@@ -994,7 +995,8 @@ def test_join_check_expands_no_spectrum(tmp_path, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a spectrum was expanded")
 
-    monkeypatch.setattr(spectra.SpectrumMultiset, "expand", unreachable)
+    assert not hasattr(spectra.SpectrumMultiset, "expand")
+    monkeypatch.setattr(np, "repeat", unreachable)
     payloads = {
         "path1600": path_join(("complete", 600), ("empty", 600), ("complete", 400)),
         "p4": one_component_join({"order": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, 4),
@@ -1006,3 +1008,22 @@ def test_join_check_expands_no_spectrum(tmp_path, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, "join", str(path), "--check")
         order = sum(payload["host"]["weights"])
         assert code == 0 and out.splitlines()[-1] == f"check: ok ({order} vertices)", name
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "2..3000"], ["verify", "2..3000", "--jobs", "2"], ["table", "2..20000"]]
+)
+def test_closed_stdout_ends_the_command_with_141_and_no_traceback(argv):
+    # as `wzd verify 2..3000 | head -1`: the reader closes the pipe after one
+    # line, while far more output than a pipe holds is still to come
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wzdgraph.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (141, b"")
+    assert first.startswith((b"n=2 ", b"2,")) and cli.EXIT_BROKEN_PIPE == 141

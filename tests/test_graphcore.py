@@ -258,7 +258,9 @@ def test_scan_wzd_tokens_small_case():
     assert least.tolist() == [9, 6, 9, 3, 9, 2, 9, 3, 9, 6, 9]
     assert weights.tolist() == [1, 2, 2, 6]
     assert table.tolist() == [[True] * 4] * 3 + [[True, True, True, False]]
-    assert graphcore.scan_matches_classes(18, (verts, least, weights, table), divisor_classes(18))
+    assert graphcore.scan_matches_classes(
+        18, (verts, least, weights, table), divisor_classes(18), table.tolist()
+    )
 
 
 def test_bruteforce_wzd_small_cases():

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import random
 import time
 import tracemalloc
 from itertools import combinations
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kxk_reference
-from kxk_reference import class_counts, graph_from_edges, packed_rows, twin_classes
+from kxk_reference import class_counts, expand_runs, graph_from_edges, packed_rows, twin_classes
 from wzdgraph import graphcore, oracle
 from wzdgraph.errors import ContractViolation, ConvergenceError, DomainError, OrderCapError
 from wzdgraph.graphcore import Graph, Kind, build_bruteforce_wzd
@@ -45,12 +46,6 @@ from wzdgraph.spectra import (
 def unit_tokens(adj: np.ndarray) -> tuple:
     """An explicit graph in token form: its adjacency, one vertex per token."""
     return adj, np.ones(len(adj), dtype=np.int64)
-
-
-def expand_runs(runs) -> list[float]:
-    """Every eigenvalue of the ascending (eigenvalue, multiplicity) ``runs``,
-    counted with multiplicity, as floats."""
-    return [float(e) for e, mult in runs for _ in range(mult)]
 
 
 def graph_from_label_edges(labels, edges):
@@ -270,7 +265,7 @@ def test_jacobi_converges_in_few_sweeps_on_wzd_laplacians(monkeypatch, n):
     # in ascending vertex order these took 12 and 17 sweeps
     monkeypatch.setattr(oracle, "JACOBI_MAX_SWEEPS", 7)
     eigs = symmetric_eigenvalues(laplacian_matrix(build_bruteforce_wzd(n)))
-    expected = wzd_spectrum_closed_form(n).expand()
+    expected = expand_runs(wzd_spectrum_closed_form(n).items_sorted())
     assert np.max(np.abs(np.array(eigs) - expected)) < 1e-8 * len(expected)
 
 
@@ -279,7 +274,7 @@ def test_jacobi_sweep_bound_includes_the_last_sweep(monkeypatch):
     lap = laplacian_matrix(build_bruteforce_wzd(150))
     monkeypatch.setattr(oracle, "JACOBI_MAX_SWEEPS", 5)
     eigs = symmetric_eigenvalues(lap)
-    expected = wzd_spectrum_closed_form(150).expand()
+    expected = expand_runs(wzd_spectrum_closed_form(150).items_sorted())
     assert np.max(np.abs(np.array(eigs) - expected)) < 1e-8 * len(expected)
     monkeypatch.setattr(oracle, "JACOBI_MAX_SWEEPS", 0)
     with pytest.raises(ConvergenceError, match="in 0 sweeps"):
@@ -490,7 +485,7 @@ def test_jacobi_converges_in_one_sweep_on_reflected_wzd_laplacians(monkeypatch):
         if closed.order == 0:
             continue
         runs = oracle.laplacian_eigenvalues(*unit_tokens(build_bruteforce_wzd(n).adjacency))
-        err = np.max(np.abs(np.array(expand_runs(runs)) - closed.expand()))
+        err = np.max(np.abs(np.array(expand_runs(runs)) - expand_runs(closed.items_sorted())))
         assert err <= NUMERIC_MATCH_TOL * closed.order, n
 
 
@@ -801,7 +796,7 @@ def test_verify_spectrum_expands_no_spectrum(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a spectrum was expanded")
 
-    monkeypatch.setattr(SpectrumMultiset, "expand", unreachable)
+    assert not hasattr(SpectrumMultiset, "expand")
     monkeypatch.setattr(np, "repeat", unreachable)
     assert not hasattr(oracle, "_quotient_eigenvalues")
     for n in (18, 49, 150, 240, 5040, 8186):
@@ -999,8 +994,46 @@ def test_deflation_zeroes_the_first_leaders_row_and_column(monkeypatch, n):
     # the eigenvalue that gives 0 is the first class's diagonal entry.
     assert min(real(blocks[0])) > 0.5
     assert abs(eigs[0]) < 1e-12 and eigs[1] > 0.5
-    closed = wzd_spectrum_closed_form(n).expand()
+    closed = expand_runs(wzd_spectrum_closed_form(n).items_sorted())
     assert np.max(np.abs(np.array(eigs) - closed)) <= NUMERIC_MATCH_TOL * len(closed)
+
+
+def float_bits(xs) -> list[str]:
+    """Each float's exact bits, -0.0 apart from 0.0."""
+    return [x.hex() for x in xs]
+
+
+def test_quotient_eigenvalues_equal_the_numpy_reference_on_every_verify_quotient():
+    # B's entries are ints, so S built in Python floats has numpy's bits
+    # while a row's partial sums stay below 2^53: same S, same reflection,
+    # same Jacobi call, so the same eigenvalues bit for bit
+    classes = set()
+    for n in range(4, 3001):
+        verts, _, weights, table = graphcore.scan_wzd_tokens(n)
+        if not verts:
+            continue
+        twins = oracle._token_twin_classes(table, weights)
+        b, sizes = oracle._token_class_counts(table, weights, twins), twins[1]
+        got = oracle.quotient_eigenvalues(b, sizes)
+        assert float_bits(got) == float_bits(kxk_reference.quotient_eigenvalues(b, sizes)), n
+        classes.add(len(sizes))
+    assert classes == {1, 2, 3, 4, 5, 6}  # 6 classes at n = 2310 and 2730
+
+
+def test_quotient_eigenvalues_equal_the_numpy_reference_on_random_hosts():
+    # a join's host: B[i, j] = w_j on host edges, weights up to 10^10 and
+    # rows of up to 64 entries, which numpy sums pairwise
+    rng = random.Random(30)
+    for trial in range(120):
+        k = rng.choice([2, 3, 4, 5, 8, 9, 16, 33, 64])
+        w = [rng.randint(1, rng.choice([6, 10**6, 10**10])) for _ in range(k)]
+        density = rng.random()
+        b = [[0] * k for _ in range(k)]
+        for i, j in combinations(range(k), 2):
+            if rng.random() < density:
+                b[i][j], b[j][i] = w[j], w[i]
+        got = oracle.quotient_eigenvalues(b, w)
+        assert float_bits(got) == float_bits(kxk_reference.quotient_eigenvalues(b, w)), trial
 
 
 @pytest.mark.parametrize("n", [49, 121])
@@ -1221,7 +1254,7 @@ def test_token_route_agrees_with_the_kxk_route():
         assert graphcore.graphs_equal(brute, graphcore.build_structural_wzd(n)), n
         scan = graphcore.scan_wzd_tokens(n)
         verts, least, weights, table = scan
-        assert graphcore.scan_matches_classes(n, scan, graphcore.divisor_classes(n)), n
+        assert graphcore.scan_matches_classes(n, scan, graphcore.divisor_classes(n), table.tolist()), n
         assert int(weights @ table @ weights - weights @ table.diagonal()) == 2 * brute.edge_count
         if verts:
             assert_same_quotient(kxk_quotient(brute.adjacency), token_quotient(*scan[1:]), n)

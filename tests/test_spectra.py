@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kxk_reference
+from kxk_reference import expand_runs
 from wzdgraph.errors import ContractViolation, DomainError
 from wzdgraph.graphcore import Kind, divisor_classes
 from wzdgraph.numtheory import euler_phi, factorize, is_prime
@@ -113,10 +115,10 @@ def test_weighted_laplacian_rows_sum_to_zero(n):
     assert not L.sum(axis=1).any()
 
 
-def host_counts(host: WeightedHostGraph) -> np.ndarray:
+def host_counts(host: WeightedHostGraph) -> list[list[int]]:
     """B with B[i, j] = n_j on host edges, so that D - B is the row-sum form."""
     L = weighted_laplacian(host)
-    return np.diag(np.diagonal(L)) - L
+    return (np.diag(np.diagonal(L)) - L).tolist()
 
 
 def host_component_count(host: WeightedHostGraph) -> int:
@@ -149,6 +151,26 @@ def test_host_quotient_eigenvalues_take_weight_products_past_int64():
     for big in (10**200, 10**400):
         with pytest.raises(OverflowError, match="int too large to convert to float"):
             quotient_eigenvalues([[0, big], [big, 0]], [big, big])
+
+
+@pytest.mark.parametrize("solve", [quotient_eigenvalues, kxk_reference.quotient_eigenvalues])
+def test_host_quotient_eigenvalues_refuse_a_row_sum_past_the_float_range(solve):
+    # every entry and every product is finite, but row 0 sums to 2 * 10^308:
+    # a float sum would overflow to inf without a word.  Sizes of 1 (no
+    # partition has these counts) keep the sizes' sum finite, so that only
+    # the row sum can overflow.
+    big = 10**308
+    b = [[0, big, big], [1, 0, 0], [1, 0, 0]]
+    with pytest.raises(OverflowError, match="int too large to convert to float"):
+        solve(b, [1, 1, 1])
+
+
+@pytest.mark.parametrize("solve", [quotient_eigenvalues, kxk_reference.quotient_eigenvalues])
+def test_host_quotient_eigenvalues_refuse_a_lone_class_size_past_the_float_range(solve):
+    # an isolated host vertex of weight 10^400: no entry, product or row sum
+    # reads its size, and its component of one class needs no reflection
+    with pytest.raises(OverflowError, match="int too large to convert to float"):
+        solve([[0, 1, 0], [1, 0, 0], [0, 0, 0]], [1, 1, 10**400])
 
 
 @settings(max_examples=40, deadline=None)
@@ -308,7 +330,7 @@ def test_algebraic_connectivity_matches_expanded_spectrum():
     for n in range(4, 3001):
         s = wzd_spectrum_closed_form(n)
         if s.order >= 2:
-            assert algebraic_connectivity(s) == s.expand()[1], n
+            assert algebraic_connectivity(s) == expand_runs(s.items_sorted())[1], n
 
 
 def test_spectral_radius_examples():
