@@ -25,7 +25,6 @@ _EXPORTS = {
         "divisor_classes",
         "export_graph",
         "graphs_equal",
-        "join_tokens",
         "scan_wzd_tokens",
     ),
     "numtheory": ("PrimeFactorization", "euler_phi", "factorize"),
@@ -34,7 +33,6 @@ _EXPORTS = {
         "VerificationReport",
         "char_poly_exact",
         "integrality_check",
-        "laplacian_eigenvalues",
         "laplacian_matrix",
         "poly_matches_spectrum",
         "symmetric_eigenvalues",

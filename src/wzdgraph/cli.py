@@ -340,7 +340,7 @@ def _component_from_json(entry, index: int) -> tuple[spectra.SpectrumMultiset, t
     graphcore.check_graph_order(f"join component {index}", order)
     tokens = _edge_table(entry, order, index), np.ones(order, dtype=np.int64)
     try:
-        runs = oracle.laplacian_eigenvalues(*tokens)
+        runs = oracle.twin_quotient(*tokens)[3]
     except OrderCapError as exc:
         raise OrderCapError(f"join component {index}: {exc}") from None
     return spectra.SpectrumMultiset.floating(runs), tokens
@@ -383,7 +383,7 @@ def cmd_join(path: str, fmt: str, check: bool) -> int:
 
     check_ok = True
     if check:
-        numeric = oracle.laplacian_eigenvalues(*graphcore.join_tokens(edges, parts))
+        numeric = oracle.twin_quotient(*graphcore.join_tokens(edges, parts))[3]
         check_ok = oracle.eigenvalues_match(numeric, result.items_sorted())
 
     if fmt == "json":

@@ -22,8 +22,8 @@ builder.
 
 A generalized join takes the same token form, a table T and token weights:
 ``join_tokens`` gives one token per complete or empty component and one per
-vertex of an edge-list component, so ``wzd join --check`` finds its twin
-quotient as ``verify`` does, and no ``Graph`` is built for a join.
+vertex of an edge-list component, and ``oracle.twin_quotient`` solves it as
+it solves the scan's ``scan[2:]``: no ``Graph`` is built for a join.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ def _least_annihilators(n: int, verts: list[int], divs: list[int]) -> np.ndarray
 
 def scan_wzd_tokens(n: int) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
     """WΓ(Z_n) by direct definition scan over annihilator element pairs, on
-    tokens: ``(verts, least, weights, table)``.
+    tokens: ``(verts, least, table, weights)``.
 
     The annihilator of x is an additive subgroup of Z_n, so it is cyclic: the
     multiples of its least positive element r0 (``_least_annihilators``).
@@ -174,10 +174,12 @@ def scan_wzd_tokens(n: int) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarr
     iff T = Z Z Z (int64, entries at most m^2 for m tokens) is positive at
     their tokens.
 
-    Returns the vertices, ascending; each vertex's r0; the number of vertices
-    of each token; and the m x m bool table T > 0, both by token in ascending
-    r0.  There are tau(n) - 2 tokens, one per proper divisor, so nothing here
-    is k x k for k vertices.  No ``factorize``, ``numtheory.divisors`` or gcd:
+    Returns the vertices, ascending; each vertex's r0; the m x m bool table
+    T > 0; and the number of vertices of each token, both by token in
+    ascending r0, so ``scan[2:]`` is the ``(table, weights)`` pair that
+    ``join_tokens`` returns and ``oracle.twin_quotient`` takes.  There are
+    tau(n) - 2 tokens, one per proper divisor, so nothing here is k x k for
+    k vertices.  No ``factorize``, ``numtheory.divisors`` or gcd:
     the scan stays independent of ``divisor_classes``, which is what makes
     ``scan_matches_classes`` a check.  Raises OrderCapError above
     ``MAX_SCAN_MODULUS``, or above ``MAX_GRAPH_ORDER`` vertices before they are
@@ -192,7 +194,7 @@ def scan_wzd_tokens(n: int) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarr
     verts = zero_divisors(n, divs)
     if not verts:  # n is prime
         empty = np.zeros(0, dtype=np.int64)
-        return verts, empty, empty, np.zeros((0, 0), dtype=bool)
+        return verts, empty, np.zeros((0, 0), dtype=bool), empty
     least = _least_annihilators(n, verts, divs)
     # each vertex's token as its r0's place among the divisors, which ascend
     at = np.searchsorted(divs, least)
@@ -203,13 +205,13 @@ def scan_wzd_tokens(n: int) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarr
     weights = counts[tokens]
     rep = np.array(verts, dtype=np.int64)[first[tokens]]
     zero = (np.multiply.outer(rep, rep) % n == 0).astype(np.int64)
-    return verts, least, weights, zero @ zero @ zero > 0
+    return verts, least, zero @ zero @ zero > 0, weights
 
 
 def build_bruteforce_wzd(n: int) -> Graph:
     """WΓ(Z_n) from ``scan_wzd_tokens``: each token's row of T, taken once per
     vertex of the token, with no self-loop."""
-    verts, least, _, table = scan_wzd_tokens(n)
+    verts, least, table, _ = scan_wzd_tokens(n)
     vert_tok = np.unique(least, return_inverse=True)[1]
     adj = table.take(vert_tok, 0).take(vert_tok, 1)
     np.fill_diagonal(adj, False)
@@ -307,7 +309,7 @@ def scan_matches_classes(n: int, scan, classes: tuple[DivisorClass, ...], rows) 
 
     ``rows`` is ``table.tolist()``, which the caller reads as well.
     """
-    verts, least, weights, table = scan
+    verts, least, table, weights = scan
     rev = classes[::-1]  # tokens ascend in r0 = n/d: the classes in descending d
     if table.shape != (len(rev), len(rev)) or weights.tolist() != [c.size for c in rev]:
         return False

@@ -3,7 +3,8 @@ the twin quotient of a graph in token form, and the per-n verification report.
 
 Twin classes are equitable, so a Laplacian spectrum is the twin eigenvalues
 plus those of the m x m quotient (Brouwer & Haemers, Spectra of Graphs,
-2.3); the exact certificate and the numeric eigenvalues both read it, and
+2.3).  ``twin_quotient`` alone finds and solves it, for ``verify`` and
+``join``; the certificate and the numeric checks read its result, and
 ``quotient_eigenvalues`` also solves a join's host, another such quotient.
 The exact path is authoritative: when the numeric and exact results
 disagree, the report fails and shows the exact spectrum.
@@ -266,12 +267,11 @@ def poly_matches_spectrum(p: ExactPolynomial, s: SpectrumMultiset) -> bool:
     return poly_from_spectrum(s).coeffs == p.coeffs
 
 
-def _token_twin_classes(table: np.ndarray, weights: np.ndarray):
-    """Twin classes of the graph that the bool token ``table`` T and token
-    ``weights`` w describe: w_t vertices per token t, and x != y joined iff
-    T is true at their tokens.  ``scan_wzd_tokens`` gives WΓ(Z_n) so, and
-    ``graphcore.join_tokens`` a generalized join; an explicit graph is its
-    adjacency with unit weights.
+def _token_twin_classes(rows: bytes, w: list[int]):
+    """Twin classes of the graph of a token table T, as ``rows``, its m x m
+    bools as bytes row by row, and token weights ``w``: w_t vertices per
+    token t, x != y joined iff T is true at their tokens.  An explicit
+    graph is its adjacency with unit weights.
 
     Each vertex's row of A is its token's row of T with a 0 at the vertex,
     and its row of A + I the same with a 1 there.  So the vertices of tokens
@@ -284,13 +284,12 @@ def _token_twin_classes(table: np.ndarray, weights: np.ndarray):
     Returns ``(cls, sizes, true_twin)``: the list of each token's class,
     false-twin classes first, each kind in ascending key order and each
     class led by its first token, then per class its size in vertices and
-    whether it is of true twins, all three lists.  Keys are the rows' bytes,
-    one per token, so they hash and compare in C; their order fixes the
-    order of the quotient, and with it the bits of the floating eigenvalues
-    that ``laplacian_eigenvalues`` returns.
+    whether it is of true twins, all three lists.  Keys are slices of
+    ``rows``, one per token, so they hash and compare in C; their order
+    fixes the order of the quotient, and with it the bits of the floating
+    eigenvalues that ``twin_quotient`` returns.
     """
-    m = len(weights)
-    rows, w = table.tobytes(), weights.tolist()
+    m = len(w)
     cls = [-1] * m
     sizes: list[int] = []
     true_twin: list[bool] = []
@@ -311,10 +310,10 @@ def _token_twin_classes(table: np.ndarray, weights: np.ndarray):
     return cls, sizes, true_twin
 
 
-def _token_class_counts(table: np.ndarray, weights: np.ndarray, twins) -> list[list[int]] | None:
+def _token_class_counts(rows: bytes, w: list[int], twins) -> list[list[int]] | None:
     """B[C, D], the neighbours in class D of each vertex of class C, as m
     lists of m ints, for the ``_token_twin_classes`` ``twins`` of the graph
-    of ``table`` and ``weights``; None unless every token carries its class
+    of ``rows`` and ``w``; None unless every token carries its class
     leader's key (false or true by the class's kind), its key is valid, and
     each class's size is its tokens' weight.  That exact check makes each
     class one of twins, and a vertex outside two twins is joined to both or
@@ -325,7 +324,6 @@ def _token_class_counts(table: np.ndarray, weights: np.ndarray, twins) -> list[l
     """
     cls, size, kinds = twins
     m = len(cls)
-    rows, w = table.tobytes(), weights.tolist()
     heads: dict[int, tuple[int, bytes]] = {}  # each class's first token and its key
     weight = [0] * len(kinds)
     for t, c in enumerate(cls):
@@ -404,32 +402,33 @@ def quotient_eigenvalues(b, sizes) -> list[float]:
     return eigs
 
 
-def _twin_quotient_runs(twins, b) -> tuple[list[float], list[tuple]]:
-    """The m eigenvalues of the quotient D - B (``quotient_eigenvalues``) of
-    a graph with twin classes ``twins`` and class counts ``b``, and its whole
-    Laplacian spectrum as ascending (eigenvalue, multiplicity) runs: those m
-    once each, and per class of c >= 2 the int d, or d + 1 for true twins,
-    c - 1 times.  Raises OrderCapError, before any sweep, above
-    ``JACOBI_MAX_ORDER``.
+def twin_quotient(table: np.ndarray, weights: np.ndarray):
+    """The twin quotient of the graph of the token ``table`` T and
+    ``weights`` w (``_token_twin_classes``), and its Laplacian spectrum.
+    T must be a square, symmetric bool array and w hold one int >= 1 per
+    token, as ``scan_wzd_tokens``, ``graphcore.join_tokens`` and ``cli``'s
+    edge tables make them; neither is checked.  T's bytes and w's ints are
+    made once, for the classes and their counts B (``_token_class_counts``).
+
+    Returns ``(twins, b, quotient, runs)``: the classes, B, the m
+    eigenvalues of D - B (``quotient_eigenvalues``), and the spectrum as
+    ascending (eigenvalue, multiplicity) runs, those m once each and per
+    class of c >= 2 the int d, or d + 1 for true twins, c - 1 times; or
+    None when the exact key check refuses the grouping.  Raises
+    OrderCapError above ``JACOBI_MAX_ORDER`` before the classes are counted.
     """
+    rows, w = table.tobytes(), weights.tolist()
+    twins = _token_twin_classes(rows, w)
     _, sizes, true_twin = twins
     check_jacobi_order("the twin reduction", len(sizes) - 1)
+    b = _token_class_counts(rows, w, twins)
+    if b is None:
+        return None
     quotient = quotient_eigenvalues(b, sizes)
     runs = [(e, 1) for e in quotient]
     runs += [(sum(row) + true, c - 1) for row, c, true in zip(b, sizes, true_twin) if c > 1]
     runs.sort()
-    return quotient, runs
-
-
-def laplacian_eigenvalues(table: np.ndarray, weights: np.ndarray) -> list[tuple]:
-    """Laplacian spectrum, as ascending (eigenvalue, multiplicity) runs
-    (``_twin_quotient_runs``), of the graph of the token ``table`` and
-    ``weights`` (``_token_twin_classes``), from its twin quotient.  Raises
-    OrderCapError above ``JACOBI_MAX_ORDER`` before the classes are counted.
-    """
-    twins = _token_twin_classes(table, weights)
-    check_jacobi_order("the twin reduction", len(twins[1]) - 1)
-    return _twin_quotient_runs(twins, _token_class_counts(table, weights, twins))[1]
+    return twins, b, quotient, runs
 
 
 def _quotient_certificate(spectrum: SpectrumMultiset, twins, b) -> bool:
@@ -551,18 +550,17 @@ def verify_spectrum(
     near-integers.
 
     Every check reads the definition scan's tokens (``scan_wzd_tokens``): the
-    vertices, each one's least annihilator r0, the token weights w and the
-    token table T, with no k x k matrix.  The constructions agree when
+    vertices, each one's least annihilator r0, the token table T and the
+    token weights w, with no k x k matrix.  The constructions agree when
     ``scan_matches_classes`` holds against ``divisor_classes(n)``.  The
     edge count is read off T's rows, in Python ints, with the same rows:
     2|E| = sum w_t w_s T[t, s] - sum w_t T[t, t].
-    The twin quotient is found on the tokens' keys (``_token_twin_classes``)
-    and counted once (``_token_class_counts``), for the certificate and the
-    numeric eigenvalues, compared with the closed form as (eigenvalue,
-    multiplicity) runs; integrality is read off the quotient's eigenvalues,
-    as the twin ones are ints.  When its classes are not twins, or Jacobi
-    would get an order above ``JACOBI_MAX_ORDER``, the checks that need it
-    fail.
+    The twin quotient is solved once (``twin_quotient``): the certificate
+    reads its classes and counts, the numeric match its runs, compared with
+    the closed form as (eigenvalue, multiplicity) runs, and integrality its
+    quotient eigenvalues, as the twin ones are ints.  When the key check
+    refuses its classes, or Jacobi would get an order above
+    ``JACOBI_MAX_ORDER``, the checks that need it fail.
     With no vertex in the closed form or the scan, as for a prime, the three
     spectral checks hold vacuously and are not run.
 
@@ -577,7 +575,7 @@ def verify_spectrum(
     order = closed.order
     check_graph_order(f"WΓ(Z_{n})", order)
     scan = scan_wzd_tokens(n)
-    verts, _, weights, table = scan
+    verts, _, table, weights = scan
     rows, w = table.tolist(), weights.tolist()
     checks = {"construction_equal": scan_matches_classes(n, scan, divisor_classes(n), rows)}
     # each token's w_t vertices have sum_s w_s T[t, s] - T[t, t] neighbours
@@ -590,16 +588,15 @@ def verify_spectrum(
     if order == 0 == len(verts):  # no vertex: the spectral checks hold vacuously
         checks.update(charpoly_match=True, numeric_match=True, integral=True)
     else:
-        twins = _token_twin_classes(table, weights)
-        counts = _token_class_counts(table, weights, twins)
-        checks["charpoly_match"] = charpoly_skipped or (
-            counts is not None and _quotient_certificate(closed, twins, counts)
-        )
         try:
-            quotient, runs = (None, None) if counts is None else _twin_quotient_runs(twins, counts)
+            solved = twin_quotient(table, weights)
         except OrderCapError:
-            quotient = runs = None
-        same_order = runs is not None and sum(mult for _, mult in runs) == order
+            solved = None
+        twins, counts, quotient, runs = solved or (None,) * 4
+        checks["charpoly_match"] = charpoly_skipped or (
+            solved is not None and _quotient_certificate(closed, twins, counts)
+        )
+        same_order = solved is not None and sum(mult for _, mult in runs) == order
         checks["numeric_match"] = same_order and eigenvalues_match(runs, closed.items_sorted())
         # the twin runs are ints: only the quotient's eigenvalues can miss
         checks["integral"] = same_order and integrality_check(quotient, integral_tol)

@@ -4,9 +4,9 @@ references for the token route that ``wzd verify`` and ``wzd join`` run.
 Each vertex here is its own row of a k x k bool adjacency: the rows of A and
 A + I are bit-packed and sorted once to find the twin classes, the class
 counts B are read from the packed leader rows after an exact row check, and
-a generalized join is assembled block by block.  ``oracle``'s token route
+a generalized join is assembled block by block.  ``oracle.twin_quotient``
 groups rows of the token table T instead, so the two share no code up to
-``_twin_quotient_runs``.
+``oracle.quotient_eigenvalues``.
 
 ``quotient_eigenvalues`` is the quotient solver with S = D - sqrt(B o B^T)
 built by numpy on float64 arrays, the reference for ``oracle``'s, which
@@ -118,7 +118,7 @@ def twin_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     true_twin)``: the vertices in class order, each class contiguous and led
     by its first vertex, then per class its size and whether it is of true
     twins.  Classes come false twins first, each kind in ascending packed
-    row, the order ``oracle._token_twin_classes`` gives on unit weights.
+    row, the order ``oracle.twin_quotient`` gives on unit weights.
     """
     k = rows.shape[0] // 2
     keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
@@ -157,11 +157,17 @@ def class_counts(rows: np.ndarray, twins) -> np.ndarray | None:
 def laplacian_eigenvalues(adj: np.ndarray) -> list[tuple]:
     """Laplacian spectrum of the bool adjacency ``adj``, as ascending
     (eigenvalue, multiplicity) runs, from its twin quotient by the k x k
-    route.  Raises OrderCapError above ``oracle.JACOBI_MAX_ORDER`` before
-    the classes are counted.
+    route: the m quotient eigenvalues once each, and per class of c >= 2
+    its degree d, or d + 1 for true twins, c - 1 times, as
+    ``oracle.twin_quotient`` lays them out.  Raises OrderCapError above
+    ``oracle.JACOBI_MAX_ORDER`` before the classes are counted.
     """
     rows = packed_rows(adj)
-    order, sizes, true_twin = twins = twin_classes(rows)
+    twins = twin_classes(rows)
+    sizes, true_twin = twins[1].tolist(), twins[2].tolist()
     oracle.check_jacobi_order("the twin reduction", len(sizes) - 1)
     b = class_counts(rows, twins).tolist()
-    return oracle._twin_quotient_runs((order, sizes.tolist(), true_twin.tolist()), b)[1]
+    runs = [(e, 1) for e in oracle.quotient_eigenvalues(b, sizes)]
+    runs += [(sum(row) + true, c - 1) for row, c, true in zip(b, sizes, true_twin) if c > 1]
+    runs.sort()
+    return runs

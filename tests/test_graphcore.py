@@ -253,13 +253,13 @@ def test_scan_equals_structural_at_large_orders(n):
 def test_scan_wzd_tokens_small_case():
     # Z_18: tokens r0 = 2, 3, 6, 9 key the classes A_9, A_6, A_3, A_2, and
     # only the empty A_2 has a false diagonal
-    verts, least, weights, table = graphcore.scan_wzd_tokens(18)
+    verts, least, table, weights = graphcore.scan_wzd_tokens(18)
     assert verts == [2, 3, 4, 6, 8, 9, 10, 12, 14, 15, 16]
     assert least.tolist() == [9, 6, 9, 3, 9, 2, 9, 3, 9, 6, 9]
     assert weights.tolist() == [1, 2, 2, 6]
     assert table.tolist() == [[True] * 4] * 3 + [[True, True, True, False]]
     assert graphcore.scan_matches_classes(
-        18, (verts, least, weights, table), divisor_classes(18), table.tolist()
+        18, (verts, least, table, weights), divisor_classes(18), table.tolist()
     )
 
 
@@ -557,7 +557,7 @@ def test_join_tokens_of_the_divisor_classes_are_the_scans_tokens():
         parts = [_component_from_json({"kind": c.kind.value, "order": c.size}, i)[1]
                  for i, c in enumerate(classes)]
         table, weights = join_tokens(host_edges, parts)
-        _, _, scan_weights, scan_table = scan_wzd_tokens(n)
+        _, _, scan_table, scan_weights = scan_wzd_tokens(n)
         assert np.array_equal(weights, scan_weights) and np.array_equal(table, scan_table), n
     # each class as an edge list instead, alone or mixed with kinds: one
     # graph, the structural one relabelled into class order

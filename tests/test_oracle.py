@@ -48,6 +48,16 @@ def unit_tokens(adj: np.ndarray) -> tuple:
     return adj, np.ones(len(adj), dtype=np.int64)
 
 
+def token_rows(table: np.ndarray, weights: np.ndarray) -> tuple:
+    """``(table, weights)`` as the twin helpers read them: T's bytes and w's ints."""
+    return table.tobytes(), weights.tolist()
+
+
+def spectrum_runs(table: np.ndarray, weights: np.ndarray) -> list[tuple]:
+    """The Laplacian spectrum runs that ``oracle.twin_quotient`` returns."""
+    return oracle.twin_quotient(table, weights)[3]
+
+
 def graph_from_label_edges(labels, edges):
     index = {u: i for i, u in enumerate(labels)}
     return graph_from_edges(labels, (sorted((index[u], index[v])) for u, v in edges))
@@ -396,14 +406,14 @@ def test_explicit_twin_stage_of_order_4096_peaks_under_4_k_squared_bytes():
 
     def twin_stage(adj):
         try:
-            results.append(oracle.laplacian_eigenvalues(*unit_tokens(adj)))
+            results.append(spectrum_runs(*unit_tokens(adj)))
         except OrderCapError as exc:
             results.append(str(exc))
 
     for adj in (free, planted):
         assert traced_peak(lambda: twin_stage(adj)) < 4 * k * k  # 64 MB
     assert results[0] == "the twin reduction leaves Jacobi order 4095, above its limit of 256"
-    assert len(oracle._token_twin_classes(*unit_tokens(planted))[1]) == 5
+    assert len(oracle._token_twin_classes(*token_rows(*unit_tokens(planted)))[1]) == 5
     assert results[1] == kxk_reference.laplacian_eigenvalues(planted)
 
 
@@ -484,7 +494,7 @@ def test_jacobi_converges_in_one_sweep_on_reflected_wzd_laplacians(monkeypatch):
         closed = wzd_spectrum_closed_form(n)
         if closed.order == 0:
             continue
-        runs = oracle.laplacian_eigenvalues(*unit_tokens(build_bruteforce_wzd(n).adjacency))
+        runs = spectrum_runs(*unit_tokens(build_bruteforce_wzd(n).adjacency))
         err = np.max(np.abs(np.array(expand_runs(runs)) - expand_runs(closed.items_sorted())))
         assert err <= NUMERIC_MATCH_TOL * closed.order, n
 
@@ -810,12 +820,12 @@ def test_floating_runs_merge_as_the_expanded_list_did():
     # WΓ(Z_n) puts quotient eigenvalues within the merge tolerance of the
     # twins' ints; planted graphs give irrational ones among them
     rng = np.random.default_rng(2026)
-    tokens = [graphcore.scan_wzd_tokens(n)[:1:-1] for n in (18, 30, 240, 1001, 5040)]
+    tokens = [graphcore.scan_wzd_tokens(n)[2:] for n in (18, 30, 240, 1001, 5040)]
     for _ in range(60):
         host = random_adjacency(rng, int(rng.integers(1, 9)))
         tokens.append(unit_tokens(planted_twin_graph(rng, host)[0].adjacency))
     for case, (table, weights) in enumerate(tokens):
-        runs = oracle.laplacian_eigenvalues(table, weights)
+        runs = spectrum_runs(table, weights)
         by_runs = SpectrumMultiset.floating(runs).items_sorted()
         by_list = SpectrumMultiset.floating((e, 1) for e in expand_runs(runs)).items_sorted()
         assert repr(by_runs) == repr(by_list), case
@@ -888,7 +898,7 @@ def split_pair(scan, x: int, y: int, joined: bool) -> tuple:
     the others, each with its old token's row of T and the two joined iff
     ``joined``: the scan of the graph with the one pair x, y changed.  The
     old tokens of x and y must keep a vertex."""
-    verts, least, weights, table = scan
+    verts, least, table, weights = scan
     least = least.copy()
     ix = [verts.index(x), verts.index(y)]
     old = np.searchsorted(np.unique(least), least[ix])
@@ -900,12 +910,12 @@ def split_pair(scan, x: int, y: int, joined: bool) -> tuple:
     np.subtract.at(weights, old, 1)
     assert (weights > 0).all()
     least[ix] = least.max() + np.array([1, 2])
-    return verts, least, weights, table
+    return verts, least, table, weights
 
 
 def expanded_adjacency(scan) -> np.ndarray:
     """The k x k adjacency a token scan describes, for checking the planted scans."""
-    _, least, _, table = scan
+    _, least, table, _ = scan
     tok = np.unique(least, return_inverse=True)[1]
     adj = table[np.ix_(tok, tok)]
     np.fill_diagonal(adj, False)
@@ -985,7 +995,7 @@ def test_deflation_zeroes_the_first_leaders_row_and_column(monkeypatch, n):
         return real(block)
 
     monkeypatch.setattr(oracle, "symmetric_eigenvalues", spy)
-    eigs = expand_runs(oracle.laplacian_eigenvalues(*unit_tokens(a)))
+    eigs = expand_runs(spectrum_runs(*unit_tokens(a)))
     # the first class's row and column vanish, and Jacobi gets the rest
     assert np.abs(hsh[0]).max() < 1e-12 * scale and np.abs(hsh[:, 0]).max() < 1e-12 * scale
     assert len(blocks) == 1 and np.abs(blocks[0] - hsh[1:, 1:]).max() < 1e-12 * scale
@@ -1009,11 +1019,12 @@ def test_quotient_eigenvalues_equal_the_numpy_reference_on_every_verify_quotient
     # same Jacobi call, so the same eigenvalues bit for bit
     classes = set()
     for n in range(4, 3001):
-        verts, _, weights, table = graphcore.scan_wzd_tokens(n)
+        verts, _, table, weights = graphcore.scan_wzd_tokens(n)
         if not verts:
             continue
-        twins = oracle._token_twin_classes(table, weights)
-        b, sizes = oracle._token_class_counts(table, weights, twins), twins[1]
+        rows = token_rows(table, weights)
+        twins = oracle._token_twin_classes(*rows)
+        b, sizes = oracle._token_class_counts(*rows, twins), twins[1]
         got = oracle.quotient_eigenvalues(b, sizes)
         assert float_bits(got) == float_bits(kxk_reference.quotient_eigenvalues(b, sizes)), n
         classes.add(len(sizes))
@@ -1045,30 +1056,36 @@ def test_verify_spectrum_one_twin_class_runs_no_jacobi(monkeypatch, n):
     orders = jacobi_orders(monkeypatch)
     assert verify_spectrum(n).status == STATUS_PASS
     k = len(adj)
-    runs = oracle.laplacian_eigenvalues(*unit_tokens(adj))
+    runs = spectrum_runs(*unit_tokens(adj))
     assert runs == [(0.0, 1), (k, k - 1)] and repr(runs[0][0]) == "0.0"
     assert orders == []
 
 
-def test_verify_spectrum_twin_classes_found_once(monkeypatch):
-    # the classes are found and counted once, for the certificate and the numeric path
+def test_verify_spectrum_solves_the_quotient_once(monkeypatch):
+    # one twin_quotient call per n finds, counts and solves the quotient, for
+    # the certificate and the numeric path, with Jacobi's order checked once,
+    # before the count; a prime has none to solve
     calls = []
-    for name in ("_token_twin_classes", "_token_class_counts"):
+    names = ("twin_quotient", "_token_twin_classes", "check_jacobi_order",
+             "_token_class_counts", "quotient_eigenvalues")
+    for name in names:
         real = getattr(oracle, name)
         monkeypatch.setattr(
             oracle, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
         )
-    assert verify_spectrum(240).status == STATUS_PASS
-    assert calls == ["_token_twin_classes", "_token_class_counts"]
+    for n in (18, 97, 240, 5040, 8186):
+        del calls[:]
+        assert verify_spectrum(n).status != STATUS_FAIL, n
+        assert calls == ([] if n == 97 else list(names)), n
 
 
 def test_verify_spectrum_wrong_grouping_fails_both_spectrum_checks(monkeypatch):
     # classes mixing tokens that are not twins fail the exact key check, so
     # there is no quotient: no Jacobi, no certificate and no traceback; each n
     # has an empty class (in a complete graph every grouping is one of twins)
-    def wrong(table, weights):
-        cls = np.arange(len(weights)) % 3
-        sizes = np.bincount(cls, weights).astype(np.int64)
+    def wrong(rows, w):
+        cls = np.arange(len(w)) % 3
+        sizes = np.bincount(cls, w).astype(np.int64)
         return cls.tolist(), sizes, np.zeros(len(sizes), dtype=bool)
 
     def unreachable(*args):
@@ -1140,7 +1157,7 @@ def test_construction_check_sees_every_flipped_entry_of_the_table(n):
     # every entry of T is read by some pair of vertices, except the diagonal
     # of a token of weight 1: its one vertex has no partner in the token
     real = graphcore.scan_wzd_tokens(n)
-    verts, least, weights, table = real
+    verts, least, table, weights = real
     clean = verify_spectrum(n)
     assert clean.status == STATUS_PASS
     m = len(weights)
@@ -1149,7 +1166,7 @@ def test_construction_check_sees_every_flipped_entry_of_the_table(n):
         for s in range(m):
             flipped = table.copy()
             flipped[t, s] = not flipped[t, s]
-            rep = planted_construction(n, (verts, least, weights, flipped))
+            rep = planted_construction(n, (verts, least, flipped, weights))
             if t == s and weights[t] == 1:
                 assert rep == clean, (n, t)
             else:
@@ -1175,12 +1192,12 @@ def test_construction_check_sees_a_vertex_moved_to_another_token(n):
             assert rep.checks["construction_equal"] is False, (n, verts[v], r)
             assert rep.status == STATUS_FAIL, (n, verts[v], r)
     # two vertices that trade tokens keep every weight and T
-    verts, least, weights, table = graphcore.scan_wzd_tokens(n)
+    verts, least, table, weights = graphcore.scan_wzd_tokens(n)
     for u, v in combinations(range(len(verts)), 2):
         if least[u] != least[v]:
             traded = least.copy()
             traded[[u, v]] = least[[v, u]]
-            rep = planted_construction(n, (verts, traded, weights, table))
+            rep = planted_construction(n, (verts, traded, table, weights))
             assert rep.checks["construction_equal"] is False, (n, verts[u], verts[v])
 
 
@@ -1195,21 +1212,21 @@ def test_construction_check_sees_a_dropped_vertex(n):
         assert rep.checks["construction_equal"] is False, (n, v)
         assert rep.status == STATUS_FAIL, (n, v)
     # a vertex that is a unit in place of a zero-divisor, its token kept
-    _, least, weights, table = graphcore.scan_wzd_tokens(n)
+    _, least, table, weights = graphcore.scan_wzd_tokens(n)
     for i in range(len(verts)):
         unit = next(u for u in range(verts[i] + 1, 2 * n) if math.gcd(u, n) == 1)
         swapped = [*verts[:i], unit, *verts[i + 1 :]]
-        rep = planted_construction(n, (swapped, least, weights, table))
+        rep = planted_construction(n, (swapped, least, table, weights))
         assert rep.checks["construction_equal"] is False, (n, verts[i])
 
 
 def test_construction_check_sees_weights_that_do_not_count_the_tokens():
     # the trace and the twin counts read the weights, so they are checked too
-    verts, least, weights, table = graphcore.scan_wzd_tokens(240)
+    verts, least, table, weights = graphcore.scan_wzd_tokens(240)
     for t in range(len(weights)):
         wrong = weights.copy()
         wrong[t] += 1
-        rep = planted_construction(240, (verts, least, wrong, table))
+        rep = planted_construction(240, (verts, least, table, wrong))
         assert rep.checks["construction_equal"] is False and rep.status == STATUS_FAIL, t
 
 
@@ -1221,10 +1238,11 @@ def kxk_quotient(adj: np.ndarray) -> tuple:
     return class_labels(twins), twins[1], twins[2], class_counts(rows, twins)
 
 
-def token_quotient(least, weights, table) -> tuple:
+def token_quotient(least, table, weights) -> tuple:
     """``kxk_quotient``'s four results from a token scan, as ``verify_spectrum`` reads them."""
-    cls, sizes, true_twin = twins = oracle._token_twin_classes(table, weights)
-    b = oracle._token_class_counts(table, weights, twins)
+    rows = token_rows(table, weights)
+    cls, sizes, true_twin = twins = oracle._token_twin_classes(*rows)
+    b = oracle._token_class_counts(*rows, twins)
     cls = np.array(cls)[np.unique(least, return_inverse=True)[1]]  # each vertex's class
     b = None if b is None else np.array(b)
     return cls, np.array(sizes), np.array(true_twin, dtype=bool), b
@@ -1253,7 +1271,7 @@ def test_token_route_agrees_with_the_kxk_route():
         brute = graphcore.build_bruteforce_wzd(n)
         assert graphcore.graphs_equal(brute, graphcore.build_structural_wzd(n)), n
         scan = graphcore.scan_wzd_tokens(n)
-        verts, least, weights, table = scan
+        verts, least, table, weights = scan
         assert graphcore.scan_matches_classes(n, scan, graphcore.divisor_classes(n), table.tolist()), n
         assert int(weights @ table @ weights - weights @ table.diagonal()) == 2 * brute.edge_count
         if verts:
@@ -1261,7 +1279,7 @@ def test_token_route_agrees_with_the_kxk_route():
 
 
 def random_token_table(rng) -> tuple:
-    """Random token ``(least, weights, table)``: weights 1..3, T symmetric
+    """Random token ``(least, table, weights)``: weights 1..3, T symmetric
     with a random diagonal, its off-diagonal rows copied from a small host so
     that many tokens share a key."""
     m = int(rng.integers(1, 13))
@@ -1272,42 +1290,42 @@ def random_token_table(rng) -> tuple:
     table = host[np.ix_(of, of)]
     table[np.diag_indices(m)] = rng.random(m) < 0.5
     weights = rng.integers(1, 4, size=m)
-    return np.repeat(np.arange(m), weights), weights, table
+    return np.repeat(np.arange(m), weights), table, weights
 
 
 @pytest.mark.parametrize("seed", range(200))
 def test_token_twin_classes_match_the_kxk_classes_of_random_tables(seed):
     # keys shared across tokens, of both kinds, and diagonals of both values
     # on tokens of weight 1 and above
-    least, weights, table = random_token_table(np.random.default_rng(seed))
+    least, table, weights = random_token_table(np.random.default_rng(seed))
     assert_same_quotient(
-        kxk_quotient(expanded_adjacency((None, least, None, table))),
-        token_quotient(least, weights, table),
+        kxk_quotient(expanded_adjacency((None, least, table, None))),
+        token_quotient(least, table, weights),
         seed,
     )
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_token_class_counts_refuse_groupings_that_are_not_of_twins(seed):
-    _, weights, table = random_token_table(np.random.default_rng(seed))
-    cls, sizes, true_twin = twins = oracle._token_twin_classes(table, weights)
-    assert oracle._token_class_counts(table, weights, twins) is not None
+    rows, w = token_rows(*random_token_table(np.random.default_rng(seed))[1:])
+    cls, sizes, true_twin = twins = oracle._token_twin_classes(rows, w)
+    assert oracle._token_class_counts(rows, w, twins) is not None
     # false twins differ in A + I, true twins in A: the other kind is refused
     for c in np.flatnonzero(np.array(sizes) > 1):
         flipped = true_twin.copy()
         flipped[c] = not flipped[c]
-        assert oracle._token_class_counts(table, weights, (cls, sizes, flipped)) is None, c
+        assert oracle._token_class_counts(rows, w, (cls, sizes, flipped)) is None, c
     # two classes merged into one are twins of neither kind
     if len(sizes) > 1:
         merged = [max(c - 1, 0) for c in cls]
         merged_sizes = [sizes[0] + sizes[1], *sizes[2:]]
         for true in (False, True):
             layout = (merged, merged_sizes, [true, *true_twin[2:]])
-            assert oracle._token_class_counts(table, weights, layout) is None, true
+            assert oracle._token_class_counts(rows, w, layout) is None, true
     # sizes that are not the classes' weights
     wrong = sizes.copy()
     wrong[0] += 1
-    assert oracle._token_class_counts(table, weights, (cls, wrong, true_twin)) is None
+    assert oracle._token_class_counts(rows, w, (cls, wrong, true_twin)) is None
 
 
 def test_verify_spectrum_builds_no_k_by_k_matrix(monkeypatch):
@@ -1425,7 +1443,7 @@ def test_laplacian_eigenvalues_match_jacobi_on_the_raw_laplacian(k, planted, see
         g = planted_twin_graph(rng, random_adjacency(rng, max(1, k // 5)))[0]
     else:
         g = Graph(labels=tuple(range(k)), adjacency=random_adjacency(rng, k))
-    eigs = expand_runs(oracle.laplacian_eigenvalues(*unit_tokens(g.adjacency)))
+    eigs = expand_runs(spectrum_runs(*unit_tokens(g.adjacency)))
     ref = symmetric_eigenvalues(laplacian_matrix(g))
     assert len(eigs) == len(ref) == g.vertex_count and eigs == sorted(eigs)
     assert all(abs(a - b) <= 1e-9 * max(1, len(ref)) for a, b in zip(eigs, ref))
@@ -1442,7 +1460,7 @@ def test_token_route_eigenvalues_equal_the_kxk_route_bit_for_bit(chunk):
         g = planted_twin_graph(rng, random_adjacency(rng, int(rng.integers(1, 9))))[0]
         shuffle = rng.permutation(g.vertex_count)
         adj = g.adjacency[np.ix_(shuffle, shuffle)]
-        tokens = np.array(oracle.laplacian_eigenvalues(*unit_tokens(adj)))
+        tokens = np.array(spectrum_runs(*unit_tokens(adj)))
         kxk = np.array(kxk_reference.laplacian_eigenvalues(adj))
         assert tokens.tobytes() == kxk.tobytes(), (chunk, case)
 
@@ -1454,14 +1472,14 @@ def path_adjacency(k: int) -> np.ndarray:
 def test_laplacian_eigenvalues_refuses_a_leader_block_above_the_bound(monkeypatch, request):
     # P_k has no twins for k >= 4, so its leader block is of order k - 1
     monkeypatch.setattr(oracle, "JACOBI_MAX_ORDER", 4)
-    runs = oracle.laplacian_eigenvalues(*unit_tokens(path_adjacency(5)))
+    runs = spectrum_runs(*unit_tokens(path_adjacency(5)))
     assert expand_runs(runs) == pytest.approx(
         np.linalg.eigvalsh(laplacian_matrix(Graph(tuple(range(5)), path_adjacency(5))))
     )
     request.getfixturevalue("no_sweep")
     with pytest.raises(OrderCapError, match="^the twin reduction leaves Jacobi order 5, "
                                              "above its limit of 4$"):
-        oracle.laplacian_eigenvalues(*unit_tokens(path_adjacency(6)))
+        spectrum_runs(*unit_tokens(path_adjacency(6)))
 
 
 def test_verify_spectrum_fails_a_twin_free_graph_above_the_jacobi_bound(monkeypatch, no_sweep):
@@ -1471,12 +1489,13 @@ def test_verify_spectrum_fails_a_twin_free_graph_above_the_jacobi_bound(monkeypa
     def planted(n):
         verts = graphcore.scan_wzd_tokens(n)[0]
         k = len(verts)
-        return verts, np.arange(2, k + 2), np.ones(k, dtype=np.int64), path_adjacency(k)
+        return verts, np.arange(2, k + 2), path_adjacency(k), np.ones(k, dtype=np.int64)
 
     monkeypatch.setattr(oracle, "scan_wzd_tokens", planted)
     rep = verify_spectrum(500)
     assert rep.status == STATUS_FAIL
-    # the certificate's quotient, of order 299, is above the charpoly limit
+    # the quotient is refused before it is counted, so there is no
+    # certificate either: of order 299, it would be above the charpoly limit
     assert rep.checks["charpoly_match"] is False
     assert rep.checks["numeric_match"] is False and rep.checks["integral"] is False
 

@@ -176,6 +176,16 @@ def test_every_public_name_resolves():
         wzdgraph.build
 
 
+@pytest.mark.parametrize("name", ["laplacian_eigenvalues", "join_tokens"])
+def test_no_public_name_takes_a_callers_token_table(name):
+    # the twin quotient trusts its table to be square, symmetric and bool:
+    # an exported solver gave K_2 the spectrum {0, 0} from an int table and
+    # met a short weight list with an IndexError traceback
+    assert name not in wzdgraph.__all__ and name not in dir(wzdgraph)
+    with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+        getattr(wzdgraph, name)
+
+
 def test_readme_library_example_runs_on_a_fresh_import():
     # the fenced block under "## Library": its names import from wzdgraph itself
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
